@@ -92,6 +92,12 @@ cargo test -q --offline -p govhost-scenario
 cargo test -q --offline -p govhost-scenario --test prop_dsl
 cargo test -q --offline --test scenario
 
+# The repository benchmark's own unit tests: its statistics, span
+# tracer, request mix and in-process connections. perfbench is a
+# workspace of its own and builds into its own target directory.
+echo "==> perfbench unit tests"
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$run_bench" = 1 ]; then
     echo "==> bench smoke (1 iteration each, writes BENCH_*.json)"
     GOVHOST_BENCH_SMOKE=1 cargo bench --offline -p govhost-bench

@@ -9,16 +9,22 @@
 //! `tests/scenario.rs` suite pins full byte-identity; here the wall
 //! times are the point. The diff/insight reduction is timed separately
 //! to show the comparison layer costs microseconds, never a rebuild.
+//! `run_file_5` times `run_file` end to end over the five scenarios of
+//! `examples/what-if.scn`: one shared baseline plus five incremental
+//! rebuilds, the cost of asking N questions of one world.
 //!
 //! Full mode measures scales 0.3 and 1.0; smoke mode shrinks to the
 //! tiny world, never dropping a series.
 
 use govhost_core::prelude::*;
 use govhost_harness::bench::{black_box, Bench};
-use govhost_scenario::{diff, insights_for, BuildMetrics, InsightContext};
+use govhost_scenario::{diff, insights_for, parse, run_file, BuildMetrics, InsightContext};
 use govhost_worldgen::prelude::*;
 use govhost_worldgen::{provider_by_asn, shock};
 use std::time::Instant;
+
+/// The worked scenario file the `run_file_5` series evaluates.
+const WHAT_IF: &str = include_str!("../../../examples/what-if.scn");
 
 fn main() {
     let mut b = Bench::new("scenario");
@@ -32,7 +38,19 @@ fn main() {
     };
     let provider = provider_by_asn(16509).expect("AS16509 is on the Fig. 10 roster");
     let options = BuildOptions::default();
+    let what_if = parse(WHAT_IF).expect("examples/what-if.scn parses");
+    assert_eq!(what_if.scenarios.len(), 5, "run_file_5 times five scenarios");
     for (label, params) in configs {
+        let started = Instant::now();
+        let runs = run_file(&params, &what_if, &options).expect("the example scenarios run");
+        b.record(
+            &format!("scenario/{label}/run_file_5"),
+            started.elapsed(),
+            Some(runs.len() as u64),
+        );
+        // Free its ten datasets before the per-stage series build theirs.
+        drop(runs);
+
         let mut world = World::generate(&params);
         let started = Instant::now();
         let (baseline, _report, mut cache) =

@@ -566,7 +566,7 @@ struct Assembled {
 /// that produced it. It is only meaningful against the same world
 /// lineage it was built from: after a tick, the entries of countries in
 /// the tick's dirty set are stale and must be recomputed.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct BuildCache {
     entries: Vec<CountryEntry>,
     quarantined: Vec<QuarantineEntry>,

@@ -1,23 +1,29 @@
 //! Scenario application: a parsed scenario run against a generated
 //! world as one synthetic tick.
 //!
-//! [`run_scenario`] generates a fresh [`World`] from the given
-//! parameters, builds the *baseline* dataset with
-//! [`GovDataset::build_cached`], applies the scenario's shocks in file
-//! order through [`govhost_worldgen::shock`], then rebuilds exactly the
-//! shocked countries with [`GovDataset::rebuild_incremental`] — the
-//! what-if answer arrives at incremental cost, not full-build cost.
-//! Both datasets (and their [`BuildMetrics`] reductions) are kept, so
-//! the diff, insight and report-card layers never re-run the pipeline.
+//! Every scenario in a file shocks the same *baseline*, so
+//! [`run_file`] pays for it once: it generates the [`World`], builds
+//! the baseline dataset with [`GovDataset::build_cached`] and reduces it
+//! to [`BuildMetrics`]. Each scenario then gets its own world and a
+//! clone of the [`BuildCache`], applies its shocks in file order through
+//! [`govhost_worldgen::shock`], and rebuilds exactly the shocked
+//! countries with [`GovDataset::rebuild_incremental`] — the what-if
+//! answer arrives at incremental cost, not full-build cost. The first
+//! scenario shocks the baseline world itself; later ones regenerate it,
+//! which yields the same world because generation is deterministic and
+//! keeps a single world alive at a time. Only the shocked dataset is
+//! measured per scenario. [`run_scenario`] is the one-scenario case of
+//! the same path.
 //!
 //! Everything downstream of the same `(params, scenario, options)` is
-//! bit-identical at every thread count — the property the root
-//! `tests/scenario.rs` suite pins.
+//! bit-identical at every thread count, and a scenario's run is the
+//! same whether it came from [`run_file`] or [`run_scenario`] — the
+//! properties the root `tests/scenario.rs` suite pins.
 
 use crate::diff::{diff, BuildMetrics, DiffReport};
 use crate::dsl::{ProviderRef, Scenario, ScenarioFile, Shock};
 use crate::insight::{insights_for, Insight, InsightContext};
-use govhost_core::dataset::{BuildError, BuildOptions, GovDataset};
+use govhost_core::dataset::{BuildCache, BuildError, BuildOptions, GovDataset};
 use govhost_types::CountryCode;
 use govhost_worldgen::shock::{self, DarkCause, DarkHost, ShockReport};
 use govhost_worldgen::{provider_by_asn, GenParams, GlobalProvider, World, GLOBAL_PROVIDERS};
@@ -105,24 +111,60 @@ impl ScenarioRun {
     }
 }
 
-/// Evaluate one scenario against a fresh world generated from `params`.
-pub fn run_scenario(
-    params: &GenParams,
-    scenario: &Scenario,
-    options: &BuildOptions,
-) -> Result<ScenarioRun, ApplyError> {
-    // Resolve every provider reference *before* paying for worldgen, so
-    // a typo'd org name fails in microseconds.
-    let mut providers = Vec::new();
-    for s in &scenario.shocks {
-        if let Shock::Outage(r) = s {
-            providers.push(resolve_provider(r)?);
+/// Resolve every `outage` of a scenario, in shock order.
+fn resolve_outages(scenario: &Scenario) -> Result<Vec<&'static GlobalProvider>, ApplyError> {
+    scenario
+        .shocks
+        .iter()
+        .filter_map(|s| match s {
+            Shock::Outage(r) => Some(resolve_provider(r)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The unshocked side of every scenario in a file.
+struct Baseline {
+    /// The generated world, until the first scenario takes it to shock.
+    world: Option<World>,
+    dataset: GovDataset,
+    cache: BuildCache,
+    metrics: BuildMetrics,
+}
+
+impl Baseline {
+    fn build(params: &GenParams, options: &BuildOptions) -> Result<Self, ApplyError> {
+        let world = World::generate(params);
+        let (dataset, _report, cache) = GovDataset::build_cached(&world, options)?;
+        let metrics = BuildMetrics::measure(&dataset);
+        Ok(Baseline { world: Some(world), dataset, cache, metrics })
+    }
+
+    /// A copy for one scenario to consume. The world moves with the
+    /// first fork; later forks regenerate it in [`apply`].
+    fn fork(&mut self) -> Baseline {
+        Baseline {
+            world: self.world.take(),
+            dataset: self.dataset.clone(),
+            cache: self.cache.clone(),
+            metrics: self.metrics.clone(),
         }
     }
+}
+
+/// Shock a baseline with one scenario whose outages are already
+/// resolved, rebuild the dirty countries, and measure the result.
+fn apply(
+    params: &GenParams,
+    options: &BuildOptions,
+    base: Baseline,
+    scenario: &Scenario,
+    providers: Vec<&'static GlobalProvider>,
+) -> Result<ScenarioRun, ApplyError> {
+    let Baseline { world, dataset: baseline, mut cache, metrics: baseline_metrics } = base;
+    let mut world = world.unwrap_or_else(|| World::generate(params));
     let outages: Vec<(u32, String)> =
         providers.iter().map(|p| (p.asn, p.org.to_string())).collect();
-    let mut world = World::generate(params);
-    let (baseline, _report, mut cache) = GovDataset::build_cached(&world, options)?;
     let mut combined = ShockReport::default();
     let mut providers = providers.into_iter();
     for s in &scenario.shocks {
@@ -138,7 +180,6 @@ pub fn run_scenario(
     }
     let (shocked, _report) =
         GovDataset::rebuild_incremental(&world, options, &mut cache, &combined.dirty)?;
-    let baseline_metrics = BuildMetrics::measure(&baseline);
     let shocked_metrics = BuildMetrics::measure(&shocked);
     let ns_only_percent = ns_only_share(&shocked, &combined.darkened);
     Ok(ScenarioRun {
@@ -155,13 +196,40 @@ pub fn run_scenario(
     })
 }
 
-/// Evaluate every scenario in a file, in declaration order.
+/// Evaluate one scenario against a fresh world generated from `params`.
+pub fn run_scenario(
+    params: &GenParams,
+    scenario: &Scenario,
+    options: &BuildOptions,
+) -> Result<ScenarioRun, ApplyError> {
+    // Resolve every provider reference *before* paying for worldgen, so
+    // a typo'd org name fails in microseconds.
+    let providers = resolve_outages(scenario)?;
+    apply(params, options, Baseline::build(params, options)?, scenario, providers)
+}
+
+/// Evaluate every scenario in a file, in declaration order, against one
+/// shared baseline.
 pub fn run_file(
     params: &GenParams,
     file: &ScenarioFile,
     options: &BuildOptions,
 ) -> Result<Vec<ScenarioRun>, ApplyError> {
-    file.scenarios.iter().map(|s| run_scenario(params, s, options)).collect()
+    // Every scenario's providers resolve before any worldgen, so a typo
+    // in the last scenario fails as fast as one in the first.
+    let resolved =
+        file.scenarios.iter().map(resolve_outages).collect::<Result<Vec<_>, _>>()?;
+    let mut plans = file.scenarios.iter().zip(resolved);
+    let Some((last, last_providers)) = plans.next_back() else {
+        return Ok(Vec::new());
+    };
+    let mut base = Baseline::build(params, options)?;
+    let mut runs = Vec::with_capacity(file.scenarios.len());
+    for (scenario, providers) in plans {
+        runs.push(apply(params, options, base.fork(), scenario, providers)?);
+    }
+    runs.push(apply(params, options, base, last, last_providers)?);
+    Ok(runs)
 }
 
 /// Per-country percentage of URLs whose host went dark *only* through
@@ -203,6 +271,24 @@ mod tests {
         let err = run_scenario(&GenParams::tiny(), &file.scenarios[0], &BuildOptions::default())
             .expect_err("unknown provider must fail");
         assert!(err.to_string().contains("Nonexistent Cloud Ltd"), "{err}");
+
+        // A bad provider in the *last* scenario fails before the first
+        // one is built: at scale 0.5, generating the world alone takes
+        // over a second in a debug build, resolving microseconds.
+        let file = dsl::parse(
+            "scenario ok\noutage provider AS16509\n\nscenario bad\noutage provider AS99999\n",
+        )
+        .unwrap();
+        let params = GenParams { scale: 0.5, ..GenParams::default() };
+        let started = std::time::Instant::now();
+        let err = run_file(&params, &file, &BuildOptions::default())
+            .expect_err("unknown provider must fail");
+        assert!(
+            matches!(&err, ApplyError::UnknownProvider(ProviderRef::Asn(99999))),
+            "{err}"
+        );
+        let elapsed = started.elapsed();
+        assert!(elapsed < std::time::Duration::from_millis(500), "took {elapsed:?}");
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! 1. **[`dsl`]** — a zero-dependency, line-oriented scenario language
 //!    (`scenario`, `outage provider`, `onshore`, `vantage` directives)
 //!    with typed, line-numbered errors; total over hostile input.
-//! 2. **[`apply`]** — [`run_scenario`] generates the world, builds the
-//!    baseline, applies the shocks via [`govhost_worldgen::shock`] as
-//!    one synthetic tick, and rebuilds only the dirty countries.
+//! 2. **[`apply`]** — [`run_file`] generates the world and builds and
+//!    measures the baseline once; each scenario then applies its shocks
+//!    via [`govhost_worldgen::shock`] as one synthetic tick on its own
+//!    world and a clone of the build cache, and rebuilds only the dirty
+//!    countries. [`run_scenario`] is the same path for one scenario.
 //! 3. **[`mod@diff`] / [`insight`]** — any two builds reduced to
 //!    [`BuildMetrics`] and lined up row by row with winners and
 //!    dead-banded ties; the insight engine ranks the movements into

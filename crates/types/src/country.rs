@@ -45,6 +45,11 @@ impl CountryCode {
         Self([b[0], b[1]])
     }
 
+    /// The code's two uppercase ASCII letters.
+    pub const fn as_bytes(&self) -> &[u8; 2] {
+        &self.0
+    }
+
     /// The code as an uppercase string slice.
     pub fn as_str(&self) -> &str {
         // Invariant: constructed from ASCII letters only.

@@ -57,7 +57,7 @@ pub struct CountryRow {
 impl CountryRow {
     /// Country code as a typed value.
     pub fn cc(&self) -> CountryCode {
-        self.code.parse().expect("static country codes are valid")
+        CountryCode::literal(self.code)
     }
 
     /// Capital as a [`City`].
@@ -173,14 +173,61 @@ pub const HOST_ONLY_COUNTRIES: &[CountryRow] = &[
     CountryRow { code: "NP", name: "Nepal", region: SouthAsia, egdi: 0.0, hdi: 0.0, iui: 0.0, pop_share: 0.0, vpn: Nord, landing: 0, internal: 0, hostnames: 0, capital: ("Kathmandu", 27.72, 85.32), far_city: ("Pokhara", 28.21, 83.99), idi: 0.0, efi: 0.0, gdp_k: 0.0, nri: 0.0 },
 ];
 
+/// Slot of a country code in a 26×26 lookup table.
+const fn slot(code: CountryCode) -> usize {
+    let [a, b] = *code.as_bytes();
+    (a - b'A') as usize * 26 + (b - b'A') as usize
+}
+
+/// Build the code → row table over `studied` followed by `host_only`.
+/// A slot holds `0` for no row, or `i + 1` for row `i` of the
+/// concatenation. The first row to claim a slot keeps it, so studied
+/// rows win over host-only ones and earlier rows over later ones — the
+/// precedence of a linear `find` over both tables.
+const fn build_index(studied: &[CountryRow], host_only: &[CountryRow]) -> [u8; 26 * 26] {
+    assert!(studied.len() + host_only.len() < u8::MAX as usize);
+    let mut index = [0u8; 26 * 26];
+    let mut i = 0;
+    while i < studied.len() + host_only.len() {
+        let row = if i < studied.len() { &studied[i] } else { &host_only[i - studied.len()] };
+        let s = slot(CountryCode::literal(row.code));
+        if index[s] == 0 {
+            index[s] = i as u8 + 1;
+        }
+        i += 1;
+    }
+    index
+}
+
+/// [`COUNTRIES`] then [`HOST_ONLY_COUNTRIES`], indexed by code.
+const INDEX: [u8; 26 * 26] = build_index(COUNTRIES, HOST_ONLY_COUNTRIES);
+
+/// [`EU_MEMBERS`], indexed by code.
+const EU_INDEX: [bool; 26 * 26] = {
+    let mut index = [false; 26 * 26];
+    let mut i = 0;
+    while i < EU_MEMBERS.len() {
+        index[slot(CountryCode::literal(EU_MEMBERS[i]))] = true;
+        i += 1;
+    }
+    index
+};
+
 /// Find a studied country by code.
 pub fn country(code: CountryCode) -> Option<&'static CountryRow> {
-    COUNTRIES.iter().find(|c| c.cc() == code)
+    match INDEX[slot(code)] as usize {
+        0 => None,
+        i => COUNTRIES.get(i - 1),
+    }
 }
 
 /// Find any country (studied or host-only) by code.
 pub fn any_country(code: CountryCode) -> Option<&'static CountryRow> {
-    country(code).or_else(|| HOST_ONLY_COUNTRIES.iter().find(|c| c.cc() == code))
+    match INDEX[slot(code)] as usize {
+        0 => None,
+        i if i <= COUNTRIES.len() => Some(&COUNTRIES[i - 1]),
+        i => Some(&HOST_ONLY_COUNTRIES[i - 1 - COUNTRIES.len()]),
+    }
 }
 
 /// EU member states within the sample (for the GDPR-compliance analysis,
@@ -193,7 +240,7 @@ pub const EU_MEMBERS: &[&str] = &[
 
 /// Whether a country is an EU member (within the modelled set).
 pub fn is_eu(code: CountryCode) -> bool {
-    EU_MEMBERS.iter().any(|m| m.parse::<CountryCode>().expect("static code") == code)
+    EU_INDEX[slot(code)]
 }
 
 /// The 14 countries of the governments-vs-topsites comparison (Table 6).
@@ -224,6 +271,63 @@ mod tests {
         for c in COUNTRIES.iter().chain(HOST_ONLY_COUNTRIES) {
             assert!(seen.insert(c.cc()), "duplicate code {}", c.code);
         }
+    }
+
+    /// The linear-scan definitions the slot table replaces, kept as the
+    /// oracle it must agree with.
+    mod scan {
+        use super::*;
+
+        pub fn country(code: CountryCode) -> Option<&'static CountryRow> {
+            COUNTRIES.iter().find(|c| c.code.parse::<CountryCode>().unwrap() == code)
+        }
+
+        pub fn any_country(code: CountryCode) -> Option<&'static CountryRow> {
+            country(code).or_else(|| {
+                HOST_ONLY_COUNTRIES.iter().find(|c| c.code.parse::<CountryCode>().unwrap() == code)
+            })
+        }
+
+        pub fn is_eu(code: CountryCode) -> bool {
+            EU_MEMBERS.iter().any(|m| m.parse::<CountryCode>().unwrap() == code)
+        }
+    }
+
+    fn all_codes() -> impl Iterator<Item = CountryCode> {
+        (b'A'..=b'Z').flat_map(|a| (b'A'..=b'Z').map(move |b| CountryCode::new(a, b).unwrap()))
+    }
+
+    #[test]
+    fn index_agrees_with_linear_scan_on_every_code() {
+        // `COUNTRIES` is a `const`, so rows are compared by content, not
+        // by address.
+        let same = |a: Option<&CountryRow>, b: Option<&CountryRow>| {
+            a.map(|r| format!("{r:?}")) == b.map(|r| format!("{r:?}"))
+        };
+        let mut found = 0;
+        for code in all_codes() {
+            assert!(same(country(code), scan::country(code)), "country({code})");
+            assert!(same(any_country(code), scan::any_country(code)), "any_country({code})");
+            assert_eq!(is_eu(code), scan::is_eu(code), "is_eu({code})");
+            found += usize::from(any_country(code).is_some());
+        }
+        assert_eq!(all_codes().count(), 676);
+        assert_eq!(found, COUNTRIES.len() + HOST_ONLY_COUNTRIES.len());
+    }
+
+    #[test]
+    fn index_keeps_first_match_precedence() {
+        // A code in both tables resolves to the studied row, and a code
+        // repeated within a table to its first row.
+        let studied = [
+            CountryRow { code: "NC", ..COUNTRIES[0] },
+            CountryRow { code: "NC", ..COUNTRIES[1] },
+        ];
+        let host_only = [HOST_ONLY_COUNTRIES[0], HOST_ONLY_COUNTRIES[1], HOST_ONLY_COUNTRIES[1]];
+        let index = build_index(&studied, &host_only);
+        assert_eq!(index[slot(cc!("NC"))], 1, "studied row 0 wins");
+        assert_eq!(index[slot(cc!("AT"))], 4, "first AT row wins");
+        assert_eq!(index.iter().filter(|&&i| i != 0).count(), 2);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   exposure is bounded by the country's total dark share;
 //! * the `/scenario/{name}` and `/scenario/{name}/diff` responses are
 //!   byte-identical whether the runs were built with 1, 2, or 4
-//!   threads.
+//!   threads;
+//! * `run_file`, which builds one baseline and forks it per scenario,
+//!   produces the same run for every scenario as an independent
+//!   `run_scenario` with its own baseline.
 
 use govhost::obs::TimeMode;
 use govhost::prelude::*;
@@ -138,5 +141,35 @@ fn scenario_routes_are_byte_identical_across_build_thread_counts() {
         let runs = run_file(&params, &file, &options(threads)).expect("runs");
         let other = scenario_responses(&runs);
         assert_eq!(base, other, "scenario response bytes pinned at threads={threads}");
+    }
+}
+
+#[test]
+fn run_file_matches_independent_run_scenario() {
+    let params = GenParams::tiny();
+    let file = parse(include_str!("../examples/what-if.scn")).expect("the example file parses");
+    assert_eq!(file.scenarios.len(), 5);
+    for threads in [1usize, 2] {
+        let runs = run_file(&params, &file, &options(threads)).expect("runs");
+        assert_eq!(runs.len(), file.scenarios.len());
+        for (shared, scenario) in runs.iter().zip(&file.scenarios) {
+            let alone = run_scenario(&params, scenario, &options(threads)).expect("runs");
+            let at = format!("{} at threads={threads}", scenario.name);
+            for (a, b) in [(&shared.baseline, &alone.baseline), (&shared.shocked, &alone.shocked)] {
+                let (a, b) = (export_csv(a), export_csv(b));
+                assert_eq!(a.hosts, b.hosts, "hosts export: {at}");
+                assert_eq!(a.urls, b.urls, "urls export: {at}");
+                assert_eq!(a.meta, b.meta, "meta export: {at}");
+            }
+            assert_eq!(shared.name, alone.name, "{at}");
+            assert_eq!(shared.baseline_metrics, alone.baseline_metrics, "{at}");
+            assert_eq!(shared.shocked_metrics, alone.shocked_metrics, "{at}");
+            assert_eq!(shared.dirty, alone.dirty, "{at}");
+            assert_eq!(shared.darkened, alone.darkened, "{at}");
+            assert_eq!(shared.events, alone.events, "{at}");
+            assert_eq!(shared.outages, alone.outages, "{at}");
+            assert_eq!(shared.ns_only_percent, alone.ns_only_percent, "{at}");
+            assert_eq!(shared.insights(), alone.insights(), "{at}");
+        }
     }
 }
