@@ -51,9 +51,12 @@ cargo test -q --offline -p govhost-core --test prop_table
 # evolved timeline does not depend on the build thread count, and the
 # incremental dirty-set rebuild exports the same bytes as a full build.
 # The scale-0.3 pins are #[ignore]d in the debug pass and run here in
-# release.
+# release. The property suite complements them: over arbitrary seeds,
+# tick counts and over-approximated dirty sets, the incremental report
+# and export bytes (meta included) equal a full build's.
 echo "==> evolve suites"
 cargo test -q --offline --release --test evolve -- --include-ignored
+cargo test -q --offline -p govhost-core --test prop_incremental
 
 # Hygiene gate for the interned path: the build and table modules must
 # obtain every hostname from the interner — parsing one from a raw

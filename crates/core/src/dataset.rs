@@ -41,10 +41,18 @@
 //! grafts shards below the `build` span **in fixed country order**, so
 //! the capture — like the dataset — is independent of scheduling. The
 //! capture is the single source of truth for instrumentation:
-//! [`StageTimings`] and the derived [`BuildReport`] counters are both
-//! read back from it (`try_build` cross-checks them against the merge
-//! loop's own sums), and [`GovDataset::telemetry`] hands the full tree
-//! to the export layer (`results/trace.json`, `results/metrics.json`).
+//! [`StageTimings`] is read back from it, and [`GovDataset::telemetry`]
+//! hands the full tree to the export layer (`results/trace.json`,
+//! `results/metrics.json`). The [`BuildReport`] is derived from the
+//! merge's own sums, and every build — full or incremental — asserts
+//! that the registry agrees with them over the countries it recomputed.
+//!
+//! ## One build body
+//!
+//! [`GovDataset::rebuild_incremental`] is the only build body. A full
+//! build ([`GovDataset::try_build`], [`GovDataset::build_cached`]) is
+//! that rebuild from an empty [`BuildCache`], which recomputes every
+//! country.
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
@@ -56,7 +64,7 @@ use govhost_types::{
 };
 use govhost_web::crawler::{Crawler, FailureCauses};
 use govhost_worldgen::World;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// Options for [`GovDataset::build`].
@@ -73,7 +81,7 @@ pub struct BuildOptions {
     pub threads: usize,
     /// Geolocation-pipeline knobs (stage toggles for ablations).
     pub geo: PipelineConfig,
-    /// What [`GovDataset::try_build`] does when a country faults.
+    /// What a build — full or incremental — does when a country faults.
     pub policy: FailurePolicy,
 }
 
@@ -371,22 +379,6 @@ pub struct GovDataset {
     pub telemetry: govhost_obs::Telemetry,
 }
 
-/// What [`GovDataset::build_traced`] hands back to `try_build`: the
-/// merged dataset pieces plus the merge loop's own tallies, kept solely
-/// to cross-check the registry-derived [`BuildReport`].
-struct TracedBuild {
-    hosts: Vec<HostRecord>,
-    urls: UrlTable,
-    host_ids: HostInterner,
-    validation: ValidationStats,
-    method_counts: [u64; 3],
-    crawl_failures: u32,
-    failure_causes: FailureCauses,
-    resolution_failures: u64,
-    per_country: HashMap<CountryCode, CountryStats>,
-    quarantined: Vec<QuarantineEntry>,
-}
-
 /// Landing pages per crawl/classify job. Small enough that a country
 /// with many landing pages splits into several stealable jobs; large
 /// enough that the per-job interning overhead stays negligible.
@@ -670,32 +662,29 @@ impl GovDataset {
     /// worker threads; partial results are merged in fixed country order,
     /// so the dataset *and the report* are bit-identical for every
     /// thread count.
+    ///
+    /// This is [`Self::build_cached`] with the cache dropped.
     pub fn try_build(
         world: &World,
         options: &BuildOptions,
     ) -> Result<(GovDataset, BuildReport), BuildError> {
-        let (result, telemetry) = govhost_obs::collect(|| Self::build_traced(world, options));
-        let traced = result?;
-        Ok(Self::finish_checked(traced, telemetry))
+        Self::build_cached(world, options).map(|(dataset, report, _cache)| (dataset, report))
     }
 
     /// [`Self::try_build`] that additionally returns the [`BuildCache`]
     /// needed for [`Self::rebuild_incremental`].
     ///
-    /// The dataset and report are bit-identical to what `try_build`
-    /// produces for the same world and options; the cache is the same
-    /// per-country state the build computed anyway, retained instead of
-    /// dropped.
+    /// A full build is an incremental rebuild from an empty cache: no
+    /// country has a cached entry, so every contributing country is
+    /// recomputed, and the cache comes back holding all of them.
     pub fn build_cached(
         world: &World,
         options: &BuildOptions,
     ) -> Result<(GovDataset, BuildReport, BuildCache), BuildError> {
-        let (result, telemetry) =
-            govhost_obs::collect(|| Self::build_traced_keep(world, options));
-        let (traced, entries) = result?;
-        let quarantined = traced.quarantined.clone();
-        let (dataset, report) = Self::finish_checked(traced, telemetry);
-        Ok((dataset, report, BuildCache { entries, quarantined }))
+        let mut cache = BuildCache::default();
+        let (dataset, report) =
+            Self::rebuild_incremental(world, options, &mut cache, &BTreeSet::new())?;
+        Ok((dataset, report, cache))
     }
 
     /// Rebuild after a world mutation, recomputing only `dirty` countries.
@@ -704,19 +693,21 @@ impl GovDataset {
     /// incremental rebuild) against the same world lineage, and `dirty`
     /// must cover every country whose observable surfaces changed since —
     /// a tick's `TickReport::dirty` is exactly that set. Clean countries
-    /// are *replayed* from their cached entries; dirty ones re-run the
-    /// full per-country fan-out (crawl → classify → identify). The global
+    /// are *replayed* from their cached entries; dirty ones, and any
+    /// contributing country the cache has no record of, re-run the full
+    /// per-country fan-out (crawl → classify → identify). The global
     /// merge, §5.1 category assignment and §3.5 geolocation always run in
     /// full, so the resulting dataset — down to `export_csv` bytes — is
     /// identical to a from-scratch [`Self::try_build`] against the
-    /// mutated world (`tests/evolve.rs` pins this).
+    /// mutated world (`tests/evolve.rs` pins this). This is the only
+    /// build body: a full build is this call on an empty cache.
     ///
     /// Telemetry is the one documented divergence: spans and counters are
     /// only emitted for the countries that actually recomputed, so
     /// [`GovDataset::timings`] and [`GovDataset::telemetry`] describe the
-    /// incremental work, not a full build — which is also why this path
-    /// derives its [`BuildReport`] from the merge sums instead of the
-    /// registry cross-checks `try_build` uses.
+    /// incremental work, not a full build. Every rebuild still asserts
+    /// that this recomputed share of the registry agrees with the merge
+    /// sums the [`BuildReport`] is derived from.
     ///
     /// On success the cache is updated in place to describe the rebuilt
     /// dataset; on error it is left untouched.
@@ -724,18 +715,17 @@ impl GovDataset {
         world: &World,
         options: &BuildOptions,
         cache: &mut BuildCache,
-        dirty: &std::collections::BTreeSet<CountryCode>,
+        dirty: &BTreeSet<CountryCode>,
     ) -> Result<(GovDataset, BuildReport), BuildError> {
         let (result, telemetry) = govhost_obs::collect(|| -> Result<_, BuildError> {
             let _build = govhost_obs::span!("build");
             // Recompute set: the dirty countries, plus any contributing
             // country the cache has no record of (neither an entry nor a
-            // quarantine) — defensive completeness for caches built
-            // against older worlds.
+            // quarantine) — every country, for an empty cache.
             let cached: HashSet<CountryCode> = cache.entries.iter().map(|e| e.code).collect();
             let skipped: HashSet<CountryCode> =
                 cache.quarantined.iter().map(|q| q.country).collect();
-            let mut recompute: std::collections::BTreeSet<CountryCode> = dirty.clone();
+            let mut recompute: BTreeSet<CountryCode> = dirty.clone();
             for row in world.studied_countries() {
                 let code = row.cc();
                 if !world.landing(code).is_empty()
@@ -745,8 +735,7 @@ impl GovDataset {
                     recompute.insert(code);
                 }
             }
-            let (works, new_quarantines) =
-                Self::compute_countries(world, options, Some(&recompute))?;
+            let (works, new_quarantines) = Self::compute_countries(world, options, &recompute)?;
             // Splice: fresh entries replace stale ones, everything else
             // replays from cache, in fixed studied-country order.
             let mut fresh: HashMap<CountryCode, CountryWork> =
@@ -777,9 +766,29 @@ impl GovDataset {
             let asm = Self::assemble(world, options, &entries, shards);
             cache.entries = entries;
             cache.quarantined = quarantined.clone();
-            Ok((asm, quarantined))
+            Ok((asm, quarantined, recompute))
         });
-        let (asm, quarantined) = result?;
+        let (asm, quarantined, recompute) = result?;
+        let fresh = cache.entries.iter().filter(|e| recompute.contains(&e.code));
+        Ok(Self::finish_checked(asm, quarantined, fresh, telemetry))
+    }
+
+    /// The post-assembly half of every build: derive the report from the
+    /// assembly's merge sums, and cross-check the telemetry registry
+    /// against the freshly computed share of them.
+    ///
+    /// Only recomputed countries (`fresh`) emit telemetry — replayed ones
+    /// did no measurement work — so the crawl-failure, resolution-failure
+    /// and `analyze.hosts` counters are checked against sums over the
+    /// fresh entries and the host records they own. Geolocation always
+    /// runs in full, so its counters are checked against the whole
+    /// [`ValidationStats`]. For a full build every country is fresh.
+    fn finish_checked<'a>(
+        asm: Assembled,
+        quarantined: Vec<QuarantineEntry>,
+        fresh: impl Iterator<Item = &'a CountryEntry>,
+        telemetry: govhost_obs::Telemetry,
+    ) -> (GovDataset, BuildReport) {
         let report = BuildReport {
             quarantined,
             crawl_failures: asm.failure_causes,
@@ -787,141 +796,84 @@ impl GovDataset {
             geo_excluded: asm.validation.unicast[2] + asm.validation.anycast[2],
             geo_conflicts: asm.validation.conflicts,
         };
-        let timings = StageTimings::from_telemetry(&telemetry);
-        let dataset = GovDataset {
-            hosts: asm.hosts,
-            urls: asm.urls,
-            host_ids: asm.host_ids,
-            validation: asm.validation,
-            method_counts: asm.method_counts,
-            crawl_failures: asm.crawl_failures,
-            per_country: asm.per_country,
-            timings,
-            telemetry,
-        };
-        Ok((dataset, report))
-    }
 
-    /// The post-build half of [`Self::try_build`]: project the report
-    /// from the telemetry registry and cross-check it against the merge
-    /// loop's own sums.
-    fn finish_checked(
-        traced: TracedBuild,
-        telemetry: govhost_obs::Telemetry,
-    ) -> (GovDataset, BuildReport) {
-        // The telemetry capture is the single source of truth for the
-        // instrumentation view: both the stage table and the report
-        // counters are projections of the registry. The merge loop's own
-        // sums exist only to cross-check the projection — a mismatch
-        // means an instrumentation bug (a missed counter, a shard that
-        // leaked past quarantine), so fail loudly instead of exporting
-        // numbers that disagree with the dataset.
+        // The registry is the single source of truth for the
+        // instrumentation view, and it must agree with the merge: a
+        // mismatch means an instrumentation bug (a missed counter, a
+        // shard that leaked past quarantine), so fail loudly instead of
+        // exporting numbers that disagree with the dataset.
+        let mut fresh_causes = FailureCauses::default();
+        let mut fresh_crawl_failures = 0u32;
+        let mut fresh_resolution_failures = 0u64;
+        let mut fresh_codes: HashSet<CountryCode> = HashSet::new();
+        for entry in fresh {
+            fresh_causes.merge(entry.failure_causes);
+            fresh_crawl_failures += entry.crawl_failures;
+            fresh_resolution_failures += entry.resolution_failures;
+            fresh_codes.insert(entry.code);
+        }
         let r = &telemetry.registry;
-        let report = BuildReport {
-            quarantined: traced.quarantined,
-            crawl_failures: FailureCauses {
-                geo_blocked: r.counter_filtered("crawl.fetch_failures", &[("cause", "geo_blocked")])
-                    as u32,
-                not_found: r.counter_filtered("crawl.fetch_failures", &[("cause", "not_found")])
-                    as u32,
-                unknown_host: r
-                    .counter_filtered("crawl.fetch_failures", &[("cause", "unknown_host")])
-                    as u32,
-            },
-            resolution_failures: r.counter_total("identify.resolution_failures"),
-            geo_excluded: r.counter_filtered("geoloc.verdict", &[("method", "unresolved")])
-                as usize,
-            geo_conflicts: r.counter_total("geoloc.conflicts") as usize,
+        let fetch_failures =
+            |cause: &str| r.counter_filtered("crawl.fetch_failures", &[("cause", cause)]) as u32;
+        let registry_causes = FailureCauses {
+            geo_blocked: fetch_failures("geo_blocked"),
+            not_found: fetch_failures("not_found"),
+            unknown_host: fetch_failures("unknown_host"),
         };
         assert_eq!(
-            report.crawl_failures, traced.failure_causes,
+            registry_causes, fresh_causes,
             "registry fetch-failure counters must match the per-country merge"
         );
         assert_eq!(
-            report.crawl_failures.total(),
-            traced.crawl_failures,
+            registry_causes.total(),
+            fresh_crawl_failures,
             "fetch-failure causes must sum to the flat crawl-failure count"
         );
         assert_eq!(
-            report.resolution_failures, traced.resolution_failures,
+            r.counter_total("identify.resolution_failures"),
+            fresh_resolution_failures,
             "registry resolution-failure counter must match the per-country merge"
         );
         assert_eq!(
+            r.counter_filtered("geoloc.verdict", &[("method", "unresolved")]) as usize,
             report.geo_excluded,
-            traced.validation.unicast[2] + traced.validation.anycast[2],
             "unresolved-verdict counter must match the Table-4 UR buckets"
         );
         assert_eq!(
-            report.geo_conflicts, traced.validation.conflicts,
+            r.counter_total("geoloc.conflicts") as usize,
+            report.geo_conflicts,
             "conflict counter must match the validation statistics"
         );
 
         let timings = StageTimings::from_telemetry(&telemetry);
         assert_eq!(
             timings.analyze.items,
-            traced.hosts.len() as u64,
-            "analyze.hosts counter must match the merged host records"
+            asm.hosts.iter().filter(|h| fresh_codes.contains(&h.country)).count() as u64,
+            "analyze.hosts counter must match the host records of recomputed countries"
         );
 
         let dataset = GovDataset {
-            hosts: traced.hosts,
-            urls: traced.urls,
-            host_ids: traced.host_ids,
-            validation: traced.validation,
-            method_counts: traced.method_counts,
-            crawl_failures: traced.crawl_failures,
-            per_country: traced.per_country,
-            timings,
-            telemetry,
-        };
-        (dataset, report)
-    }
-
-    /// The traced build body: runs inside the [`govhost_obs::collect`]
-    /// scope opened by [`Self::try_build`], under one `build` span.
-    fn build_traced(world: &World, options: &BuildOptions) -> Result<TracedBuild, BuildError> {
-        Self::build_traced_keep(world, options).map(|(traced, _)| traced)
-    }
-
-    /// [`Self::build_traced`], additionally keeping the per-country
-    /// entries so [`Self::build_cached`] can retain them.
-    fn build_traced_keep(
-        world: &World,
-        options: &BuildOptions,
-    ) -> Result<(TracedBuild, Vec<CountryEntry>), BuildError> {
-        let _build = govhost_obs::span!("build");
-        let (works, quarantined) = Self::compute_countries(world, options, None)?;
-        let mut entries = Vec::with_capacity(works.len());
-        let mut shards = Vec::with_capacity(works.len());
-        for work in works {
-            entries.push(work.entry);
-            shards.push(Some(work.shards));
-        }
-        let asm = Self::assemble(world, options, &entries, shards);
-        let traced = TracedBuild {
             hosts: asm.hosts,
             urls: asm.urls,
             host_ids: asm.host_ids,
             validation: asm.validation,
             method_counts: asm.method_counts,
             crawl_failures: asm.crawl_failures,
-            failure_causes: asm.failure_causes,
-            resolution_failures: asm.resolution_failures,
             per_country: asm.per_country,
-            quarantined,
+            timings,
+            telemetry,
         };
-        Ok((traced, entries))
+        (dataset, report)
     }
 
     /// Phases §3.2–§3.4 for a set of countries: the chunked
     /// crawl/classify fan-out, the per-country merge into
-    /// [`CountryEntry`]s, and the identify fan-out. `only` restricts the
-    /// work to a subset of countries (the incremental path); `None`
-    /// computes every contributing country.
+    /// [`CountryEntry`]s, and the identify fan-out. Only the countries
+    /// in `only` are computed; the rest are replayed from cache.
     fn compute_countries(
         world: &World,
         options: &BuildOptions,
-        only: Option<&std::collections::BTreeSet<CountryCode>>,
+        only: &BTreeSet<CountryCode>,
     ) -> Result<(Vec<CountryWork>, Vec<QuarantineEntry>), BuildError> {
         // Prep: per contributing country, the shared crawl/classify
         // context; then the (country, landing-chunk) job list in fixed
@@ -929,7 +881,7 @@ impl GovDataset {
         let mut ctxs: Vec<CountryCtx<'_>> = Vec::new();
         for row in world.studied_countries() {
             let code = row.cc();
-            if only.is_some_and(|set| !set.contains(&code)) {
+            if !only.contains(&code) {
                 continue; // clean country: replayed from cache instead
             }
             let landing = world.landing(code);

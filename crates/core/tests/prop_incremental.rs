@@ -1,11 +1,11 @@
 //! Property test for the incremental rebuild contract: after any seeded
 //! tick sequence, [`GovDataset::rebuild_incremental`] over the tick's
 //! dirty set — padded with arbitrary *clean* countries, since the
-//! contract only requires the set to cover what changed — must export
-//! the same bytes as a from-scratch build of the evolved world. On the
-//! in-repo harness.
+//! contract only requires the set to cover what changed — must report
+//! and export the same bytes as a from-scratch build of the evolved
+//! world. On the in-repo harness.
 
-use govhost_core::export::export_csv;
+use govhost_core::export::export_csv_full;
 use govhost_core::{BuildOptions, GovDataset};
 use govhost_harness::{gens, prop_assert_eq, Config, Gen};
 use govhost_worldgen::{default_systems, run_year, GenParams, World};
@@ -50,14 +50,17 @@ fn incremental_rebuild_matches_full_for_arbitrary_seeds_and_dirty_sets() {
                         dirty.insert(row.cc());
                     }
                 }
-                let (incremental, _) =
+                let (incremental, inc_report) =
                     GovDataset::rebuild_incremental(&world, &options, &mut cache, &dirty)
                         .map_err(|e| e.to_string())?;
-                let full = GovDataset::build(&world, &options);
-                let inc_csv = export_csv(&incremental);
-                let full_csv = export_csv(&full);
+                let (full, full_report) =
+                    GovDataset::try_build(&world, &options).map_err(|e| e.to_string())?;
+                let inc_csv = export_csv_full(&incremental, Some(&inc_report));
+                let full_csv = export_csv_full(&full, Some(&full_report));
+                prop_assert_eq!(inc_report, full_report);
                 prop_assert_eq!(inc_csv.hosts, full_csv.hosts);
                 prop_assert_eq!(inc_csv.urls, full_csv.urls);
+                prop_assert_eq!(inc_csv.meta, full_csv.meta);
             }
             Ok(())
         },

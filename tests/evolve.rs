@@ -115,6 +115,47 @@ fn empty_dirty_set_replays_the_cache_exactly() {
     assert_eq!(export_csv(&dataset).urls, export_csv(&replayed).urls);
 }
 
+/// A full build is an incremental rebuild from an empty cache with an
+/// empty dirty set: every contributing country is missing from the
+/// cache, so every one recomputes. The report, every export file and
+/// the deterministic telemetry documents must all agree.
+#[test]
+fn full_build_is_an_empty_cache_rebuild() {
+    use govhost::core::BuildCache;
+    use govhost::obs::export::{metrics_json, trace_json};
+    use govhost::obs::TimeMode;
+
+    let world = World::generate(&GenParams::tiny());
+    for threads in [1, 2] {
+        let options = options(threads);
+        let (full, full_report) = GovDataset::try_build(&world, &options).expect("clean build");
+        let mut cache = BuildCache::default();
+        let (rebuilt, rebuilt_report) =
+            GovDataset::rebuild_incremental(&world, &options, &mut cache, &BTreeSet::new())
+                .expect("empty-cache rebuild");
+        assert_eq!(full_report, rebuilt_report, "threads={threads}: report");
+        let full_csv = export_csv_full(&full, Some(&full_report));
+        let rebuilt_csv = export_csv_full(&rebuilt, Some(&rebuilt_report));
+        assert_eq!(full_csv.hosts, rebuilt_csv.hosts, "threads={threads}: hosts.csv");
+        assert_eq!(full_csv.urls, rebuilt_csv.urls, "threads={threads}: urls.csv");
+        assert_eq!(full_csv.meta, rebuilt_csv.meta, "threads={threads}: meta.csv");
+        assert_eq!(
+            metrics_json(&full.telemetry),
+            metrics_json(&rebuilt.telemetry),
+            "threads={threads}: metrics.json"
+        );
+        assert_eq!(
+            trace_json(&full.telemetry, TimeMode::Deterministic),
+            trace_json(&rebuilt.telemetry, TimeMode::Deterministic),
+            "threads={threads}: trace.json"
+        );
+        assert_eq!(full.timings.item_counts(), rebuilt.timings.item_counts());
+        let mut cached = cache.countries();
+        cached.sort();
+        assert_eq!(cached, full.countries(), "threads={threads}: cached countries");
+    }
+}
+
 // Release-only pins at the paper's working scale, run by ci.sh with
 // `--include-ignored`: too slow for the default debug test pass.
 

@@ -190,6 +190,50 @@ fn quarantine_drops_poisoned_country_but_builds_the_rest() {
     assert!(ds.urls.len() > 1000, "the surviving countries still produce a dataset");
 }
 
+/// Faults during an incremental rebuild obey the same policies as a full
+/// build: poisoning a country after a clean cached build and rebuilding
+/// with only that country dirty either aborts without touching the
+/// cache, or quarantines it exactly as a from-scratch build would.
+#[test]
+fn incremental_rebuild_applies_the_failure_policy() {
+    let br: CountryCode = "BR".parse().unwrap();
+    let dirty: std::collections::BTreeSet<CountryCode> = [br].into_iter().collect();
+    for policy in [FailurePolicy::Abort, FailurePolicy::Quarantine] {
+        let options = BuildOptions { policy, ..BuildOptions::default() };
+        let mut world = World::generate(&GenParams::tiny());
+        let (_, _, mut cache) =
+            GovDataset::build_cached(&world, &options).expect("clean world builds");
+        let before = cache.countries();
+        assert!(before.contains(&br), "BR contributes to the clean build");
+        poison_country(&mut world, br);
+        let rebuilt = GovDataset::rebuild_incremental(&world, &options, &mut cache, &dirty);
+        match policy {
+            FailurePolicy::Abort => {
+                let err = rebuilt.expect_err("abort policy stops at the fault");
+                assert_eq!(err.country, br);
+                assert_eq!(err.error.stage(), govhost::types::PipelineStage::Crawl);
+                assert_eq!(cache.countries(), before, "a failed rebuild leaves the cache alone");
+            }
+            FailurePolicy::Quarantine => {
+                let (ds, report) = rebuilt.expect("quarantine absorbs the fault");
+                let (full, full_report) =
+                    GovDataset::try_build(&world, &options).expect("full build quarantines too");
+                assert_eq!(report, full_report);
+                assert_eq!(report.quarantined.len(), 1);
+                assert_eq!(report.quarantined[0].country, br);
+                let inc_csv = export_csv_full(&ds, Some(&report));
+                let full_csv = export_csv_full(&full, Some(&full_report));
+                assert_eq!(inc_csv.hosts, full_csv.hosts);
+                assert_eq!(inc_csv.urls, full_csv.urls);
+                assert_eq!(inc_csv.meta, full_csv.meta);
+                let after = cache.countries();
+                assert!(!after.contains(&br), "the quarantined country leaves the cache");
+                assert_eq!(after.len(), before.len() - 1);
+            }
+        }
+    }
+}
+
 #[test]
 fn zero_scale_world_is_empty_but_valid() {
     let world = World::generate(&GenParams { scale: 0.0, ..GenParams::default() });
