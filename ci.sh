@@ -72,13 +72,15 @@ for f in crates/core/src/dataset.rs crates/core/src/table.rs; do
 done
 
 # And the serving contract: the event-loop + readiness unit tests in
-# the serve crate, HTTP conformance (keep-alive, ETag/304, HEAD,
-# percent-decoding, typed query 400s, idle eviction, 503 shedding) +
-# the parser/packing/query fuzz properties, the parameterized query
-# engine (canonicalization, result-cache accounting, identical-input
-# hot swap), byte-identical responses and telemetry across worker
-# counts (plus the slow-reader fairness pin and the real-socket
-# smoke), and the CLI usage-error contract.
+# the serve crate; HTTP conformance (keep-alive, Connection token
+# lists, ETag/304, HEAD, percent-decoding, typed query 400s, idle
+# eviction, 503 shedding) and the parser/packing/query fuzz
+# properties, both of which drive the production EventLoop (with
+# FakeReadiness + FakeClock) or the worker Pool; the parameterized
+# query engine (canonicalization, result-cache accounting,
+# identical-input hot swap); byte-identical responses and telemetry
+# across worker counts (plus the slow-reader fairness pin and the
+# real-socket smoke); and the CLI usage-error contract.
 echo "==> serve suites"
 cargo test -q --offline -p govhost-serve
 cargo test -q --offline -p govhost-serve --test http_conformance --test prop_http

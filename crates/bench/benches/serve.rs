@@ -1,8 +1,9 @@
 //! Load generator for `govhost-serve`: a sustained keep-alive run that
-//! pushes one million requests (full mode) through the full parser →
-//! router → encoder stack over in-process connections, plus a
-//! deliberate overload window that exercises the `503 Retry-After`
-//! shedding path. Results land in `BENCH_serve.json`.
+//! pushes one million requests (full mode) through the production
+//! `Pool` → `EventLoop` → parser → router → encoder path over
+//! in-process connections, plus a deliberate overload window that
+//! exercises the `503 Retry-After` shedding path. Results land in
+//! `BENCH_serve.json`.
 //!
 //! The run asserts SLOs, not just liveness:
 //!
@@ -10,63 +11,82 @@
 //!   server ever emits is the deliberate shed window, measured and
 //!   asserted separately);
 //! - **p99 latency under budget** (100ms — generous because CI shares
-//!   one core across the client threads and the scheduler preempts at
-//!   will; the typical p99 is microseconds);
+//!   one core across the client and worker threads and the scheduler
+//!   preempts at will);
 //! - every request answered: responses == requests, and the connection
 //!   reuse ratio matches the configured pipeline depth.
 //!
-//! Latency is measured from the transport: the gap between one
-//! request's first read and the next (the serve loop writes response
-//! `k` before reading request `k+1`, so the gap brackets the full
-//! parse → route → encode → write cycle). Smoke mode shrinks the
+//! Latency is measured per request at the transport: from the read
+//! that issues a request to the write that starts its response head,
+//! matched through a per-connection FIFO (responses leave in request
+//! order). The client pipelines without waiting, so a sample includes
+//! the time its request queued behind earlier ones in the same read
+//! burst — what a pipelining client observes. Smoke mode shrinks the
 //! volume, never the checks.
 
 use govhost_core::prelude::*;
 use govhost_harness::bench::{black_box, Bench};
 use govhost_obs::TimeMode;
-use govhost_serve::{
-    serve_connection, ConnPolicy, Limits, MemConn, Pool, PoolConfig, QueryIndex, ServeState,
-};
+use govhost_serve::{ConnPolicy, MemConn, Pool, PoolConfig, QueryIndex, ServeState};
 use govhost_worldgen::prelude::*;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ROUTES: [&str; 5] = ["/healthz", "/countries", "/flows", "/providers", "/hhi"];
 
 /// The p99 latency budget. Single-core CI absorbs scheduler preemption
-/// into the tail, so the budget is far above the typical microseconds.
+/// into the tail, so the budget is far above the typical latency.
 const P99_BUDGET: Duration = Duration::from_millis(100);
 
+/// What one load connection observed.
+#[derive(Debug, Default)]
+struct Tally {
+    latencies_ns: Vec<u64>,
+    responses: u64,
+    five_xx: u64,
+}
+
+impl Tally {
+    fn absorb(&mut self, mut other: Tally) {
+        self.latencies_ns.append(&mut other.latencies_ns);
+        self.responses += other.responses;
+        self.five_xx += other.five_xx;
+    }
+}
+
 /// A synthetic keep-alive client as a transport: generates `requests`
-/// pipeline-depth requests on demand (the last carries `Connection:
-/// close`), timestamps the gap between consecutive request reads, and
-/// tallies response status lines as they are written back.
+/// pipelined requests on demand (the last carries `Connection: close`),
+/// stamps each one's issue time into a FIFO, and pops the FIFO as each
+/// response head is written back. Its tally is sent on `done` when the
+/// pool drops the connection.
 struct LoadConn {
     requests: usize,
     issued: usize,
     cur: Vec<u8>,
     pos: usize,
     route: usize,
-    last_start: Option<Instant>,
-    latencies_ns: Vec<u64>,
-    responses: u64,
-    five_xx: u64,
+    in_flight: VecDeque<Instant>,
+    tally: Tally,
+    done: Sender<Tally>,
 }
 
 impl LoadConn {
-    fn new(requests: usize, route: usize) -> LoadConn {
-        LoadConn {
+    fn new(requests: usize, route: usize) -> (LoadConn, Receiver<Tally>) {
+        let (done, rx) = channel();
+        let conn = LoadConn {
             requests,
             issued: 0,
             cur: Vec::new(),
             pos: 0,
             route,
-            last_start: None,
-            latencies_ns: Vec::with_capacity(requests.saturating_sub(1)),
-            responses: 0,
-            five_xx: 0,
-        }
+            in_flight: VecDeque::new(),
+            tally: Tally { latencies_ns: Vec::with_capacity(requests), ..Tally::default() },
+            done,
+        };
+        (conn, rx)
     }
 }
 
@@ -82,10 +102,7 @@ impl Read for LoadConn {
             self.cur = format!("GET {path} HTTP/1.1\r\n{close}\r\n").into_bytes();
             self.pos = 0;
             self.issued += 1;
-            let now = Instant::now();
-            if let Some(prev) = self.last_start.replace(now) {
-                self.latencies_ns.push((now - prev).as_nanos() as u64);
-            }
+            self.in_flight.push_back(Instant::now());
         }
         let n = buf.len().min(self.cur.len() - self.pos);
         buf[..n].copy_from_slice(&self.cur[self.pos..self.pos + n]);
@@ -96,12 +113,16 @@ impl Read for LoadConn {
 
 impl Write for LoadConn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        // The serve loop writes each response head as its own segment,
-        // so status lines always open a write.
+        // Each response head is its own segment, and the default
+        // `write_vectored` hands over one segment per call, so status
+        // lines always open a write.
         if buf.starts_with(b"HTTP/1.1 ") {
-            self.responses += 1;
+            if let Some(issued) = self.in_flight.pop_front() {
+                self.tally.latencies_ns.push(issued.elapsed().as_nanos() as u64);
+            }
+            self.tally.responses += 1;
             if buf.starts_with(b"HTTP/1.1 5") {
-                self.five_xx += 1;
+                self.tally.five_xx += 1;
             }
         }
         Ok(buf.len())
@@ -109,6 +130,12 @@ impl Write for LoadConn {
 
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+impl Drop for LoadConn {
+    fn drop(&mut self) {
+        let _ = self.done.send(std::mem::take(&mut self.tally));
     }
 }
 
@@ -132,6 +159,14 @@ impl Write for Stuck {
     }
 }
 
+/// One `Connection: close` GET through `pool`, returning the response.
+fn roundtrip(pool: &Pool, target: &str) -> Vec<u8> {
+    let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let (conn, rx) = MemConn::scripted(raw.into_bytes());
+    assert!(pool.submit(Box::new(conn)), "the pool accepts while running");
+    rx.recv().expect("the pool served the connection")
+}
+
 fn main() {
     let mut b = Bench::new("serve");
 
@@ -143,10 +178,9 @@ fn main() {
         black_box(QueryIndex::build(black_box(&dataset)));
     });
 
+    let pool = Pool::start_with(Arc::clone(&state), 1, PoolConfig::default());
     b.bench("serve/healthz_roundtrip", || {
-        let mut conn = MemConn::new(&b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"[..]);
-        serve_connection(&state, &mut conn, &Limits::default(), || false).expect("serve");
-        black_box(conn.output().len());
+        black_box(roundtrip(&pool, "/healthz").len());
     });
 
     // ---- the parameterized-query mix: cache-hot vs cache-cold ----
@@ -162,73 +196,67 @@ fn main() {
         "/providers?sort=asn&limit=20",
         "/countries?sort=hhi&limit=20",
     ];
-    let roundtrip = |state: &ServeState, target: &str| -> Vec<u8> {
-        let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let mut conn = MemConn::new(raw.into_bytes());
-        serve_connection(state, &mut conn, &Limits::default(), || false).expect("serve");
-        conn.output().to_vec()
-    };
     let cold_state = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 0));
+    let cold_pool = Pool::start_with(Arc::clone(&cold_state), 1, PoolConfig::default());
     for target in mix {
-        let hot = roundtrip(&state, target); // warms the cache on first touch
-        let cold = roundtrip(&cold_state, target);
+        let hot = roundtrip(&pool, target); // warms the cache on first touch
+        let cold = roundtrip(&cold_pool, target);
         assert!(hot.starts_with(b"HTTP/1.1 200 OK"), "query mix answers 200: {target}");
         assert_eq!(hot, cold, "cache hit and uncached render agree byte-for-byte: {target}");
     }
     assert!(cold_state.result_cache().is_empty(), "capacity 0 disables caching");
     b.bench("serve/query_mix_cache_hot", || {
         for target in mix {
-            black_box(roundtrip(&state, target).len());
+            black_box(roundtrip(&pool, target).len());
         }
     });
     b.bench("serve/query_mix_cache_cold", || {
         for target in mix {
-            black_box(roundtrip(&cold_state, target).len());
+            black_box(roundtrip(&cold_pool, target).len());
         }
     });
+    pool.shutdown();
+    cold_pool.shutdown();
 
     // ---- the sustained keep-alive run ----
     //
-    // `clients` threads, each serving `conns_per_client` sequential
-    // keep-alive connections of `reqs_per_conn` pipelined requests:
-    // full mode is 4 × 250 × 1000 = 1,000,000 requests.
+    // `clients` threads, each submitting `conns_per_client` sequential
+    // keep-alive connections of `reqs_per_conn` pipelined requests to a
+    // pool of `clients` event-loop workers: full mode is
+    // 4 × 250 × 1000 = 1,000,000 requests.
     let (clients, conns_per_client, reqs_per_conn) =
         if b.smoke() { (2usize, 4usize, 64usize) } else { (4, 250, 1000) };
     let total = clients * conns_per_client * reqs_per_conn;
     let total_conns = clients * conns_per_client;
+    let pool = Pool::start_with(Arc::clone(&state), clients, PoolConfig::default());
     let started = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|client| {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                let mut latencies_ns = Vec::with_capacity(conns_per_client * reqs_per_conn);
-                let mut responses = 0u64;
-                let mut five_xx = 0u64;
-                for c in 0..conns_per_client {
-                    let mut conn = LoadConn::new(reqs_per_conn, client + c);
-                    serve_connection(&state, &mut conn, &Limits::default(), || false)
-                        .expect("in-memory serve cannot fail");
-                    latencies_ns.append(&mut conn.latencies_ns);
-                    responses += conn.responses;
-                    five_xx += conn.five_xx;
-                }
-                (latencies_ns, responses, five_xx)
+    let mut tally = Tally { latencies_ns: Vec::with_capacity(total), ..Tally::default() };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let mut tally = Tally::default();
+                    for c in 0..conns_per_client {
+                        let (conn, rx) = LoadConn::new(reqs_per_conn, client + c);
+                        assert!(pool.submit(Box::new(conn)), "the pool accepts while running");
+                        tally.absorb(rx.recv().expect("the pool served the connection"));
+                    }
+                    tally
+                })
             })
-        })
-        .collect();
-    let mut latencies_ns: Vec<u64> = Vec::with_capacity(total);
-    let mut responses = 0u64;
-    let mut five_xx = 0u64;
-    for handle in handles {
-        let (lat, resp, five) = handle.join().expect("client thread");
-        latencies_ns.extend(lat);
-        responses += resp;
-        five_xx += five;
-    }
+            .collect();
+        for handle in handles {
+            tally.absorb(handle.join().expect("client thread"));
+        }
+    });
     let elapsed = started.elapsed();
+    pool.shutdown();
+    let Tally { mut latencies_ns, responses, five_xx } = tally;
 
     // ---- SLOs ----
     assert_eq!(responses, total as u64, "every request is answered exactly once");
+    assert_eq!(latencies_ns.len(), total, "every response head matched its request");
     assert_eq!(five_xx, 0, "the keep-alive load must complete with zero 5xx responses");
     latencies_ns.sort_unstable();
     let percentile =
@@ -245,8 +273,9 @@ fn main() {
     let reuse_ratio = total as f64 / total_conns as f64;
     let rps = total as f64 / elapsed.as_secs_f64();
     println!(
-        "  keep-alive: {total} requests over {total_conns} conns ({clients} clients), \
-         {five_xx} 5xx, {rps:.0} req/s, p50 {p50}ns p95 {p95}ns p99 {p99}ns"
+        "  keep-alive: {total} requests over {total_conns} conns ({clients} clients, \
+         {clients} workers), {five_xx} 5xx, {rps:.0} req/s, p50 {p50}ns p95 {p95}ns \
+         p99 {p99}ns"
     );
     b.record("serve/keepalive/wall_time", elapsed, Some(total as u64));
     b.record_value("serve/keepalive/throughput_rps", rps, Some(total as u64));

@@ -49,9 +49,9 @@ use std::time::{Duration, Instant};
 /// a firehosing client cannot monopolise a worker's turn.
 const READ_BURST: usize = 64 * 1024;
 
-/// Per-connection serving policy shared by the event loop and the
-/// blocking [`serve_connection_with`](crate::serve_connection_with)
-/// helper.
+/// Per-connection serving policy of the [`EventLoop`]; the worker
+/// [`Pool`](crate::Pool) hands the one in its
+/// [`PoolConfig`](crate::PoolConfig) to every worker's loop.
 #[derive(Debug, Clone)]
 pub struct ConnPolicy {
     /// Parser limits (per request).

@@ -167,15 +167,26 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the connection stays open after this exchange:
-    /// `Connection: close` forces a close, `Connection: keep-alive`
-    /// forces keep-alive, otherwise the version default applies.
+    /// Whether the connection stays open after this exchange. Every
+    /// `Connection` field is one comma-separated token list (RFC 9110
+    /// §7.6.1), matched case-insensitively: a `close` token anywhere
+    /// forces a close, else a `keep-alive` token forces keep-alive,
+    /// else the version default applies.
     pub fn keep_alive(&self) -> bool {
-        match self.header("connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => false,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            _ => self.version == Version::Http11,
+        let mut keep_alive = false;
+        let tokens = self
+            .headers
+            .iter()
+            .filter(|(name, _)| name.eq_ignore_ascii_case("connection"))
+            .flat_map(|(_, value)| value.split(','))
+            .map(|token| token.trim_matches([' ', '\t']));
+        for token in tokens {
+            if token.eq_ignore_ascii_case("close") {
+                return false;
+            }
+            keep_alive |= token.eq_ignore_ascii_case("keep-alive");
         }
+        keep_alive || self.version == Version::Http11
     }
 }
 

@@ -58,22 +58,27 @@
 //! rendered by `/metrics`.
 //!
 //! Transport hides behind the [`Connection`] trait and scheduling
-//! behind [`Readiness`] + [`Clock`], so the whole stack is testable
-//! in-process over [`MemConn`] with [`FakeReadiness`] and
-//! [`FakeClock`] — response bytes are pinned identical across 1/2/4
-//! event-loop workers, sockets never enter the tests.
+//! behind [`Readiness`] + [`Clock`], so the production [`EventLoop`] —
+//! the only code that turns bytes into requests and responses — runs
+//! in-process over [`MemConn`]: tests that script scheduling or time
+//! drive one loop with [`FakeReadiness`] and [`FakeClock`], everything
+//! else submits to a [`Pool`]. Response bytes are pinned identical
+//! across 1/2/4 event-loop workers; sockets never enter the tests.
 //!
 //! ```
 //! use govhost_core::prelude::*;
-//! use govhost_serve::{serve_connection, Limits, MemConn, ServeState};
+//! use govhost_serve::{MemConn, Pool, PoolConfig, ServeState};
 //! use govhost_worldgen::prelude::*;
+//! use std::sync::Arc;
 //!
 //! let world = World::generate(&GenParams::tiny());
 //! let dataset = GovDataset::build(&world, &BuildOptions::default());
-//! let state = ServeState::new(&dataset);
-//! let mut conn = MemConn::new(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
-//! serve_connection(&state, &mut conn, &Limits::default(), || false).unwrap();
-//! assert!(conn.output().starts_with(b"HTTP/1.1 200 OK"));
+//! let state = Arc::new(ServeState::new(&dataset));
+//! let pool = Pool::start_with(state, 1, PoolConfig::default());
+//! let (conn, response) = MemConn::scripted(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
+//! assert!(pool.submit(Box::new(conn)));
+//! assert!(response.recv().unwrap().starts_with(b"HTTP/1.1 200 OK"));
+//! pool.shutdown();
 //! ```
 
 pub mod event;
@@ -95,10 +100,7 @@ pub use index::{etag_of, QueryIndex, RouteSlab};
 pub use query::{HistoryParams, IndexHandle, ResultCache, RouteQuery, DEFAULT_RESULT_CACHE};
 pub use router::{if_none_match, route_label, Bytes, Response, ServeState, ROUTES};
 pub use scenario::ScenarioIndex;
-pub use server::{
-    serve_connection, serve_connection_with, Connection, MemConn, Pool, PoolConfig, Server,
-    ServerConfig,
-};
+pub use server::{Connection, MemConn, Pool, PoolConfig, Server, ServerConfig};
 
 #[allow(unused_imports)] // doc links
 use govhost_core::prelude::GovDataset;

@@ -1,11 +1,12 @@
-//! The transport layer: a connection trait, the blocking per-connection
-//! serve loop, the event-loop worker pool, and the TCP acceptor.
+//! The transport layer: a connection trait, the event-loop worker
+//! pool, and the TCP acceptor.
 //!
 //! Transport is abstracted behind [`Connection`] (`Read + Write +
-//! Send`), so the full parser → router → encoder stack runs identically
-//! over a real [`std::net::TcpStream`] and over the in-process
-//! [`MemConn`] — which is how the conformance, determinism, and load
-//! tests drive the server without sockets.
+//! Send`), so the pool serves a real [`std::net::TcpStream`] and the
+//! in-process [`MemConn`] through the same [`EventLoop`] — which is how
+//! the conformance, determinism, and load tests drive the production
+//! serving path without sockets. The event loop is the only code that
+//! turns bytes into requests and responses.
 //!
 //! The pool runs one [`EventLoop`] per worker thread: accepted sockets
 //! are switched to non-blocking mode and distributed round-robin, each
@@ -25,7 +26,7 @@
 //! their idle timeout, and every thread is joined.
 
 use crate::event::{ConnPolicy, EventLoop, PollReadiness, SysClock};
-use crate::http::{HttpError, Limits, RequestParser};
+use crate::http::Limits;
 use crate::router::{Response, ServeState};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -49,101 +50,6 @@ const WORKER_TICK: Duration = Duration::from_millis(25);
 /// peer that refuses to read its `503` cannot hold the accept loop for
 /// longer than this.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Serve one connection to completion on the calling thread: parse
-/// requests (pipelining included), answer each through `state`, and
-/// honour keep-alive until the client closes, an error closes, or
-/// `draining` asks the loop to wind down after the in-flight request.
-///
-/// This is the blocking little sibling of the [`EventLoop`]: same
-/// parser, same router, same response bytes — handy for doctests and
-/// one-off in-process calls. [`serve_connection_with`] exposes the
-/// full [`ConnPolicy`] (request caps); this wrapper applies the
-/// default policy with the given parser `limits`.
-///
-/// A clean EOF between requests returns `Ok`; an EOF or read timeout
-/// mid-request answers `400` first. Write failures surface as the
-/// client disconnecting — there is nobody left to answer.
-pub fn serve_connection<C: Connection + ?Sized>(
-    state: &ServeState,
-    conn: &mut C,
-    limits: &Limits,
-    draining: impl Fn() -> bool,
-) -> std::io::Result<()> {
-    let policy = ConnPolicy { limits: limits.clone(), ..ConnPolicy::default() };
-    serve_connection_with(state, conn, &policy, draining)
-}
-
-/// [`serve_connection`] with the full per-connection policy: parser
-/// limits plus [`ConnPolicy::max_requests_per_conn`] (the final
-/// response on a capped pipeline carries `Connection: close`). The
-/// idle timeout and backpressure bound of the policy are readiness
-/// concerns and only apply inside the [`EventLoop`].
-pub fn serve_connection_with<C: Connection + ?Sized>(
-    state: &ServeState,
-    conn: &mut C,
-    policy: &ConnPolicy,
-    draining: impl Fn() -> bool,
-) -> std::io::Result<()> {
-    let mut parser = RequestParser::new(policy.limits.clone());
-    let mut chunk = [0u8; 4096];
-    let mut served = 0usize;
-    loop {
-        // Drain every complete buffered request before reading more.
-        loop {
-            match parser.next_request() {
-                Ok(Some(request)) => {
-                    served += 1;
-                    let response = state.respond(Ok(&request));
-                    let keep = request.keep_alive()
-                        && !draining()
-                        && served < policy.max_requests_per_conn;
-                    for seg in response.segments(keep) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                    if !keep {
-                        return Ok(());
-                    }
-                }
-                Ok(None) => break,
-                Err(error) => {
-                    let response = state.respond(Err(&error));
-                    for seg in response.segments(false) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => {
-                if parser.has_partial() {
-                    let error = HttpError::BadRequest("truncated request");
-                    let response = state.respond(Err(&error));
-                    for seg in response.segments(false) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                }
-                return Ok(());
-            }
-            Ok(n) => parser.push(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if parser.has_partial() {
-                    let error = HttpError::BadRequest("read timeout");
-                    let response = state.respond(Err(&error));
-                    for seg in response.segments(false) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
 
 type BoxConn = Box<dyn Connection>;
 type Job = (BoxConn, Option<i32>);
@@ -192,13 +98,6 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Start `threads` workers (at least one) serving `state` with the
-    /// default [`PoolConfig`] and the given parser `limits`.
-    pub fn start(state: Arc<ServeState>, threads: usize, limits: Limits) -> Pool {
-        let policy = ConnPolicy { limits, ..ConnPolicy::default() };
-        Pool::start_with(state, threads, PoolConfig { policy, ..PoolConfig::default() })
-    }
-
     /// Start `threads` event-loop workers (at least one) serving
     /// `state` under `config`.
     pub fn start_with(state: Arc<ServeState>, threads: usize, config: PoolConfig) -> Pool {
@@ -538,35 +437,24 @@ impl Drop for Server {
 }
 
 /// An in-process [`Connection`]: a scripted input buffer plus a
-/// captured output buffer, with an optional completion channel for
-/// driving the real [`Pool`] without sockets.
+/// captured output buffer, handed back through a channel once the
+/// connection is dropped — so the real [`Pool`] (or an [`EventLoop`]
+/// driven directly) can own it and serve it without sockets.
 #[derive(Debug)]
 pub struct MemConn {
     input: std::io::Cursor<Vec<u8>>,
     output: Vec<u8>,
-    done: Option<Sender<Vec<u8>>>,
+    done: Sender<Vec<u8>>,
 }
 
 impl MemConn {
-    /// A connection that will replay `input` and record the response
-    /// bytes (read them back with [`MemConn::output`]).
-    pub fn new(input: impl Into<Vec<u8>>) -> MemConn {
-        MemConn { input: std::io::Cursor::new(input.into()), output: Vec::new(), done: None }
-    }
-
-    /// Like [`MemConn::new`], plus a receiver that yields the response
-    /// bytes when the connection is dropped — i.e. when a pool worker
-    /// finishes serving it.
+    /// A connection that will replay `input` (then report EOF), plus a
+    /// receiver that yields every byte the server wrote once the
+    /// connection is dropped — i.e. when the loop serving it closes it.
     pub fn scripted(input: impl Into<Vec<u8>>) -> (MemConn, Receiver<Vec<u8>>) {
-        let (tx, rx) = channel();
-        let mut conn = MemConn::new(input);
-        conn.done = Some(tx);
+        let (done, rx) = channel();
+        let conn = MemConn { input: std::io::Cursor::new(input.into()), output: Vec::new(), done };
         (conn, rx)
-    }
-
-    /// The bytes written by the server so far.
-    pub fn output(&self) -> &[u8] {
-        &self.output
     }
 }
 
@@ -589,9 +477,7 @@ impl Write for MemConn {
 
 impl Drop for MemConn {
     fn drop(&mut self) {
-        if let Some(tx) = self.done.take() {
-            let _ = tx.send(std::mem::take(&mut self.output));
-        }
+        let _ = self.done.send(std::mem::take(&mut self.output));
     }
 }
 
@@ -608,17 +494,20 @@ mod tests {
         Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic))
     }
 
-    fn roundtrip(state: &ServeState, input: &[u8]) -> String {
-        let mut conn = MemConn::new(input);
-        serve_connection(state, &mut conn, &Limits::default(), || false).unwrap();
-        String::from_utf8_lossy(conn.output()).into_owned()
+    /// Serve `input` on one connection through a one-worker pool.
+    fn roundtrip(state: Arc<ServeState>, input: &[u8]) -> String {
+        let pool = Pool::start_with(state, 1, PoolConfig::default());
+        let (conn, rx) = MemConn::scripted(input);
+        assert!(pool.submit(Box::new(conn)));
+        let out = rx.recv().expect("connection was served");
+        pool.shutdown();
+        String::from_utf8_lossy(&out).into_owned()
     }
 
     #[test]
     fn keep_alive_pipelining_answers_in_order() {
-        let state = state();
         let out = roundtrip(
-            &state,
+            state(),
             b"GET /healthz HTTP/1.1\r\n\r\nGET /hhi HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
         assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 2);
@@ -629,26 +518,14 @@ mod tests {
 
     #[test]
     fn truncated_request_is_answered_400_on_eof() {
-        let state = state();
-        let out = roundtrip(&state, b"GET /hhi HTTP/1.1\r\nHost");
+        let out = roundtrip(state(), b"GET /hhi HTTP/1.1\r\nHost");
         assert!(out.starts_with("HTTP/1.1 400 Bad Request"), "{out}");
         assert!(out.contains("truncated request"));
     }
 
     #[test]
-    fn blocking_loop_honours_max_requests_per_conn() {
-        let state = state();
-        let policy = ConnPolicy { max_requests_per_conn: 1, ..ConnPolicy::default() };
-        let mut conn = MemConn::new(&b"GET /healthz HTTP/1.1\r\n\r\nGET /hhi HTTP/1.1\r\n\r\n"[..]);
-        serve_connection_with(&state, &mut conn, &policy, || false).unwrap();
-        let out = String::from_utf8_lossy(conn.output()).into_owned();
-        assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 1, "{out}");
-        assert!(out.contains("Connection: close"));
-    }
-
-    #[test]
     fn pool_serves_queued_connections_through_shutdown() {
-        let pool = Pool::start(state(), 2, Limits::default());
+        let pool = Pool::start_with(state(), 2, PoolConfig::default());
         let receivers: Vec<_> = (0..8)
             .map(|_| {
                 let (conn, rx) = MemConn::scripted(&b"GET /countries HTTP/1.1\r\n\r\n"[..]);
@@ -665,7 +542,7 @@ mod tests {
 
     #[test]
     fn draining_pool_closes_keep_alive_after_inflight_request() {
-        let pool = Pool::start(state(), 1, Limits::default());
+        let pool = Pool::start_with(state(), 1, PoolConfig::default());
         pool.begin_drain();
         let (conn, rx) = MemConn::scripted(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
         assert!(pool.submit(Box::new(conn)));
@@ -695,7 +572,7 @@ mod tests {
 
     #[test]
     fn pool_tracks_active_connections_back_to_zero() {
-        let pool = Pool::start(state(), 2, Limits::default());
+        let pool = Pool::start_with(state(), 2, PoolConfig::default());
         let receivers: Vec<_> = (0..4)
             .map(|_| {
                 let (conn, rx) = MemConn::scripted(&b"GET /hhi HTTP/1.1\r\n\r\n"[..]);

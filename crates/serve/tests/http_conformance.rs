@@ -1,36 +1,27 @@
 //! HTTP/1.1 conformance suite for the serving stack, run entirely
-//! in-process: every case drives the real parser → router → encoder
-//! path through [`serve_connection`] over a [`MemConn`], so the suite
-//! needs no sockets and pins the exact wire behaviour — which malformed
-//! inputs map to which status codes, when connections close, and how
-//! pipelining behaves.
+//! in-process: every case drives the production [`EventLoop`] (with
+//! [`FakeReadiness::always`] and a [`FakeClock`]) or the worker
+//! [`Pool`] over in-memory connections, so the suite needs no sockets
+//! and pins the exact wire behaviour of the path `govhost serve` runs —
+//! which malformed inputs map to which status codes, when connections
+//! close, and how pipelining behaves.
 
 use govhost_core::prelude::*;
 use govhost_obs::TimeMode;
 use govhost_serve::{
-    serve_connection, serve_connection_with, ConnPolicy, EventLoop, FakeClock, FakeReadiness,
-    Limits, MemConn, Pool, PoolConfig, ServeState,
+    ConnPolicy, Connection, EventLoop, FakeClock, FakeReadiness, Limits, MemConn, Pool,
+    PoolConfig, ServeState,
 };
 use govhost_worldgen::prelude::*;
 use std::io::{Read, Write};
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// One shared state for the whole suite: the index is immutable and the
 /// request telemetry only accumulates, so cases cannot interfere.
-fn state() -> &'static ServeState {
-    static STATE: OnceLock<ServeState> = OnceLock::new();
-    STATE.get_or_init(|| {
-        let world = World::generate(&GenParams::tiny());
-        let dataset = GovDataset::build(&world, &BuildOptions::default());
-        ServeState::with_mode(&dataset, TimeMode::Deterministic)
-    })
-}
-
-/// Shared `Arc` state for the cases that drive an [`EventLoop`] or
-/// [`Pool`] directly.
-fn astate() -> Arc<ServeState> {
+fn state() -> Arc<ServeState> {
     static STATE: OnceLock<Arc<ServeState>> = OnceLock::new();
     Arc::clone(STATE.get_or_init(|| {
         let world = World::generate(&GenParams::tiny());
@@ -40,23 +31,40 @@ fn astate() -> Arc<ServeState> {
 }
 
 /// A transport that hands the server at most `chunk` input bytes per
-/// read — the wire arriving in arbitrary small pieces.
+/// read — the wire arriving in arbitrary small pieces. Once the input
+/// runs out it reports EOF, or `WouldBlock` when `hold_open` is set (a
+/// slow peer, not a gone one). Like [`MemConn`], it hands back what the
+/// server wrote once the loop drops it.
 struct Trickle {
     input: Vec<u8>,
     pos: usize,
     chunk: usize,
+    hold_open: bool,
     output: Vec<u8>,
+    done: Sender<Vec<u8>>,
 }
 
 impl Trickle {
-    fn new(input: &[u8], chunk: usize) -> Trickle {
-        Trickle { input: input.to_vec(), pos: 0, chunk: chunk.max(1), output: Vec::new() }
+    fn new(input: &[u8], chunk: usize) -> (Trickle, Receiver<Vec<u8>>) {
+        let (done, rx) = channel();
+        let conn = Trickle {
+            input: input.to_vec(),
+            pos: 0,
+            chunk: chunk.max(1),
+            hold_open: false,
+            output: Vec::new(),
+            done,
+        };
+        (conn, rx)
     }
 }
 
 impl Read for Trickle {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.chunk.min(buf.len()).min(self.input.len() - self.pos);
+        if n == 0 && self.hold_open {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
         buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
@@ -74,6 +82,41 @@ impl Write for Trickle {
     }
 }
 
+impl Drop for Trickle {
+    fn drop(&mut self) {
+        let _ = self.done.send(std::mem::take(&mut self.output));
+    }
+}
+
+/// A fresh event loop over the suite state: every source always ready,
+/// time frozen until the test advances `clock`.
+fn event_loop(policy: ConnPolicy, clock: &Arc<FakeClock>) -> EventLoop {
+    EventLoop::new(
+        state(),
+        Box::new(FakeReadiness::always()),
+        Arc::clone(clock) as Arc<dyn govhost_serve::Clock>,
+        policy,
+        Arc::new(AtomicBool::new(false)),
+    )
+}
+
+/// Serve one connection to completion on a fresh event loop and return
+/// everything the server wrote on it.
+fn serve(
+    (conn, output): (impl Connection + 'static, Receiver<Vec<u8>>),
+    policy: ConnPolicy,
+) -> String {
+    let mut el = event_loop(policy, &Arc::new(FakeClock::new()));
+    el.register(Box::new(conn), None);
+    let mut turns = 0usize;
+    while !el.is_empty() {
+        el.turn(Some(Duration::from_millis(1))).expect("fake readiness never errors");
+        turns += 1;
+        assert!(turns < 10_000, "event loop did not converge");
+    }
+    String::from_utf8_lossy(&output.recv().expect("the loop dropped the connection")).into_owned()
+}
+
 /// The `ETag:` value of the first response in `out`.
 fn first_etag(out: &str) -> String {
     out.lines()
@@ -82,14 +125,12 @@ fn first_etag(out: &str) -> String {
         .to_string()
 }
 
-fn roundtrip_with(input: &[u8], limits: &Limits) -> String {
-    let mut conn = MemConn::new(input);
-    serve_connection(state(), &mut conn, limits, || false).expect("MemConn never errors");
-    String::from_utf8_lossy(conn.output()).into_owned()
+fn roundtrip_with(input: &[u8], policy: ConnPolicy) -> String {
+    serve(MemConn::scripted(input), policy)
 }
 
 fn roundtrip(input: &[u8]) -> String {
-    roundtrip_with(input, &Limits::default())
+    roundtrip_with(input, ConnPolicy::default())
 }
 
 /// Responses are counted by the `Server:` header — status lines never
@@ -445,7 +486,8 @@ fn responses_declare_exact_content_length() {
 #[test]
 fn tight_limits_apply_per_connection() {
     let limits = Limits { max_request_line: 16, ..Limits::default() };
-    let out = roundtrip_with(b"GET /a-rather-long-target HTTP/1.1\r\n\r\n", &limits);
+    let policy = ConnPolicy { limits, ..ConnPolicy::default() };
+    let out = roundtrip_with(b"GET /a-rather-long-target HTTP/1.1\r\n\r\n", policy);
     assert!(out.starts_with("HTTP/1.1 414"), "{out}");
     // The same input passes under the defaults.
     let out = roundtrip(b"GET /a-rather-long-target HTTP/1.1\r\n\r\n");
@@ -461,9 +503,7 @@ fn pipelined_burst_survives_single_byte_chunking() {
                  GET /countries HTTP/1.1\r\nConnection: close\r\n\r\n";
     let whole = roundtrip(wire);
     for chunk in [1, 2, 3, 7] {
-        let mut conn = Trickle::new(wire, chunk);
-        serve_connection(state(), &mut conn, &Limits::default(), || false).unwrap();
-        let out = String::from_utf8_lossy(&conn.output).into_owned();
+        let out = serve(Trickle::new(wire, chunk), ConnPolicy::default());
         assert_eq!(out, whole, "chunk size {chunk} changed the bytes");
         assert_eq!(response_count(&out), 3);
     }
@@ -475,9 +515,7 @@ fn request_split_mid_header_name_still_parses() {
     // between reads; the incremental parser must reassemble both.
     let wire = b"GET /flows HTTP/1.1\r\nConn\
                  ection: close\r\nX-Pad: 1\r\n\r\n";
-    let mut conn = Trickle::new(wire, 4);
-    serve_connection(state(), &mut conn, &Limits::default(), || false).unwrap();
-    let out = String::from_utf8_lossy(&conn.output).into_owned();
+    let out = serve(Trickle::new(wire, 4), ConnPolicy::default());
     assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
     assert!(out.contains("Connection: close\r\n"), "{out}");
 }
@@ -508,6 +546,39 @@ fn unknown_connection_token_falls_back_to_version_default() {
           GET /hhi HTTP/1.1\r\nConnection: close\r\n\r\n",
     );
     assert_eq!(response_count(&out), 2, "HTTP/1.1 default is keep-alive: {out}");
+}
+
+#[test]
+fn connection_fields_are_one_token_list() {
+    // RFC 9110 §7.6.1: `Connection` is a comma-separated token list and
+    // repeated fields concatenate into one list; any `close` token
+    // closes, else any `keep-alive` token keeps the connection open.
+    for (wire, responses, first_connection) in [
+        (
+            &b"GET /healthz HTTP/1.1\r\nConnection: TE, close\r\n\r\n\
+               GET /hhi HTTP/1.1\r\n\r\n"[..],
+            1,
+            "Connection: close\r\n",
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nConnection: TE\r\nConnection: close\r\n\r\n\
+              GET /hhi HTTP/1.1\r\n\r\n",
+            1,
+            "Connection: close\r\n",
+        ),
+        (
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive, Upgrade\r\n\r\n\
+              GET /hhi HTTP/1.0\r\n\r\n",
+            2,
+            "Connection: keep-alive\r\n",
+        ),
+    ] {
+        let out = roundtrip(wire);
+        let request = String::from_utf8_lossy(wire);
+        assert_eq!(response_count(&out), responses, "{request:?}: {out}");
+        let first = out.find("Connection: ").expect("a Connection header");
+        assert!(out[first..].starts_with(first_connection), "{request:?}: {out}");
+    }
 }
 
 #[test]
@@ -626,7 +697,7 @@ fn shed_connections_get_a_503_with_retry_after_on_the_wire() {
         }
     }
 
-    let state = astate();
+    let state = state();
     let before = state.shed_count();
     let policy =
         ConnPolicy { idle_timeout: Duration::from_millis(50), ..ConnPolicy::default() };
@@ -651,42 +722,16 @@ fn idle_timeout_evicts_a_half_request_with_400_on_the_wire() {
     let clock = Arc::new(FakeClock::new());
     let policy =
         ConnPolicy { idle_timeout: Duration::from_millis(200), ..ConnPolicy::default() };
-    let mut el = EventLoop::new(
-        astate(),
-        Box::new(FakeReadiness::always()),
-        Arc::clone(&clock) as Arc<dyn govhost_serve::Clock>,
-        policy,
-        Arc::new(AtomicBool::new(false)),
-    );
-    let conn = Trickle::new(b"GET /hhi HTTP/1.1\r\nHos", 64);
-    // Trickle EOFs after its input; wrap so the loop sees WouldBlock
-    // instead (the peer is just slow, not gone).
-    struct NoEof(Trickle, Arc<Mutex<Vec<u8>>>);
-    impl Read for NoEof {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.0.read(buf) {
-                Ok(0) => Err(std::io::ErrorKind::WouldBlock.into()),
-                other => other,
-            }
-        }
-    }
-    impl Write for NoEof {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.1.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    let out = Arc::new(Mutex::new(Vec::new()));
-    el.register(Box::new(NoEof(conn, Arc::clone(&out))), None);
+    let mut el = event_loop(policy, &clock);
+    let (mut conn, output) = Trickle::new(b"GET /hhi HTTP/1.1\r\nHos", 64);
+    conn.hold_open = true;
+    el.register(Box::new(conn), None);
     el.turn(Some(Duration::from_millis(1))).unwrap();
     assert_eq!(el.len(), 1, "partial request keeps the connection before the deadline");
     clock.advance(Duration::from_millis(500));
     el.turn(Some(Duration::from_millis(1))).unwrap();
     assert!(el.is_empty(), "the idle deadline evicts");
-    let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+    let text = String::from_utf8(output.recv().unwrap()).unwrap();
     assert!(text.starts_with("HTTP/1.1 400 Bad Request"), "{text}");
     assert!(text.contains("read timeout"), "{text}");
     assert!(text.contains("Connection: close\r\n"), "{text}");
@@ -730,13 +775,7 @@ fn a_closing_peer_that_never_reads_is_abandoned_at_the_drain_deadline() {
     let clock = Arc::new(FakeClock::new());
     let policy =
         ConnPolicy { idle_timeout: Duration::from_millis(200), ..ConnPolicy::default() };
-    let mut el = EventLoop::new(
-        astate(),
-        Box::new(FakeReadiness::always()),
-        Arc::clone(&clock) as Arc<dyn govhost_serve::Clock>,
-        policy,
-        Arc::new(AtomicBool::new(false)),
-    );
+    let mut el = event_loop(policy, &clock);
     el.register(
         Box::new(NeverReads {
             input: b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
@@ -761,35 +800,8 @@ fn max_requests_per_conn_closes_after_the_cap() {
     for _ in 0..5 {
         wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
     }
-    let mut conn = MemConn::new(wire);
-    serve_connection_with(state(), &mut conn, &policy, || false).unwrap();
-    let out = String::from_utf8_lossy(conn.output()).into_owned();
+    let out = roundtrip_with(&wire, policy);
     assert_eq!(response_count(&out), 3, "requests beyond the cap are not served: {out}");
     assert_eq!(out.matches("Connection: keep-alive\r\n").count(), 2, "{out}");
     assert_eq!(out.matches("Connection: close\r\n").count(), 1, "{out}");
-}
-
-#[test]
-fn blocking_loop_and_event_loop_emit_identical_bytes() {
-    let wire = b"GET /countries HTTP/1.1\r\n\r\n\
-                 GET /nope HTTP/1.1\r\n\r\n\
-                 GET /hhi HTTP/1.1\r\nConnection: close\r\n\r\n";
-    let state = astate();
-    let mut blocking = MemConn::new(&wire[..]);
-    serve_connection(&state, &mut blocking, &Limits::default(), || false).unwrap();
-
-    let mut el = EventLoop::new(
-        Arc::clone(&state),
-        Box::new(FakeReadiness::always()),
-        Arc::new(FakeClock::new()),
-        ConnPolicy::default(),
-        Arc::new(AtomicBool::new(false)),
-    );
-    let (conn, rx) = MemConn::scripted(&wire[..]);
-    el.register(Box::new(conn), None);
-    while !el.is_empty() {
-        el.turn(Some(Duration::from_millis(1))).unwrap();
-    }
-    let evented = rx.recv().unwrap();
-    assert_eq!(blocking.output(), &evented[..], "two schedulers, one wire format");
 }

@@ -7,31 +7,28 @@
 
 use govhost_core::prelude::*;
 use govhost_obs::TimeMode;
-use govhost_serve::{
-    serve_connection, Limits, MemConn, Pool, QueryIndex, RouteQuery, ServeState,
-};
+use govhost_serve::{MemConn, Pool, PoolConfig, QueryIndex, RouteQuery, ServeState};
 use govhost_worldgen::prelude::*;
 use std::sync::Arc;
 
-fn fresh_state() -> (GovDataset, ServeState) {
+fn fresh_state() -> (GovDataset, Arc<ServeState>) {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = ServeState::with_mode(&dataset, TimeMode::Deterministic);
+    let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
     (dataset, state)
 }
 
-fn get(state: &ServeState, target: &str) -> String {
-    let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
-    let mut conn = MemConn::new(raw.into_bytes());
-    serve_connection(state, &mut conn, &Limits::default(), || false).expect("in-memory serve");
-    String::from_utf8_lossy(conn.output()).into_owned()
+/// One `Connection: close` GET through a one-worker pool.
+fn get(state: &Arc<ServeState>, target: &str) -> String {
+    let out = pool_responses(state, &[target.to_string()], 1);
+    String::from_utf8_lossy(&out[0]).into_owned()
 }
 
 fn etag_of(out: &str) -> &str {
     out.lines().find_map(|l| l.strip_prefix("ETag: ")).expect("response carries an ETag")
 }
 
-fn metrics_count(state: &ServeState, needle: &str) -> u64 {
+fn metrics_count(state: &Arc<ServeState>, needle: &str) -> u64 {
     let metrics = get(state, "/metrics");
     let (_, body) = metrics.split_once("\r\n\r\n").expect("metrics body");
     body.lines()
@@ -93,7 +90,7 @@ fn typed_400s_name_the_offending_parameter() {
 fn eviction_is_deterministic_lru_and_counted() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = ServeState::with_config(&dataset, TimeMode::Deterministic, 2);
+    let state = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 2));
     let q1 = get(&state, "/flows?limit=1");
     let _q2 = get(&state, "/flows?limit=2");
     let _q3 = get(&state, "/flows?limit=3"); // evicts limit=1 (LRU)
@@ -105,7 +102,7 @@ fn eviction_is_deterministic_lru_and_counted() {
     assert_eq!(metrics_count(&state, "http_query_cache{outcome=\"eviction\"} "), 2);
     assert_eq!(state.result_cache().len(), 2, "capacity holds");
     // And a zero capacity disables caching entirely without changing bytes.
-    let uncached = ServeState::with_config(&dataset, TimeMode::Deterministic, 0);
+    let uncached = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 0));
     assert_eq!(get(&uncached, "/flows?limit=1"), q1);
     assert!(uncached.result_cache().is_empty());
 }
@@ -134,7 +131,7 @@ fn swap_mix(dataset: &GovDataset) -> Vec<String> {
 /// Serve the mix through a real `threads`-worker pool, one sequential
 /// client, returning the full response bytes per target.
 fn pool_responses(state: &Arc<ServeState>, targets: &[String], threads: usize) -> Vec<Vec<u8>> {
-    let pool = Pool::start(Arc::clone(state), threads, Limits::default());
+    let pool = Pool::start_with(Arc::clone(state), threads, PoolConfig::default());
     let mut out = Vec::new();
     for target in targets {
         let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");

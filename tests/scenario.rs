@@ -24,7 +24,8 @@ use govhost::scenario::{
     diff, insights_for, parse, run_file, run_scenario, BuildMetrics, InsightContext,
     ScenarioRun, Winner,
 };
-use govhost::serve::{serve_connection, Limits, MemConn, ScenarioIndex, ServeState};
+use govhost::serve::{MemConn, Pool, PoolConfig, ScenarioIndex, ServeState};
+use std::sync::Arc;
 
 fn options(threads: usize) -> BuildOptions {
     BuildOptions { threads, ..BuildOptions::default() }
@@ -103,27 +104,27 @@ fn provider_outage_reports_ns_only_cascade_dark_fractions() {
     assert!(cascade_seen, "some operator outage must show NS-only exposure at tiny scale");
 }
 
-/// Serve the two scenario routes for every run over an in-process
-/// connection and return the raw response bytes.
+/// Serve the two scenario routes for every run through a one-worker
+/// pool over in-process connections and return the raw response bytes.
 fn scenario_responses(runs: &[ScenarioRun]) -> Vec<Vec<u8>> {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
     let index = ScenarioIndex::build(runs);
     let state = ServeState::with_mode(&dataset, TimeMode::Deterministic).with_scenarios(index);
+    let pool = Pool::start_with(Arc::new(state), 1, PoolConfig::default());
     let mut out = Vec::new();
     for run in runs {
         for route in [format!("/scenario/{}", run.name), format!("/scenario/{}/diff", run.name)]
         {
             let raw = format!("GET {route} HTTP/1.1\r\nConnection: close\r\n\r\n");
-            let mut conn = MemConn::new(raw.into_bytes());
-            serve_connection(&state, &mut conn, &Limits::default(), || false).expect("serves");
-            assert!(
-                conn.output().starts_with(b"HTTP/1.1 200 OK"),
-                "{route} answers 200"
-            );
-            out.push(conn.output().to_vec());
+            let (conn, rx) = MemConn::scripted(raw.into_bytes());
+            assert!(pool.submit(Box::new(conn)), "pool accepts while running");
+            let response = rx.recv().expect("serves");
+            assert!(response.starts_with(b"HTTP/1.1 200 OK"), "{route} answers 200");
+            out.push(response);
         }
     }
+    pool.shutdown();
     out
 }
 

@@ -12,8 +12,8 @@
 use govhost::obs::TimeMode;
 use govhost::prelude::*;
 use govhost::serve::{
-    ConnPolicy, EventLoop, FakeClock, FakeReadiness, Limits, MemConn, Pool, ServeState, Server,
-    ServerConfig,
+    ConnPolicy, EventLoop, FakeClock, FakeReadiness, MemConn, Pool, PoolConfig, ServeState,
+    Server, ServerConfig,
 };
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::AtomicBool;
@@ -75,7 +75,7 @@ fn responses_at(world: &World, threads: usize) -> Vec<Vec<u8>> {
     let dataset = GovDataset::build(world, &BuildOptions { threads, ..Default::default() });
     let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
     let wires = request_sequence(&dataset, &state);
-    let pool = Pool::start(state, threads, Limits::default());
+    let pool = Pool::start_with(state, threads, PoolConfig::default());
     let mut responses = Vec::new();
     for (_, raw) in &wires {
         let (conn, rx) = MemConn::scripted(raw.clone());

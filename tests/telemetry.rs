@@ -57,13 +57,13 @@ fn telemetry_exports_are_stable_across_runs() {
 /// functions of the sequence).
 #[test]
 fn serve_telemetry_is_byte_identical_across_worker_counts() {
-    use govhost::serve::{Limits, MemConn, Pool, ServeState};
+    use govhost::serve::{MemConn, Pool, PoolConfig, ServeState};
     use std::sync::Arc;
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
     let snapshot_at = |workers: usize| -> String {
         let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
-        let pool = Pool::start(Arc::clone(&state), workers, Limits::default());
+        let pool = Pool::start_with(Arc::clone(&state), workers, PoolConfig::default());
         for route in ["/healthz", "/countries", "/hhi", "/nope"] {
             let raw = format!("GET {route} HTTP/1.1\r\nConnection: close\r\n\r\n");
             let (conn, rx) = MemConn::scripted(raw.into_bytes());
