@@ -53,10 +53,16 @@ cargo test -q --offline -p govhost-core --test prop_table
 # The scale-0.3 pins are #[ignore]d in the debug pass and run here in
 # release. The property suite complements them: over arbitrary seeds,
 # tick counts and over-approximated dirty sets, the incremental report
-# and export bytes (meta included) equal a full build's.
+# and export bytes (meta included) equal a full build's, also when web
+# content is mutated between ticks. Tick and shock rebuilds must re-run
+# only §3.4 identify: evolve and scenario gate on zero crawled pages,
+# and the worldgen content-version laws check that no tick or shock
+# touches what a crawl reads.
 echo "==> evolve suites"
 cargo test -q --offline --release --test evolve -- --include-ignored
+cargo test -q --offline --release --test scenario
 cargo test -q --offline -p govhost-core --test prop_incremental
+cargo test -q --offline -p govhost-worldgen --lib content_version
 
 # Hygiene gate for the interned path: the build and table modules must
 # obtain every hostname from the interner — parsing one from a raw

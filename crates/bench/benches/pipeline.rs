@@ -9,7 +9,7 @@
 //! thread count — the determinism invariant the parallel build
 //! promises.
 
-use govhost_core::classify::{Classifier, SeedSets};
+use govhost_core::classify::SeedSets;
 use govhost_core::dataset::{BuildOptions, GovDataset};
 use govhost_core::export::export_csv;
 use govhost_core::hosting::HostingAnalysis;
@@ -21,55 +21,15 @@ use govhost_types::{CountryCode, Hostname, Url};
 use govhost_web::cert::TlsCert;
 use govhost_web::Crawler;
 use govhost_worldgen::{default_systems, run_year, GenParams, World};
-use std::collections::HashSet;
 use std::time::Instant;
 
-/// The pre-refactor crawl→classify shape, for the memory/wall-time
-/// comparison: materialize every crawl into a full `HarLog` of owned
-/// URLs, then classify the records and dedup through a `HashSet<Url>`
-/// into a Vec of owned rows — one heap allocation per URL sighting.
-fn legacy_crawl_classify(world: &World) -> (usize, usize) {
-    let crawler = Crawler::default();
-    let mut rows: Vec<(Url, u64)> = Vec::new();
-    let mut total_gov = 0usize;
-    for row in world.studied_countries() {
-        let code = row.cc();
-        let landing = world.landing(code);
-        if landing.is_empty() {
-            continue;
-        }
-        let seed_hosts: Vec<Hostname> = landing.iter().map(|u| u.hostname().clone()).collect();
-        let certs: Vec<&TlsCert> =
-            seed_hosts.iter().filter_map(|h| world.corpus.certificate(h)).collect();
-        let mut classifier = Classifier::new(seed_hosts, certs, &world.search);
-        let vantage = world.vantage(code).country;
-        let mut seen: HashSet<Url> = HashSet::new();
-        let mut gov_hosts: HashSet<Hostname> = HashSet::new();
-        for landing_url in landing {
-            let outcome = crawler.crawl(&world.corpus, landing_url, Some(vantage));
-            for entry in &outcome.log.entries {
-                if !seen.insert(entry.url.clone()) {
-                    continue;
-                }
-                if classifier.classify(entry.url.hostname()).is_some() {
-                    gov_hosts.insert(entry.url.hostname().clone());
-                    rows.push((entry.url.clone(), entry.bytes));
-                }
-            }
-        }
-        total_gov += gov_hosts.len();
-    }
-    (rows.len(), total_gov)
-}
-
-/// The same crawl→classify work on the interned path: stream pages out
-/// of a [`Crawler::session`], intern hostnames once, and dedup URL rows
-/// through the columnar [`UrlInterner`] — no materialized crawls, no
-/// owned-URL keys.
-fn interned_crawl_classify(world: &World) -> (usize, usize) {
+/// The crawl→classify work of every studied country on one thread:
+/// stream pages out of a [`Crawler::session`], intern hostnames once,
+/// and dedup URL rows through the columnar [`UrlInterner`] — no
+/// materialized crawls, no owned-URL keys.
+fn interned_crawl_classify(world: &World) -> usize {
     let crawler = Crawler::default();
     let mut total_rows = 0usize;
-    let mut total_gov = 0usize;
     for row in world.studied_countries() {
         let code = row.cc();
         let landing = world.landing(code);
@@ -78,19 +38,19 @@ fn interned_crawl_classify(world: &World) -> (usize, usize) {
         }
         let seed_hosts: Vec<Hostname> = landing.iter().map(|u| u.hostname().clone()).collect();
         let certs: Vec<&TlsCert> =
-            seed_hosts.iter().filter_map(|h| world.corpus.certificate(h)).collect();
+            seed_hosts.iter().filter_map(|h| world.corpus().certificate(h)).collect();
         let seeds = SeedSets::new(seed_hosts, certs);
         let vantage = world.vantage(code).country;
         let mut hosts = govhost_types::HostInterner::new();
         let mut verdicts: Vec<Option<govhost_core::classify::ClassificationMethod>> = Vec::new();
         let mut rows = UrlInterner::new();
         for landing_url in landing {
-            let mut session = crawler.session(&world.corpus, landing_url, Some(vantage));
+            let mut session = crawler.session(world.corpus(), landing_url, Some(vantage));
             while let Some(visit) = session.next_page() {
                 let mut examine = |url: &Url, bytes: u64| {
                     let (hid, new_host) = hosts.intern(url.hostname());
                     if new_host {
-                        verdicts.push(seeds.classify(url.hostname(), &world.search));
+                        verdicts.push(seeds.classify(url.hostname(), world.search()));
                     }
                     rows.intern(url.scheme(), hid, url.path(), bytes);
                 };
@@ -105,9 +65,8 @@ fn interned_crawl_classify(world: &World) -> (usize, usize) {
             .iter()
             .filter(|u| verdicts[u.host.index()].is_some())
             .count();
-        total_gov += verdicts.iter().filter(|v| v.is_some()).count();
     }
-    (total_rows, total_gov)
+    total_rows
 }
 
 fn main() {
@@ -263,14 +222,12 @@ fn main() {
         }
         drop(ds);
 
-        // At the top scale, face the interned streaming path off against
-        // the seed-era materializing path on identical work: same world,
-        // same crawl, same classification — only the representation
-        // differs.
+        // At the top scale, also time the crawl→classify stream alone,
+        // single-threaded, with its own peak RSS.
         if scale == 10.0 {
             mem::reset_peak_rss();
             let start = Instant::now();
-            let (interned_rows, interned_gov) = interned_crawl_classify(&world);
+            let interned_rows = interned_crawl_classify(&world);
             let interned_wall = start.elapsed();
             let interned_rss = mem::peak_rss_bytes();
             b.record(
@@ -285,29 +242,6 @@ fn main() {
                     Some(interned_rows as u64),
                 );
             }
-
-            mem::reset_peak_rss();
-            let start = Instant::now();
-            let (legacy_rows, legacy_gov) = legacy_crawl_classify(&world);
-            let legacy_wall = start.elapsed();
-            let legacy_rss = mem::peak_rss_bytes();
-            b.record(
-                &format!("pipeline/sweep/{label}/crawl_classify_legacy"),
-                legacy_wall,
-                Some(legacy_rows as u64),
-            );
-            if let Some(rss) = legacy_rss {
-                b.record_value(
-                    &format!("pipeline/sweep/{label}/crawl_classify_legacy_peak_rss_bytes"),
-                    rss as f64,
-                    Some(legacy_rows as u64),
-                );
-            }
-            assert_eq!(
-                (interned_rows, interned_gov),
-                (legacy_rows, legacy_gov),
-                "both paths must examine identical work"
-            );
         }
     }
 

@@ -53,6 +53,21 @@
 //! build ([`GovDataset::try_build`], [`GovDataset::build_cached`]) is
 //! that rebuild from an empty [`BuildCache`], which recomputes every
 //! country.
+//!
+//! ## Two halves per country
+//!
+//! Each cached country is split by what it read. The *content half*
+//! (§3.2–§3.3: the government-host arena, methods, URL rows, examined
+//! count, crawl failures) reads only the world's crawl-side content, and
+//! records the [`govhost_worldgen::ContentVersion`] and [`Crawler`] it
+//! was computed with. The *infra half* (§3.4: identification and
+//! resolution failures) reads DNS, the registry, PeeringDB and search.
+//! A recomputed country whose content half still matches the world's
+//! content version and the build's crawler re-runs identify alone.
+//! Ticks and shocks only rewrite DNS and ground truth, so their
+//! rebuilds crawl nothing. Validity is decided by the world itself:
+//! the corpus and search index can only be written through accessors
+//! that stamp a new version.
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
@@ -63,7 +78,7 @@ use govhost_types::{
     ProviderCategory, Region, Url,
 };
 use govhost_web::crawler::{Crawler, FailureCauses};
-use govhost_worldgen::World;
+use govhost_worldgen::{ContentVersion, World};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -211,7 +226,8 @@ impl StageStat {
 pub struct StageTimings {
     /// §3.2 crawling; items = pages rendered.
     pub crawl: StageStat,
-    /// §3.3 classification; items = unique URLs examined.
+    /// §3.3 classification; items = unique URLs examined (by re-crawled
+    /// countries only, in an incremental rebuild).
     pub classify: StageStat,
     /// §3.4 resolution + WHOIS; items = hostnames identified.
     pub identify: StageStat,
@@ -449,14 +465,14 @@ fn stream_chunk(
     let mut examine = |url: &Url, bytes: u64| {
         let (hid, new_host) = hosts.intern(url.hostname());
         if new_host {
-            verdicts.push(ctx.seeds.classify(url.hostname(), &world.search));
+            verdicts.push(ctx.seeds.classify(url.hostname(), world.search()));
         }
         rows.intern(url.scheme(), hid, url.path(), bytes);
     };
 
     for landing_url in &ctx.landing[start..end] {
         let mut session =
-            options.crawler.session(&world.corpus, landing_url, Some(ctx.vantage));
+            options.crawler.session(world.corpus(), landing_url, Some(ctx.vantage));
         loop {
             let batch = {
                 let _crawl = govhost_obs::span!("crawl");
@@ -493,15 +509,34 @@ fn stream_chunk(
     Ok(ChunkPartial { host_names, verdicts, rows: rows.into_table(), crawl_failures, failure_causes })
 }
 
+/// What a country's content half read: the world's crawl-side content
+/// ([`World::content_version`]) and the crawler that walked it.
+type ContentKey = (ContentVersion, Crawler);
+
 /// One contributing country's partial build state: everything the
 /// per-country phases (§3.2–§3.4) produce for it, *before* any global
 /// interning. Entries are pure functions of `(world, options, country)`,
 /// so replaying a set of them in fixed country order reconstructs the
 /// global tables byte-for-byte — the seam that makes
 /// [`GovDataset::rebuild_incremental`] exact.
+///
+/// The entry is split by what each half reads, so a rebuild can redo
+/// one half without the other.
 #[derive(Debug, Clone)]
 struct CountryEntry {
     code: CountryCode,
+    content: ContentHalf,
+    infra: InfraHalf,
+}
+
+/// The §3.2–§3.3 half of a [`CountryEntry`]: what crawling and
+/// classifying the country's sites produced. It reads only the world's
+/// crawl-side content and the crawler, both recorded in `read`, so it
+/// stays valid for exactly as long as that key matches.
+#[derive(Debug, Clone)]
+struct ContentHalf {
+    /// The content version and crawler this half was computed from.
+    read: ContentKey,
     /// Landing URLs crawled (the fixed Table 8 denominator).
     landing: u32,
     /// Every distinct government hostname this country surfaced, interned
@@ -518,19 +553,34 @@ struct CountryEntry {
     examined: u64,
     crawl_failures: u32,
     failure_causes: FailureCauses,
-    /// §3.4 identification per hostname, aligned with `gov`. Valid for as
-    /// long as the country's DNS surface is unchanged — exactly the
-    /// contract a tick's dirty-set tracks.
+}
+
+/// The §3.4 half of a [`CountryEntry`]: identification of every
+/// hostname in the content half's `gov` arena. It reads DNS, the
+/// registry, PeeringDB and the search index. Ticks and shocks rewrite
+/// DNS, so every recomputed country re-runs it.
+#[derive(Debug, Clone, Default)]
+struct InfraHalf {
+    /// §3.4 identification per hostname, aligned with the content
+    /// half's `gov`.
     identify: Vec<Option<InfraRecord>>,
     resolution_failures: u64,
 }
 
-/// Telemetry shards a freshly computed country carries into assembly:
-/// its chunk-job shards (in chunk order) plus the identify-job shard.
-type CountryShards = (Vec<govhost_obs::Telemetry>, govhost_obs::Telemetry);
+/// The telemetry a recomputed country carries into assembly (consumed
+/// there, never cached).
+#[derive(Default)]
+struct CountryShards {
+    /// Whether crawl → classify ran for this country in this build;
+    /// `false` when its content half was reused and only identify ran.
+    content_fresh: bool,
+    /// The crawl/classify chunk-job shards, in chunk order.
+    crawl: Vec<govhost_obs::Telemetry>,
+    /// The identify-job shard.
+    identify: govhost_obs::Telemetry,
+}
 
-/// A freshly computed [`CountryEntry`] plus its telemetry shards (the
-/// shards are consumed by the assembly and never cached).
+/// A recomputed [`CountryEntry`] plus its telemetry shards.
 struct CountryWork {
     entry: CountryEntry,
     shards: CountryShards,
@@ -553,11 +603,16 @@ struct Assembled {
 /// later [`GovDataset::rebuild_incremental`] can replay clean countries
 /// instead of re-crawling them.
 ///
-/// The cache holds one entry per contributing country, in
-/// fixed studied-country order, plus the quarantine record of the build
-/// that produced it. It is only meaningful against the same world
-/// lineage it was built from: after a tick, the entries of countries in
-/// the tick's dirty set are stale and must be recomputed.
+/// The cache holds one entry per contributing country, in fixed
+/// studied-country order, plus the quarantine record of the build that
+/// produced it. Each entry has two halves: a content half (the §3.2–§3.3
+/// crawl and classification, stamped with the world's
+/// [`ContentVersion`] and the [`Crawler`] it ran with) and an infra half
+/// (the §3.4 identification). The cache is only meaningful against the
+/// same world lineage it was built from: after a tick, the entries of
+/// countries in the tick's dirty set are stale and must be recomputed —
+/// though only their infra half, as long as the world's content version
+/// still matches.
 #[derive(Debug, Default, Clone)]
 pub struct BuildCache {
     entries: Vec<CountryEntry>,
@@ -571,36 +626,28 @@ impl BuildCache {
     }
 }
 
-/// What one country's §3.4 identify job produces.
-struct IdentifyPartial {
-    /// `(global host id, identification)` in `gov_list` order.
-    records: Vec<(HostId, Option<InfraRecord>)>,
-    resolution_failures: u64,
-    shard: govhost_obs::Telemetry,
-}
-
 /// The §3.4 stage for one country: resolve + WHOIS every distinct
 /// government hostname from the domestic vantage, in first-occurrence
 /// order. Resolution faults are absorbed per-host (the record stays,
-/// unresolved) and counted.
+/// unresolved) and counted. Returns the infra half and the job's
+/// telemetry shard.
 fn identify_country(
     world: &World,
     code: CountryCode,
     vantage: CountryCode,
-    gov_hosts: &[(HostId, Hostname)],
-) -> IdentifyPartial {
-    let ((records, resolution_failures), shard) = govhost_obs::collect(|| {
+    gov: &HostInterner,
+) -> (InfraHalf, govhost_obs::Telemetry) {
+    govhost_obs::collect(|| {
         let _identify = govhost_obs::span!("identify");
         let mut identifier = InfraIdentifier::new(
             &world.resolver,
             &world.registry,
             &world.peeringdb,
-            &world.search,
+            world.search(),
         );
-        let mut records: Vec<(HostId, Option<InfraRecord>)> =
-            Vec::with_capacity(gov_hosts.len());
+        let mut identify: Vec<Option<InfraRecord>> = Vec::with_capacity(gov.len());
         let mut resolution_failures = 0u64;
-        for (gid, host) in gov_hosts {
+        for (_, host) in gov.iter() {
             // A resolution fault (NXDOMAIN, broken zone) keeps the host
             // record — unresolved — and is counted for the BuildReport,
             // instead of being silently conflated with "no record".
@@ -611,12 +658,12 @@ fn identify_country(
                     None
                 }
             };
-            records.push((*gid, record));
+            identify.push(record);
         }
         govhost_obs::counter_add(
             "identify.hosts",
             &[("country", code.as_str())],
-            gov_hosts.len() as u64,
+            gov.len() as u64,
         );
         if resolution_failures > 0 {
             govhost_obs::counter_add(
@@ -625,9 +672,8 @@ fn identify_country(
                 resolution_failures,
             );
         }
-        (records, resolution_failures)
-    });
-    IdentifyPartial { records, resolution_failures, shard }
+        InfraHalf { identify, resolution_failures }
+    })
 }
 
 impl GovDataset {
@@ -693,19 +739,27 @@ impl GovDataset {
     /// incremental rebuild) against the same world lineage, and `dirty`
     /// must cover every country whose observable surfaces changed since —
     /// a tick's `TickReport::dirty` is exactly that set. Clean countries
-    /// are *replayed* from their cached entries; dirty ones, and any
-    /// contributing country the cache has no record of, re-run the full
-    /// per-country fan-out (crawl → classify → identify). The global
-    /// merge, §5.1 category assignment and §3.5 geolocation always run in
-    /// full, so the resulting dataset — down to `export_csv` bytes — is
-    /// identical to a from-scratch [`Self::try_build`] against the
-    /// mutated world (`tests/evolve.rs` pins this). This is the only
-    /// build body: a full build is this call on an empty cache.
+    /// are *replayed* from their cached entries. A dirty country whose
+    /// cached content half was computed from the world's current
+    /// [`World::content_version`] with the same [`BuildOptions::crawler`]
+    /// re-runs only §3.4 identify, spliced into its cached entry in
+    /// place; a dirty country with a stale or missing content half (and
+    /// any contributing country the cache has no record of) re-runs the
+    /// full per-country fan-out (crawl → classify → identify). Ticks and
+    /// shocks rewrite DNS and ground truth only, so their rebuilds never
+    /// crawl. The global merge, §5.1 category assignment and §3.5
+    /// geolocation always run in full, so the resulting dataset — down
+    /// to `export_csv` bytes — is identical to a from-scratch
+    /// [`Self::try_build`] against the mutated world (`tests/evolve.rs`
+    /// pins this). This is the only build body: a full build is this
+    /// call on an empty cache.
     ///
     /// Telemetry is the one documented divergence: spans and counters are
-    /// only emitted for the countries that actually recomputed, so
-    /// [`GovDataset::timings`] and [`GovDataset::telemetry`] describe the
-    /// incremental work, not a full build. Every rebuild still asserts
+    /// only emitted for the work that actually ran. A recomputed country
+    /// gets a `country` span with its identify spans and counters; only
+    /// a country that was also re-crawled adds crawl and classify ones.
+    /// So [`GovDataset::timings`] and [`GovDataset::telemetry`] describe
+    /// the incremental work, not a full build. Every rebuild still asserts
     /// that this recomputed share of the registry agrees with the merge
     /// sums the [`BuildReport`] is derived from.
     ///
@@ -735,13 +789,32 @@ impl GovDataset {
                     recompute.insert(code);
                 }
             }
-            let (works, new_quarantines) = Self::compute_countries(world, options, &recompute)?;
-            // Splice: fresh entries replace stale ones, everything else
-            // replays from cache, in fixed studied-country order.
-            let mut fresh: HashMap<CountryCode, CountryWork> =
-                works.into_iter().map(|w| (w.entry.code, w)).collect();
+            // Of those, a country whose cached content half read exactly
+            // the current content with the current crawler keeps it; the
+            // rest are crawled afresh.
+            let key: ContentKey = (world.content_version(), options.crawler);
+            let reused: BTreeSet<CountryCode> = cache
+                .entries
+                .iter()
+                .filter(|e| recompute.contains(&e.code) && e.content.read == key)
+                .map(|e| e.code)
+                .collect();
+            let crawl: BTreeSet<CountryCode> =
+                recompute.iter().filter(|c| !reused.contains(c)).copied().collect();
+            let (mut works, new_quarantines) =
+                Self::crawl_countries(world, options, &crawl, key)?;
             let mut old: HashMap<CountryCode, CountryEntry> =
                 std::mem::take(&mut cache.entries).into_iter().map(|e| (e.code, e)).collect();
+            for code in &reused {
+                let entry = old.remove(code).expect("reused countries have a cached entry");
+                let shards = CountryShards { content_fresh: false, ..CountryShards::default() };
+                works.push(CountryWork { entry, shards });
+            }
+            Self::identify_countries(world, options, &mut works);
+            // Splice: recomputed entries replace stale ones, everything
+            // else replays from cache, in fixed studied-country order.
+            let mut fresh: HashMap<CountryCode, CountryWork> =
+                works.into_iter().map(|w| (w.entry.code, w)).collect();
             let mut entries: Vec<CountryEntry> = Vec::new();
             let mut shards: Vec<Option<CountryShards>> = Vec::new();
             let mut quarantined: Vec<QuarantineEntry> = Vec::new();
@@ -766,10 +839,14 @@ impl GovDataset {
             let asm = Self::assemble(world, options, &entries, shards);
             cache.entries = entries;
             cache.quarantined = quarantined.clone();
-            Ok((asm, quarantined, recompute))
+            Ok((asm, quarantined, recompute, crawl))
         });
-        let (asm, quarantined, recompute) = result?;
-        let fresh = cache.entries.iter().filter(|e| recompute.contains(&e.code));
+        let (asm, quarantined, recompute, crawled) = result?;
+        let fresh = cache
+            .entries
+            .iter()
+            .filter(|e| recompute.contains(&e.code))
+            .map(|e| (e, crawled.contains(&e.code)));
         Ok(Self::finish_checked(asm, quarantined, fresh, telemetry))
     }
 
@@ -777,16 +854,19 @@ impl GovDataset {
     /// assembly's merge sums, and cross-check the telemetry registry
     /// against the freshly computed share of them.
     ///
-    /// Only recomputed countries (`fresh`) emit telemetry — replayed ones
-    /// did no measurement work — so the crawl-failure, resolution-failure
-    /// and `analyze.hosts` counters are checked against sums over the
-    /// fresh entries and the host records they own. Geolocation always
-    /// runs in full, so its counters are checked against the whole
-    /// [`ValidationStats`]. For a full build every country is fresh.
+    /// Only recomputed countries (`fresh`, each flagged with whether it
+    /// was also re-crawled) emit telemetry — replayed ones did no
+    /// measurement work. So the crawl-failure counters are checked
+    /// against sums over the re-crawled entries, and the
+    /// resolution-failure and `analyze.hosts` counters against sums over
+    /// every recomputed entry and the host records it owns. Geolocation
+    /// always runs in full, so its counters are checked against the
+    /// whole [`ValidationStats`]. For a full build every country is
+    /// fresh and re-crawled.
     fn finish_checked<'a>(
         asm: Assembled,
         quarantined: Vec<QuarantineEntry>,
-        fresh: impl Iterator<Item = &'a CountryEntry>,
+        fresh: impl Iterator<Item = (&'a CountryEntry, bool)>,
         telemetry: govhost_obs::Telemetry,
     ) -> (GovDataset, BuildReport) {
         let report = BuildReport {
@@ -806,10 +886,12 @@ impl GovDataset {
         let mut fresh_crawl_failures = 0u32;
         let mut fresh_resolution_failures = 0u64;
         let mut fresh_codes: HashSet<CountryCode> = HashSet::new();
-        for entry in fresh {
-            fresh_causes.merge(entry.failure_causes);
-            fresh_crawl_failures += entry.crawl_failures;
-            fresh_resolution_failures += entry.resolution_failures;
+        for (entry, crawled) in fresh {
+            if crawled {
+                fresh_causes.merge(entry.content.failure_causes);
+                fresh_crawl_failures += entry.content.crawl_failures;
+            }
+            fresh_resolution_failures += entry.infra.resolution_failures;
             fresh_codes.insert(entry.code);
         }
         let r = &telemetry.registry;
@@ -866,14 +948,16 @@ impl GovDataset {
         (dataset, report)
     }
 
-    /// Phases §3.2–§3.4 for a set of countries: the chunked
-    /// crawl/classify fan-out, the per-country merge into
-    /// [`CountryEntry`]s, and the identify fan-out. Only the countries
-    /// in `only` are computed; the rest are replayed from cache.
-    fn compute_countries(
+    /// Phases §3.2–§3.3 for a set of countries: the chunked
+    /// crawl/classify fan-out and the per-country merge into content
+    /// halves stamped with `key`. Only the countries in `only` are
+    /// crawled; the returned entries carry an empty infra half for
+    /// [`Self::identify_countries`] to fill.
+    fn crawl_countries(
         world: &World,
         options: &BuildOptions,
         only: &BTreeSet<CountryCode>,
+        key: ContentKey,
     ) -> Result<(Vec<CountryWork>, Vec<QuarantineEntry>), BuildError> {
         // Prep: per contributing country, the shared crawl/classify
         // context; then the (country, landing-chunk) job list in fixed
@@ -882,7 +966,7 @@ impl GovDataset {
         for row in world.studied_countries() {
             let code = row.cc();
             if !only.contains(&code) {
-                continue; // clean country: replayed from cache instead
+                continue; // clean or content-reused: not crawled this build
             }
             let landing = world.landing(code);
             if landing.is_empty() {
@@ -891,7 +975,7 @@ impl GovDataset {
             let seed_hosts: Vec<Hostname> =
                 landing.iter().map(|u| u.hostname().clone()).collect();
             let landing_certs: Vec<&govhost_web::cert::TlsCert> =
-                seed_hosts.iter().filter_map(|h| world.corpus.certificate(h)).collect();
+                seed_hosts.iter().filter_map(|h| world.corpus().certificate(h)).collect();
             let seeds = SeedSets::new(seed_hosts, landing_certs);
             ctxs.push(CountryCtx { code, vantage: world.vantage(code).country, landing, seeds });
         }
@@ -1018,58 +1102,63 @@ impl GovDataset {
             works.push(CountryWork {
                 entry: CountryEntry {
                     code: ctx.code,
-                    landing: ctx.landing.len() as u32,
-                    gov,
-                    gov_methods,
-                    rows,
-                    examined,
-                    crawl_failures,
-                    failure_causes,
-                    identify: Vec::new(),
-                    resolution_failures: 0,
+                    content: ContentHalf {
+                        read: key,
+                        landing: ctx.landing.len() as u32,
+                        gov,
+                        gov_methods,
+                        rows,
+                        examined,
+                        crawl_failures,
+                        failure_causes,
+                    },
+                    infra: InfraHalf::default(),
                 },
-                shards: (chunk_shards, govhost_obs::Telemetry::default()),
+                shards: CountryShards {
+                    content_fresh: true,
+                    crawl: chunk_shards,
+                    identify: govhost_obs::Telemetry::default(),
+                },
             });
         }
+        Ok((works, quarantined))
+    }
 
-        // Phase 2 (parallel): §3.4 identification, one job per
-        // contributing country. Every country identifies every distinct
-        // government hostname it surfaced from its own vantage — exactly
-        // the work the sequential pipeline did — and the records ride in
-        // the entry, aligned with its `gov` arena.
-        type IdentifyJob = (CountryCode, CountryCode, Vec<(HostId, Hostname)>);
-        let identify_jobs: Vec<IdentifyJob> = works
+    /// Phase §3.4 (parallel): identification, one job per recomputed
+    /// country, whether its content half is fresh or reused. Every
+    /// country identifies every distinct government hostname it
+    /// surfaced from its own vantage, and the records are spliced into
+    /// the entry's infra half in place, aligned with its `gov` arena.
+    fn identify_countries(world: &World, options: &BuildOptions, works: &mut [CountryWork]) {
+        let jobs: Vec<(CountryCode, CountryCode, &HostInterner)> = works
             .iter()
             .map(|w| {
-                let list =
-                    w.entry.gov.iter().map(|(lid, name)| (lid, name.clone())).collect();
-                (w.entry.code, world.vantage(w.entry.code).country, list)
+                let code = w.entry.code;
+                (code, world.vantage(code).country, &w.entry.content.gov)
             })
             .collect();
-        let identified: Vec<IdentifyPartial> = govhost_par::parallel_map(
-            &identify_jobs,
+        let identified: Vec<(InfraHalf, govhost_obs::Telemetry)> = govhost_par::parallel_map(
+            &jobs,
             options.threads,
             |(code, _, _)| format!("identify {code}"),
-            |_, (code, vantage, list)| identify_country(world, *code, *vantage, list),
+            |_, (code, vantage, gov)| identify_country(world, *code, *vantage, gov),
         );
-        for (work, partial) in works.iter_mut().zip(identified) {
-            work.entry.identify =
-                partial.records.into_iter().map(|(_, record)| record).collect();
-            work.entry.resolution_failures = partial.resolution_failures;
-            work.shards.1 = partial.shard;
+        for (work, (infra, shard)) in works.iter_mut().zip(identified) {
+            work.entry.infra = infra;
+            work.shards.identify = shard;
         }
-        Ok((works, quarantined))
     }
 
     /// Assembly: replay entries in fixed country order into the global
     /// tables, then run the cross-country passes (§5.1 categories, §3.5
     /// geolocation) over the merged whole.
     ///
-    /// `shards` is parallel to `entries`: `Some` for freshly computed
+    /// `shards` is parallel to `entries`: `Some` for recomputed
     /// countries — their telemetry shards are grafted below a `country`
     /// span and the merge-side counters are emitted — and `None` for
     /// countries replayed from cache, which emit no telemetry because no
-    /// measurement work happened.
+    /// measurement work happened. `classify.urls_examined` is emitted
+    /// only for countries whose crawl actually ran.
     fn assemble(
         world: &World,
         options: &BuildOptions,
@@ -1086,24 +1175,27 @@ impl GovDataset {
         let mut per_country: HashMap<CountryCode, CountryStats> = HashMap::new();
         for (entry, shard) in entries.iter().zip(shards) {
             let code = entry.code;
+            let (content, infra) = (&entry.content, &entry.infra);
             let _country = shard.is_some().then(|| {
                 govhost_obs::span_labeled("country", &[("country", code.as_str())])
             });
-            if let Some((chunk_shards, identify_shard)) = shard {
+            if let Some(shard) = shard {
                 let country_ctx = govhost_obs::context();
-                for s in chunk_shards {
+                for s in shard.crawl {
                     govhost_obs::absorb(s, &country_ctx);
                 }
-                govhost_obs::absorb(identify_shard, &country_ctx);
-                govhost_obs::counter_add(
-                    "classify.urls_examined",
-                    &[("country", code.as_str())],
-                    entry.examined,
-                );
+                govhost_obs::absorb(shard.identify, &country_ctx);
+                if shard.content_fresh {
+                    govhost_obs::counter_add(
+                        "classify.urls_examined",
+                        &[("country", code.as_str())],
+                        content.examined,
+                    );
+                }
                 // Host records are attributed to the first country that
                 // surfaces them (fixed country order), and so is the
                 // counter.
-                let new_hosts = entry
+                let new_hosts = content
                     .gov
                     .iter()
                     .filter(|(_, name)| host_ids.get(name).is_none())
@@ -1119,14 +1211,14 @@ impl GovDataset {
             // then append its URL rows. Both orders equal the original
             // crawl-order merge, so the global tables come out
             // byte-identical whether the entry is fresh or cached.
-            let mut gids: Vec<HostId> = Vec::with_capacity(entry.gov.len());
-            for (lid, name) in entry.gov.iter() {
+            let mut gids: Vec<HostId> = Vec::with_capacity(content.gov.len());
+            for (lid, name) in content.gov.iter() {
                 let (gid, new_global) = host_ids.intern(name);
                 if new_global {
                     hosts.push(HostRecord {
                         hostname: name.clone(),
                         country: code,
-                        method: entry.gov_methods[lid.index()],
+                        method: content.gov_methods[lid.index()],
                         ip: None,
                         asn: None,
                         org: None,
@@ -1141,14 +1233,14 @@ impl GovDataset {
                 gids.push(gid);
             }
             let mut stats = CountryStats {
-                landing: entry.landing,
-                hostnames: entry.gov.len() as u32,
+                landing: content.landing,
+                hostnames: content.gov.len() as u32,
                 ..Default::default()
             };
-            for row in entry.rows.iter() {
+            for row in content.rows.iter() {
                 stats.urls += 1;
                 stats.bytes += row.bytes;
-                let midx = match entry.gov_methods[row.host.index()] {
+                let midx = match content.gov_methods[row.host.index()] {
                     ClassificationMethod::GovTld => 0,
                     ClassificationMethod::DomainMatch => 1,
                     ClassificationMethod::San => 2,
@@ -1156,14 +1248,14 @@ impl GovDataset {
                 method_counts[midx] += 1;
                 urls.push(row.scheme, gids[row.host.index()], row.path, row.bytes);
             }
-            crawl_failures += entry.crawl_failures;
-            failure_causes.merge(entry.failure_causes);
-            resolution_failures += entry.resolution_failures;
+            crawl_failures += content.crawl_failures;
+            failure_causes.merge(content.failure_causes);
+            resolution_failures += infra.resolution_failures;
             per_country.insert(code, stats);
             // Fill infrastructure into the host records this country
             // owns (the first surfacing country, same as the sequential
             // pipeline).
-            for (lid, record) in entry.identify.iter().enumerate() {
+            for (lid, record) in infra.identify.iter().enumerate() {
                 let host = &mut hosts[gids[lid].index()];
                 if host.country != code {
                     continue;

@@ -6,7 +6,9 @@
 //! world through deterministic yearly ticks
 //! ([`govhost_worldgen::tick`]) and rebuilds the dataset after each via
 //! [`GovDataset::rebuild_incremental`] — the revisit-study design: the
-//! same corpus re-measured as its hosting drifts. The per-year
+//! same corpus re-measured as its hosting drifts. Ticks leave the corpus
+//! alone, so each rebuild re-runs §3.4 identify for the dirty countries
+//! and reuses their cached crawl. The per-year
 //! [`YearMetrics`] snapshots assemble into a [`Timeline`], which
 //! `govhost-serve` exposes through the `/hhi/history`,
 //! `/country/{iso}/history` and `/providers/{name}/history` routes.

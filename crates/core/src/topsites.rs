@@ -133,7 +133,7 @@ impl TopsiteAnalysis {
                     &as_regions,
                 );
                 // Count the site's URLs (landing + one level).
-                let outcome = crawler.crawl(&world.corpus, landing, Some(vantage.country));
+                let outcome = crawler.crawl(world.corpus(), landing, Some(vantage.country));
                 let mut urls = 0u64;
                 let mut bytes = 0u64;
                 for entry in &outcome.log.entries {
@@ -198,7 +198,7 @@ fn classify_topsite(
                 return TopsiteCategory::SelfHosting;
             }
             // img.youtube.com-style: the CNAME's 2LD in the site's SANs.
-            if let Some(cert) = world.corpus.certificate(site_host) {
+            if let Some(cert) = world.corpus().certificate(site_host) {
                 if cert.lists(&cname_host.registrable_domain()) || cert.lists(&cname_host) {
                     return TopsiteCategory::SelfHosting;
                 }

@@ -3,12 +3,16 @@
 //! dirty set — padded with arbitrary *clean* countries, since the
 //! contract only requires the set to cover what changed — must report
 //! and export the same bytes as a from-scratch build of the evolved
-//! world. On the in-repo harness.
+//! world. A second property mutates web content between ticks, which
+//! must force a re-crawl where a tick alone re-runs only §3.4 identify.
+//! On the in-repo harness.
 
 use govhost_core::export::export_csv_full;
-use govhost_core::{BuildOptions, GovDataset};
+use govhost_core::{BuildCache, BuildOptions, FailurePolicy, GovDataset};
 use govhost_harness::{gens, prop_assert_eq, Config, Gen};
+use govhost_types::CountryCode;
 use govhost_worldgen::{default_systems, run_year, GenParams, World};
+use std::collections::BTreeSet;
 
 const REGRESSIONS: &str = "tests/regressions/prop_incremental.txt";
 
@@ -18,7 +22,8 @@ fn cfg(name: &str) -> Config {
     Config::new(name).cases(12).regressions(REGRESSIONS)
 }
 
-/// `(world seed, tick years, over-approximation bits, threads)`.
+/// `(world seed, tick years, selection bits, threads)`: the bits pick
+/// the padded countries, or the mutated ones.
 fn arb_case() -> Gen<(u64, u64, u64, u64)> {
     gens::zip4(
         gens::u64_any(),
@@ -26,6 +31,26 @@ fn arb_case() -> Gen<(u64, u64, u64, u64)> {
         gens::u64_any(),
         gens::u64_inclusive(1, 2),
     )
+}
+
+/// Rebuild over `dirty`, then compare the report and every export file
+/// with a from-scratch build of the same world.
+fn check_rebuild(
+    world: &World,
+    options: &BuildOptions,
+    cache: &mut BuildCache,
+    dirty: &BTreeSet<CountryCode>,
+) -> Result<(), String> {
+    let (incremental, inc_report) =
+        GovDataset::rebuild_incremental(world, options, cache, dirty).map_err(|e| e.to_string())?;
+    let (full, full_report) = GovDataset::try_build(world, options).map_err(|e| e.to_string())?;
+    let inc_csv = export_csv_full(&incremental, Some(&inc_report));
+    let full_csv = export_csv_full(&full, Some(&full_report));
+    prop_assert_eq!(inc_report, full_report);
+    prop_assert_eq!(inc_csv.hosts, full_csv.hosts);
+    prop_assert_eq!(inc_csv.urls, full_csv.urls);
+    prop_assert_eq!(inc_csv.meta, full_csv.meta);
+    Ok(())
 }
 
 #[test]
@@ -50,17 +75,60 @@ fn incremental_rebuild_matches_full_for_arbitrary_seeds_and_dirty_sets() {
                         dirty.insert(row.cc());
                     }
                 }
-                let (incremental, inc_report) =
-                    GovDataset::rebuild_incremental(&world, &options, &mut cache, &dirty)
-                        .map_err(|e| e.to_string())?;
-                let (full, full_report) =
-                    GovDataset::try_build(&world, &options).map_err(|e| e.to_string())?;
-                let inc_csv = export_csv_full(&incremental, Some(&inc_report));
-                let full_csv = export_csv_full(&full, Some(&full_report));
-                prop_assert_eq!(inc_report, full_report);
-                prop_assert_eq!(inc_csv.hosts, full_csv.hosts);
-                prop_assert_eq!(inc_csv.urls, full_csv.urls);
-                prop_assert_eq!(inc_csv.meta, full_csv.meta);
+                check_rebuild(&world, &options, &mut cache, &dirty)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Geo-restrict every landing site of `country` to a foreign country,
+/// through the versioned corpus accessor: the domestic crawl of that
+/// country now faults at its first landing page.
+fn geo_restrict_landing(world: &mut World, country: CountryCode) {
+    let foreign: CountryCode = if country.as_str() == "US" { "DE" } else { "US" }
+        .parse()
+        .expect("valid country code");
+    for url in world.landing(country).to_vec() {
+        world
+            .corpus_mut()
+            .site_mut(url.hostname())
+            .expect("landing site exists in the corpus")
+            .geo_restricted_to = Some(foreign);
+    }
+}
+
+#[test]
+fn incremental_rebuild_matches_full_after_content_mutations() {
+    cfg("incremental_rebuild_matches_full_after_content_mutations").run(
+        &arb_case(),
+        |&(seed, years, pick_bits, threads)| {
+            let params = GenParams { seed, ..GenParams::tiny() };
+            let options = BuildOptions {
+                threads: threads as usize,
+                policy: FailurePolicy::Quarantine,
+                ..BuildOptions::default()
+            };
+            let mut world = World::generate(&params);
+            let contributing: Vec<CountryCode> = world
+                .studied_countries()
+                .iter()
+                .map(|row| row.cc())
+                .filter(|cc| !world.landing(*cc).is_empty())
+                .collect();
+            let (_, _, mut cache) = GovDataset::build_cached(&world, &options)
+                .map_err(|e| e.to_string())?;
+            let systems = default_systems();
+            for year in 1..=years as u32 {
+                let report = run_year(&mut world, year, &systems);
+                // A content mutation between ticks: the dirty set names
+                // the mutated country, as the contract requires.
+                let pick = (pick_bits >> (16 * (year - 1))) as u16 as usize;
+                let victim = contributing[pick % contributing.len()];
+                geo_restrict_landing(&mut world, victim);
+                let mut dirty = report.dirty;
+                dirty.insert(victim);
+                check_rebuild(&world, &options, &mut cache, &dirty)?;
             }
             Ok(())
         },

@@ -8,10 +8,13 @@
 //! clone of the [`BuildCache`], applies its shocks in file order through
 //! [`govhost_worldgen::shock`], and rebuilds exactly the shocked
 //! countries with [`GovDataset::rebuild_incremental`] — the what-if
-//! answer arrives at incremental cost, not full-build cost. The first
-//! scenario shocks the baseline world itself; later ones regenerate it,
-//! which yields the same world because generation is deterministic and
-//! keeps a single world alive at a time. Only the shocked dataset is
+//! answer arrives at incremental cost, not full-build cost. Shocks
+//! rewrite DNS only, so that rebuild re-runs §3.4 identify and crawls
+//! nothing. The first scenario shocks the baseline world itself; later
+//! ones regenerate it, which yields the same world (and the same
+//! content version, so the cached crawls still apply) because
+//! generation is deterministic, and keeps a single world alive at a
+//! time. Only the shocked dataset is
 //! measured per scenario. [`run_scenario`] is the one-scenario case of
 //! the same path.
 //!

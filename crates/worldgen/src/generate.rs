@@ -16,7 +16,7 @@ use crate::params::GenParams;
 use crate::profiles::{HostingProfile, TldStyle};
 use crate::providers::GLOBAL_PROVIDERS;
 use crate::truth::{GroundTruth, HostTruth};
-use crate::world::World;
+use crate::world::{ContentVersion, World};
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Resolver, Zone};
 use govhost_geoloc::geodb::GeoEntry;
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
@@ -1351,6 +1351,7 @@ impl Generator {
             landing_pages: self.landing_pages,
             topsites: self.topsites,
             truth: self.truth,
+            content_version: ContentVersion::Generated(self.params),
         }
     }
 }

@@ -6,10 +6,13 @@
 //! mutation has a real-world operator, ground truth) and reports the
 //! countries whose hosting surface changed, so
 //! `GovDataset::rebuild_incremental` in govhost-core recomputes only
-//! those. Shocks obey the tick determinism laws — fixed iteration
-//! orders, randomness only through seed-keyed hashes — with one
-//! deliberate exception: **a provider outage breaks the "resolution
-//! stays total" law.** Going dark is the point; darkened hostnames stop
+//! those. No shock writes the web corpus or search index, so a shocked
+//! world keeps its [`ContentVersion`](crate::world::ContentVersion)
+//! (a unit test in [`world`](crate::world) checks all three shocks)
+//! and its rebuild re-runs only §3.4 identify. Shocks obey the tick
+//! determinism laws — fixed iteration orders, randomness only through
+//! seed-keyed hashes — with one deliberate exception: **a provider
+//! outage breaks the "resolution stays total" law.** Going dark is the point; darkened hostnames stop
 //! resolving and surface in the rebuilt dataset as unresolved host
 //! records (the per-country *dark fraction*).
 //!

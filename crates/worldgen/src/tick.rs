@@ -25,7 +25,13 @@
 //!   changes **iff** one of that country's hostnames was re-pointed. The
 //!   set of such countries is the tick's *dirty set*, which
 //!   `GovDataset::rebuild_incremental` in govhost-core uses to recompute
-//!   only the affected per-country partials.
+//!   only the affected per-country partials. The crawl-side half of the
+//!   law is checked, not just stated: the corpus and search index can
+//!   only be written through accessors that stamp a new
+//!   [`ContentVersion`](crate::world::ContentVersion), a unit test in
+//!   [`world`](crate::world) checks that ticks leave the version
+//!   unchanged, and so a tick rebuild re-runs only §3.4 identify for
+//!   its dirty countries, never the crawl.
 //! * **Resolution stays total.** A re-pointed hostname always receives a
 //!   fresh zone with a valid `A` record, so ticks never introduce
 //!   resolution failures that did not exist at generation time.

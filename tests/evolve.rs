@@ -69,7 +69,9 @@ fn ten_year_timeline_is_identical_across_thread_counts() {
 
 /// Run `years` ticks over one world, rebuilding incrementally after
 /// each, and assert the export bytes match a from-scratch build of the
-/// same evolved world every single year.
+/// same evolved world every single year. Ticks never touch the web
+/// corpus, so every rebuild must also re-run §3.4 identify alone: no
+/// page crawled, no URL classified.
 fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usize) {
     let options = options(threads);
     let mut world = World::generate(params);
@@ -81,6 +83,12 @@ fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usiz
         let (incremental, _) =
             GovDataset::rebuild_incremental(&world, &options, &mut cache, &report.dirty)
                 .expect("incremental rebuild succeeds");
+        let work = incremental.timings;
+        assert_eq!(work.crawl.items, 0, "year {year}: a tick rebuild crawled pages");
+        assert_eq!(work.classify.items, 0, "year {year}: a tick rebuild classified URLs");
+        if !report.dirty.is_empty() {
+            assert!(work.identify.items > 0, "year {year}: dirty countries were not identified");
+        }
         let full = GovDataset::build(&world, &options);
         let inc_csv = export_csv(&incremental);
         let full_csv = export_csv(&full);

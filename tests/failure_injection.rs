@@ -146,7 +146,7 @@ fn poison_country(world: &mut World, country: CountryCode) {
     assert!(!landing.is_empty(), "{country} has landing pages to poison");
     for url in &landing {
         world
-            .corpus
+            .corpus_mut()
             .site_mut(url.hostname())
             .expect("landing site exists in the corpus")
             .geo_restricted_to = Some(foreign);

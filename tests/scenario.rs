@@ -15,7 +15,9 @@
 //!   threads;
 //! * `run_file`, which builds one baseline and forks it per scenario,
 //!   produces the same run for every scenario as an independent
-//!   `run_scenario` with its own baseline.
+//!   `run_scenario` with its own baseline;
+//! * shocks rewrite DNS, never web content, so no shocked rebuild
+//!   crawls a page or classifies a URL.
 
 use govhost::obs::TimeMode;
 use govhost::prelude::*;
@@ -156,6 +158,10 @@ fn run_file_matches_independent_run_scenario() {
         for (shared, scenario) in runs.iter().zip(&file.scenarios) {
             let alone = run_scenario(&params, scenario, &options(threads)).expect("runs");
             let at = format!("{} at threads={threads}", scenario.name);
+            for run in [shared, &alone] {
+                assert_eq!(run.shocked.timings.crawl.items, 0, "pages crawled: {at}");
+                assert_eq!(run.shocked.timings.classify.items, 0, "URLs classified: {at}");
+            }
             for (a, b) in [(&shared.baseline, &alone.baseline), (&shared.shocked, &alone.shocked)] {
                 let (a, b) = (export_csv(a), export_csv(b));
                 assert_eq!(a.hosts, b.hosts, "hosts export: {at}");
