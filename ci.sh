@@ -77,35 +77,38 @@ for f in crates/core/src/dataset.rs crates/core/src/table.rs; do
     fi
 done
 
-# And the serving contract: the event-loop + readiness unit tests in
-# the serve crate; HTTP conformance (keep-alive, Connection token
-# lists, ETag/304, HEAD, percent-decoding, typed query 400s, idle
-# eviction, 503 shedding) and the parser/packing/query fuzz
-# properties, both of which drive the production EventLoop (with
-# FakeReadiness + FakeClock) or the worker Pool; the parameterized
-# query engine (canonicalization, result-cache accounting,
-# identical-input hot swap); byte-identical responses and telemetry
-# across worker counts (plus the slow-reader fairness pin and the
-# real-socket smoke); and the CLI usage-error contract.
+# And the serving contract. `-p govhost-serve` runs, in one pass, the
+# event-loop + readiness unit tests and the route-grammar pin in the
+# serve crate; HTTP conformance (keep-alive, Connection token lists,
+# ETag/304, HEAD, percent-decoding, typed query 400s, idle eviction,
+# 503 shedding) and the parser/packing/query fuzz properties
+# (http_conformance, prop_http), both of which drive the production
+# EventLoop (with FakeReadiness + FakeClock) or the worker Pool; and
+# the parameterized query engine (query_engine: canonicalization,
+# result-cache accounting, identical-input hot swap). Then
+# byte-identical responses and telemetry across worker counts (plus
+# the slow-reader fairness pin and the real-socket smoke), and the CLI
+# usage-error contract.
 echo "==> serve suites"
 cargo test -q --offline -p govhost-serve
-cargo test -q --offline -p govhost-serve --test http_conformance --test prop_http
-cargo test -q --offline -p govhost-serve --test query_engine
 cargo test -q --offline --test serve_http --test cli_usage
 
-# The what-if engine: the scenario DSL's never-panic fuzz suite, the
-# unit layers of govhost-scenario, and the root determinism pins (empty
+# The what-if engine: `-p govhost-scenario` runs the unit layers of
+# govhost-scenario and the scenario DSL's never-panic fuzz suite
+# (prop_dsl) in one pass; then the root determinism pins (empty
 # scenario == baseline bytes, all-zero self-diff with zero insights,
 # the shared-NS cascade acceptance, and /scenario/{name} responses
 # byte-identical across 1/2/4 build threads).
 echo "==> scenario suites"
 cargo test -q --offline -p govhost-scenario
-cargo test -q --offline -p govhost-scenario --test prop_dsl
 cargo test -q --offline --test scenario
 
 # The repository benchmark's own unit tests: its statistics, span
 # tracer, request mix and in-process connections. perfbench is a
-# workspace of its own and builds into its own target directory.
+# workspace of its own and builds into its own target directory. This
+# build is also the guard that the serve API perfbench pins still
+# compiles: `ServeState::with_timeline`, `ServeState::with_timeline_config`
+# and the `PoolConfig { policy, max_conns }` literal.
 echo "==> perfbench unit tests"
 CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
 

@@ -24,6 +24,7 @@
 //! burst — what a pipelining client observes. Smoke mode shrinks the
 //! volume, never the checks.
 
+use govhost_core::evolve::Timeline;
 use govhost_core::prelude::*;
 use govhost_harness::bench::{black_box, Bench};
 use govhost_obs::TimeMode;
@@ -196,7 +197,12 @@ fn main() {
         "/providers?sort=asn&limit=20",
         "/countries?sort=hhi&limit=20",
     ];
-    let cold_state = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 0));
+    let cold_state = Arc::new(ServeState::with_timeline_config(
+        &dataset,
+        &Timeline::snapshot(&dataset),
+        TimeMode::Deterministic,
+        0,
+    ));
     let cold_pool = Pool::start_with(Arc::clone(&cold_state), 1, PoolConfig::default());
     for target in mix {
         let hot = roundtrip(&pool, target); // warms the cache on first touch

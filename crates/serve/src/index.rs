@@ -283,37 +283,6 @@ impl QueryIndex {
         &self.timeline
     }
 
-    /// The `/healthz` body.
-    pub fn healthz(&self) -> &str {
-        self.healthz.body_str()
-    }
-
-    /// The `/countries` body.
-    pub fn countries(&self) -> &str {
-        self.countries.body_str()
-    }
-
-    /// The `/country/{iso}` body, if the country is in the dataset.
-    /// Lookup is by exact uppercase ISO code.
-    pub fn country(&self, iso: &str) -> Option<&str> {
-        self.country.get(iso).map(RouteSlab::body_str)
-    }
-
-    /// The `/flows` body.
-    pub fn flows(&self) -> &str {
-        self.flows.body_str()
-    }
-
-    /// The `/providers` body.
-    pub fn providers(&self) -> &str {
-        self.providers.body_str()
-    }
-
-    /// The `/hhi` body.
-    pub fn hhi(&self) -> &str {
-        self.hhi.body_str()
-    }
-
     /// The `/healthz` response slabs.
     pub fn healthz_slab(&self) -> &RouteSlab {
         &self.healthz
@@ -475,29 +444,29 @@ mod tests {
     #[test]
     fn bodies_cover_every_route_and_country() {
         let idx = index();
-        assert!(idx.healthz().contains("\"status\":\"ok\""));
-        assert!(idx.countries().starts_with("{\"count\":"));
+        assert!(idx.healthz_slab().body_str().contains("\"status\":\"ok\""));
+        assert!(idx.countries_slab().body_str().starts_with("{\"count\":"));
         assert!(idx.country_count() > 0);
         let world = World::generate(&GenParams::tiny());
         let dataset = GovDataset::build(&world, &BuildOptions::default());
         for code in dataset.countries() {
-            let body = idx.country(code.as_str()).expect("every country has a body");
+            let body = idx.country_slab(code.as_str()).expect("every country has a body").body_str();
             assert!(body.contains(&format!("\"code\":\"{code}\"")));
         }
-        assert!(idx.country("ZZ").is_none());
-        assert!(idx.flows().contains("\"registration\""));
-        assert!(idx.providers().contains("\"providers\""));
-        assert!(idx.hhi().contains("\"countries\""));
+        assert!(idx.country_slab("ZZ").is_none());
+        assert!(idx.flows_slab().body_str().contains("\"registration\""));
+        assert!(idx.providers_slab().body_str().contains("\"providers\""));
+        assert!(idx.hhi_slab().body_str().contains("\"countries\""));
     }
 
     #[test]
     fn bodies_are_pure_functions_of_the_dataset() {
         let a = index();
         let b = index();
-        assert_eq!(a.countries(), b.countries());
-        assert_eq!(a.flows(), b.flows());
-        assert_eq!(a.providers(), b.providers());
-        assert_eq!(a.hhi(), b.hhi());
+        assert_eq!(a.countries_slab().body_str(), b.countries_slab().body_str());
+        assert_eq!(a.flows_slab().body_str(), b.flows_slab().body_str());
+        assert_eq!(a.providers_slab().body_str(), b.providers_slab().body_str());
+        assert_eq!(a.hhi_slab().body_str(), b.hhi_slab().body_str());
     }
 
     #[test]
@@ -508,7 +477,7 @@ mod tests {
         assert!(tag.starts_with('"') && tag.ends_with('"') && tag.len() == 18, "{tag}");
         let idx = index();
         assert_ne!(idx.healthz_slab().etag(), idx.hhi_slab().etag());
-        assert_eq!(idx.healthz_slab().etag(), etag_of(idx.healthz().as_bytes()));
+        assert_eq!(idx.healthz_slab().etag(), etag_of(idx.healthz_slab().body_str().as_bytes()));
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! [`QueryIndex`], carry a deterministic FNV-1a [`etag_of`] ETag
 //! (`If-None-Match` answers `304`), and leave through vectored writes
 //! without per-request allocation. Admission control sheds past
-//! [`ServerConfig::max_conns`] with a canned `503 Retry-After`;
+//! [`PoolConfig::max_conns`] with a canned `503 Retry-After`;
 //! sheds, like every request, are accounted through `govhost-obs` and
 //! rendered by `/metrics`.
 //!
@@ -67,13 +67,14 @@
 //!
 //! ```
 //! use govhost_core::prelude::*;
+//! use govhost_obs::TimeMode;
 //! use govhost_serve::{MemConn, Pool, PoolConfig, ServeState};
 //! use govhost_worldgen::prelude::*;
 //! use std::sync::Arc;
 //!
 //! let world = World::generate(&GenParams::tiny());
 //! let dataset = GovDataset::build(&world, &BuildOptions::default());
-//! let state = Arc::new(ServeState::new(&dataset));
+//! let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
 //! let pool = Pool::start_with(state, 1, PoolConfig::default());
 //! let (conn, response) = MemConn::scripted(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
 //! assert!(pool.submit(Box::new(conn)));
@@ -100,7 +101,7 @@ pub use index::{etag_of, QueryIndex, RouteSlab};
 pub use query::{HistoryParams, IndexHandle, ResultCache, RouteQuery, DEFAULT_RESULT_CACHE};
 pub use router::{if_none_match, route_label, Bytes, Response, ServeState, ROUTES};
 pub use scenario::ScenarioIndex;
-pub use server::{Connection, MemConn, Pool, PoolConfig, Server, ServerConfig};
+pub use server::{Connection, MemConn, Pool, PoolConfig, Server};
 
 #[allow(unused_imports)] // doc links
 use govhost_core::prelude::GovDataset;

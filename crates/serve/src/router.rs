@@ -10,6 +10,13 @@
 //! capture with [`metrics_text`], whose deterministic mode keeps the
 //! exposition byte-stable across runs and worker counts.
 //!
+//! Each request path is parsed once into a private `Route`, the only
+//! copy of the path grammar: that one value decides both the [`ROUTES`]
+//! label the request is counted under and the handler that answers it,
+//! so the two cannot drift apart. Every route that takes no parameters
+//! (fixed, country, scenario and unknown paths alike) passes one
+//! parameter gate, so a typed `400` always outranks a `404`.
+//!
 //! Responses are **zero-copy**: a [`Response`] is two immutable
 //! [`Bytes`] segments — a precomputed header slab (status line through
 //! the last fixed header, `ETag` included) and the body slab — plus a
@@ -29,7 +36,7 @@ use crate::index::{QueryIndex, RouteSlab};
 use crate::query::{IndexHandle, ResultCache, RouteQuery, DEFAULT_RESULT_CACHE};
 use govhost_core::evolve::Timeline;
 use govhost_core::prelude::*;
-use govhost_obs::export::{metrics_text, trace_level, TimeMode};
+use govhost_obs::export::{metrics_text, TimeMode};
 use govhost_obs::{Labels, Telemetry};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -242,68 +249,92 @@ impl Response {
 /// The route label a path falls under (`"other"` for unknown paths,
 /// bounding metric cardinality no matter what clients request).
 pub fn route_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/countries" => "/countries",
-        "/flows" => "/flows",
-        "/providers" => "/providers",
-        "/hhi" => "/hhi",
-        "/hhi/history" => "/hhi/history",
-        "/metrics" => "/metrics",
-        p if strip_history(p, "/country/").is_some() => "/country/{iso}/history",
-        p if strip_history(p, "/providers/").is_some() => "/providers/{name}/history",
-        p if p.starts_with("/country/") => "/country/{iso}",
-        p if matches!(scenario_target(p), Some((_, true))) => "/scenario/{name}/diff",
-        p if scenario_target(p).is_some() => "/scenario/{name}",
-        _ => "other",
-    }
+    Route::parse(path).label()
 }
 
-/// Recognize `/scenario/{name}` and `/scenario/{name}/diff`, returning
-/// the (non-empty) name and whether the diff view was addressed.
-fn scenario_target(path: &str) -> Option<(&str, bool)> {
-    let rest = path.strip_prefix("/scenario/")?;
-    let (name, diff) = match rest.strip_suffix("/diff") {
-        Some(name) => (name, true),
-        None => (rest, false),
-    };
-    if name.is_empty() {
-        None
-    } else {
-        Some((name, diff))
-    }
-}
-
-/// The `{segment}` of `<prefix>{segment}/history`, when `path` has that
-/// shape with a non-empty segment.
-fn strip_history<'a>(path: &'a str, prefix: &str) -> Option<&'a str> {
-    let segment = path.strip_prefix(prefix)?.strip_suffix("/history")?;
-    if segment.is_empty() {
-        None
-    } else {
-        Some(segment)
-    }
-}
-
-/// Which history series a path addresses.
-enum HistoryTarget<'a> {
-    Hhi,
+/// One request path, classified once: a variant per [`ROUTES`]
+/// pattern, with its captured segment borrowed from the path, plus
+/// `Other`. The same value picks the metric label and the handler.
+#[derive(Clone, Copy)]
+enum Route<'a> {
+    Healthz,
+    Countries,
     Country(&'a str),
-    Provider(&'a str),
+    CountryHistory(&'a str),
+    Flows,
+    Providers,
+    ProviderHistory(&'a str),
+    Hhi,
+    HhiHistory,
+    Scenario(&'a str),
+    ScenarioDiff(&'a str),
+    Metrics,
+    Other,
 }
 
-/// Recognize the three history routes.
-fn history_target(path: &str) -> Option<HistoryTarget<'_>> {
-    if path == "/hhi/history" {
-        return Some(HistoryTarget::Hhi);
+impl<'a> Route<'a> {
+    /// The one copy of the path grammar, in precedence order: exact
+    /// paths, the two `{segment}/history` suffixes, `/country/{iso}`
+    /// (any remainder, so `/country//history` is a country lookup),
+    /// then `/scenario/{name}[/diff]`. An empty history or scenario
+    /// segment is `Other`: `/scenario//diff` names no scenario.
+    fn parse(path: &'a str) -> Route<'a> {
+        let history = |prefix: &str| {
+            path.strip_prefix(prefix)?.strip_suffix("/history").filter(|s| !s.is_empty())
+        };
+        let scenario = || {
+            let rest = path.strip_prefix("/scenario/")?;
+            match rest.strip_suffix("/diff") {
+                Some(name) => (!name.is_empty()).then_some(Route::ScenarioDiff(name)),
+                None => (!rest.is_empty()).then_some(Route::Scenario(rest)),
+            }
+        };
+        match path {
+            "/healthz" => Route::Healthz,
+            "/countries" => Route::Countries,
+            "/flows" => Route::Flows,
+            "/providers" => Route::Providers,
+            "/hhi" => Route::Hhi,
+            "/hhi/history" => Route::HhiHistory,
+            "/metrics" => Route::Metrics,
+            _ => history("/country/")
+                .map(Route::CountryHistory)
+                .or_else(|| history("/providers/").map(Route::ProviderHistory))
+                .or_else(|| path.strip_prefix("/country/").map(Route::Country))
+                .or_else(scenario)
+                .unwrap_or(Route::Other),
+        }
     }
-    if let Some(iso) = strip_history(path, "/country/") {
-        return Some(HistoryTarget::Country(iso));
+
+    /// The [`ROUTES`] entry this route is counted under, or `"other"`.
+    fn label(self) -> &'static str {
+        let id = match self {
+            Route::Healthz => 0,
+            Route::Countries => 1,
+            Route::Country(_) => 2,
+            Route::CountryHistory(_) => 3,
+            Route::Flows => 4,
+            Route::Providers => 5,
+            Route::ProviderHistory(_) => 6,
+            Route::Hhi => 7,
+            Route::HhiHistory => 8,
+            Route::Scenario(_) => 9,
+            Route::ScenarioDiff(_) => 10,
+            Route::Metrics => 11,
+            Route::Other => return "other",
+        };
+        ROUTES[id]
     }
-    if let Some(name) = strip_history(path, "/providers/") {
-        return Some(HistoryTarget::Provider(name));
-    }
-    None
+}
+
+/// Look a two-letter country code up case-insensitively. The fold
+/// happens in a stack buffer (no per-request allocation) and touches
+/// only ASCII bytes, so multibyte lookalikes (U+212A KELVIN SIGN folds
+/// to 'k' under Unicode rules) can never match.
+fn with_upper_iso<T>(iso: &str, lookup: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    let &[a, b] = iso.as_bytes() else { return None };
+    let upper = [a.to_ascii_uppercase(), b.to_ascii_uppercase()];
+    std::str::from_utf8(&upper).ok().and_then(lookup)
 }
 
 /// Whether an `If-None-Match` header value matches `etag`: the
@@ -339,77 +370,33 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Build the index and state from a dataset, reading the export
-    /// mode from `GOVHOST_TRACE` (verbose keeps real latency numbers in
-    /// `/metrics`; the default stays deterministic).
-    pub fn new(dataset: &GovDataset) -> ServeState {
-        ServeState::with_mode(dataset, trace_level().time_mode())
-    }
-
-    /// Like [`ServeState::new`] but with an explicit result-cache
-    /// capacity (the CLI's `--query-cache`; zero disables caching).
-    pub fn with_cache_capacity(dataset: &GovDataset, cache_capacity: usize) -> ServeState {
-        ServeState::with_config(dataset, trace_level().time_mode(), cache_capacity)
-    }
-
-    /// Build with an explicit `/metrics` time mode (tests pin the
-    /// deterministic one regardless of environment) and the default
-    /// result-cache capacity.
+    /// Build over `dataset` alone: the history routes answer its
+    /// single-year [`Timeline::snapshot`], `/metrics` renders in `mode`
+    /// (tests pin the deterministic one regardless of environment), and
+    /// the result cache has the default capacity.
     pub fn with_mode(dataset: &GovDataset, mode: TimeMode) -> ServeState {
-        ServeState::with_config(dataset, mode, DEFAULT_RESULT_CACHE)
-    }
-
-    /// Build with an explicit time mode and result-cache capacity
-    /// (`--query-cache` on the CLI; zero disables caching).
-    pub fn with_config(
-        dataset: &GovDataset,
-        mode: TimeMode,
-        cache_capacity: usize,
-    ) -> ServeState {
-        Self::assemble(dataset, None, mode, cache_capacity)
+        ServeState::with_timeline(dataset, &Timeline::snapshot(dataset), mode)
     }
 
     /// Build with an evolved multi-year [`Timeline`] behind the history
-    /// routes (the CLI's `serve --years N` path), with the default
-    /// result-cache capacity.
+    /// routes and the default result-cache capacity.
     pub fn with_timeline(dataset: &GovDataset, timeline: &Timeline, mode: TimeMode) -> ServeState {
-        Self::assemble(dataset, Some(timeline), mode, DEFAULT_RESULT_CACHE)
+        ServeState::with_timeline_config(dataset, timeline, mode, DEFAULT_RESULT_CACHE)
     }
 
-    /// Like [`ServeState::with_timeline`] but with the time mode taken
-    /// from the environment and an explicit result-cache capacity (the
-    /// CLI's `serve --years N` path).
-    pub fn with_timeline_cache_capacity(
-        dataset: &GovDataset,
-        timeline: &Timeline,
-        cache_capacity: usize,
-    ) -> ServeState {
-        Self::assemble(dataset, Some(timeline), trace_level().time_mode(), cache_capacity)
-    }
-
-    /// [`ServeState::with_timeline`] with an explicit result-cache
-    /// capacity.
+    /// The one constructor body: index `dataset` with `timeline` behind
+    /// the history routes, render `/metrics` in `mode`, and bound the
+    /// result cache at `cache_capacity` entries (the CLI's
+    /// `--query-cache`; zero disables caching).
     pub fn with_timeline_config(
         dataset: &GovDataset,
         timeline: &Timeline,
         mode: TimeMode,
         cache_capacity: usize,
     ) -> ServeState {
-        Self::assemble(dataset, Some(timeline), mode, cache_capacity)
-    }
-
-    fn assemble(
-        dataset: &GovDataset,
-        timeline: Option<&Timeline>,
-        mode: TimeMode,
-        cache_capacity: usize,
-    ) -> ServeState {
         let (index, build_capture) = govhost_obs::collect(|| {
             let _span = govhost_obs::span!("serve.index");
-            let index = match timeline {
-                Some(timeline) => QueryIndex::with_timeline(dataset, timeline),
-                None => QueryIndex::build(dataset),
-            };
+            let index = QueryIndex::with_timeline(dataset, timeline);
             govhost_obs::counter_add("serve.index.countries", &[], index.country_count() as u64);
             index
         });
@@ -510,27 +497,34 @@ impl ServeState {
     }
 
     /// Answer one parse outcome: route, handle, and account the
-    /// exchange into the request telemetry.
+    /// exchange into the request telemetry. The path is parsed into a
+    /// `Route` once; that value labels the metrics and picks the
+    /// handler.
     pub fn respond(&self, parsed: Result<&Request, &HttpError>) -> Response {
         let start = Instant::now();
-        let route = match parsed {
-            Ok(req) => route_label(req.path()),
-            Err(_) => "error",
-        };
+        let parsed = parsed.map(|req| (req, Route::parse(req.path())));
+        let label = parsed.map_or("error", |(_, route)| route.label());
         {
             let mut t = self.requests.lock().expect("telemetry lock");
-            t.registry.add_counter("http.requests", Labels::new(&[("route", route)]), 1);
+            t.registry.add_counter("http.requests", Labels::new(&[("route", label)]), 1);
         }
         let response = match parsed {
             Err(err) => Response::from_error(err),
-            Ok(req) if req.method != "GET" && req.method != "HEAD" => {
+            Ok((req, _)) if req.method != "GET" && req.method != "HEAD" => {
                 Response::from_error(&HttpError::MethodNotAllowed)
             }
-            // HEAD runs the full GET pipeline (routing, conditionals,
-            // accounting), then drops the body: the head slab already
-            // describes the 200 representation (RFC 9110 §9.3.2).
-            Ok(req) if req.method == "HEAD" => self.handle(req).into_head_only(),
-            Ok(req) => self.handle(req),
+            Ok((req, route)) => {
+                let response =
+                    self.handle(req, route).unwrap_or_else(|err| Response::from_error(&err));
+                // HEAD runs the full GET pipeline (routing, conditionals,
+                // accounting), then drops the body: the head slab already
+                // describes the 200 representation (RFC 9110 §9.3.2).
+                if req.method == "HEAD" {
+                    response.into_head_only()
+                } else {
+                    response
+                }
+            }
         };
         let latency_ns = start.elapsed().as_nanos() as u64;
         let class = match response.status {
@@ -540,10 +534,10 @@ impl ServeState {
             _ => "5xx",
         };
         let mut t = self.requests.lock().expect("telemetry lock");
-        let labels = Labels::new(&[("route", route)]);
+        let labels = Labels::new(&[("route", label)]);
         t.registry.add_counter(
             "http.responses",
-            Labels::new(&[("route", route), ("class", class)]),
+            Labels::new(&[("route", label), ("class", class)]),
             1,
         );
         t.registry.observe("http.response_bytes", labels.clone(), response.body().len() as u64);
@@ -560,59 +554,35 @@ impl ServeState {
         }
     }
 
-    /// Dispatch a `GET` (or `HEAD`, body-stripped by the caller)
-    /// against the index.
-    fn handle(&self, req: &Request) -> Response {
-        let path = req.path();
-        // History routes resolve against the timeline series (and take
-        // their own parameter grammar), so they dispatch first — before
-        // the `/country/{iso}` suffix rules could swallow the path.
-        if let Some(target) = history_target(path) {
-            return self.history(req, target);
-        }
-        // The three parameterized routes go through the query engine
-        // whenever the query string carries parameters.
-        if matches!(path, "/flows" | "/providers" | "/countries") {
-            return self.parameterized(req);
-        }
-        // Scenario routes serve prerendered slabs. They take no
-        // parameters, and the typed 400 outranks the 404 (a bad query
-        // on an unknown scenario is still a bad query).
-        if path.starts_with("/scenario/") || path == "/scenario" {
-            if let Some(raw) = req.query() {
-                if let Err(err) = crate::query::reject_params(raw) {
-                    return Response::from_error(&err);
-                }
+    /// Dispatch a `GET` (or `HEAD`, body-stripped by the caller) on its
+    /// route. The query-engine and history routes take parameters;
+    /// every other route, known or not, passes one parameter gate
+    /// first, so a typed `400` names the parameter and outranks the
+    /// `404`.
+    fn handle(&self, req: &Request, route: Route<'_>) -> Result<Response, HttpError> {
+        let raw = req.query().unwrap_or("");
+        let index = match route {
+            Route::Countries | Route::Flows | Route::Providers => {
+                return self.parameterized(req, route, raw)
             }
-            let slab = scenario_target(path).and_then(|(name, diff)| {
-                let scenarios = self.scenarios.as_ref()?;
-                if diff {
-                    scenarios.diff_slab(name)
-                } else {
-                    scenarios.report_slab(name)
-                }
-            });
-            return match slab {
-                Some(slab) => self.conditional(req, slab),
-                None => Response::from_error(&HttpError::NotFound),
-            };
-        }
-        // Fixed routes take no parameters: anything in the query string
-        // is a typed 400 naming the parameter, never a silent alias
-        // onto the cached representation.
-        if let Some(raw) = req.query() {
-            if let Err(err) = crate::query::reject_params(raw) {
-                return Response::from_error(&err);
+            Route::HhiHistory | Route::CountryHistory(_) | Route::ProviderHistory(_) => {
+                return self.history(req, route, raw)
             }
-        }
-        let index = self.index.load();
-        match path {
-            "/healthz" => self.conditional(req, index.healthz_slab()),
-            "/hhi" => self.conditional(req, index.hhi_slab()),
-            "/metrics" => {
-                let body =
-                    metrics_text(&self.telemetry_snapshot(), self.mode).into_bytes();
-                Response::dynamic(
+            _ => {
+                crate::query::reject_params(raw)?;
+                self.index.load()
+            }
+        };
+        let scenarios = self.scenarios.as_deref();
+        let slab = match route {
+            Route::Healthz => Some(index.healthz_slab()),
+            Route::Hhi => Some(index.hhi_slab()),
+            Route::Country(iso) => with_upper_iso(iso, |code| index.country_slab(code)),
+            Route::Scenario(name) => scenarios.and_then(|s| s.report_slab(name)),
+            Route::ScenarioDiff(name) => scenarios.and_then(|s| s.diff_slab(name)),
+            Route::Metrics => {
+                let body = metrics_text(&self.telemetry_snapshot(), self.mode).into_bytes();
+                return Ok(Response::dynamic(
                     &HeadSpec {
                         status: 200,
                         reason: "OK",
@@ -623,122 +593,85 @@ impl ServeState {
                         retry_after: false,
                     },
                     body,
-                )
+                ));
             }
-            p => {
-                // Country codes are exactly two ASCII letters, so the
-                // case fold happens in a stack buffer — no per-request
-                // allocation, and multibyte lookalikes (U+212A KELVIN
-                // SIGN folds to 'k' under Unicode rules) can never
-                // match because only ASCII bytes are folded.
-                if let Some(iso) = p.strip_prefix("/country/") {
-                    if let &[a, b] = iso.as_bytes() {
-                        let upper = [a.to_ascii_uppercase(), b.to_ascii_uppercase()];
-                        if let Some(slab) = std::str::from_utf8(&upper)
-                            .ok()
-                            .and_then(|code| index.country_slab(code))
-                        {
-                            return self.conditional(req, slab);
-                        }
-                    }
-                }
-                Response::from_error(&HttpError::NotFound)
-            }
-        }
+            _ => None,
+        };
+        slab.map(|slab| self.conditional(req, slab)).ok_or(HttpError::NotFound)
     }
 
     /// Serve one of `/flows`, `/providers`, `/countries`: the
-    /// precomputed base slab when the query string is empty (the PR-6
-    /// bodies, byte-identical), otherwise parse → cache probe →
-    /// execute → insert.
-    fn parameterized(&self, req: &Request) -> Response {
-        let path = req.path();
-        let raw = req.query().unwrap_or("");
+    /// precomputed base slab when the query string is empty, otherwise
+    /// parse, then answer through the result cache.
+    fn parameterized(
+        &self,
+        req: &Request,
+        route: Route<'_>,
+        raw: &str,
+    ) -> Result<Response, HttpError> {
         if raw.split('&').all(str::is_empty) {
             let index = self.index.load();
-            let slab = match path {
-                "/flows" => index.flows_slab(),
-                "/providers" => index.providers_slab(),
+            let slab = match route {
+                Route::Flows => index.flows_slab(),
+                Route::Providers => index.providers_slab(),
                 _ => index.countries_slab(),
             };
-            return self.conditional(req, slab);
+            return Ok(self.conditional(req, slab));
         }
-        let query = match RouteQuery::parse(path, raw) {
-            Ok(query) => query,
-            Err(err) => return Response::from_error(&err),
-        };
-        let key = query.cache_key();
-        // Epoch before index load: a swap between the two bumps the
-        // epoch, so this render cannot repopulate the cache with bytes
-        // from the displaced index.
+        let query = RouteQuery::parse(route.label(), raw)?;
         let epoch = self.cache.epoch();
-        if let Some(slab) = self.cache.get(&key) {
-            self.count_cache_outcome("hit");
-            return self.conditional(req, &slab);
-        }
-        self.count_cache_outcome("miss");
-        let index = self.index.load();
-        let slab = Arc::new(RouteSlab::json(query.execute(&index)));
-        if self.cache.insert(key, slab.clone(), epoch) {
-            self.count_cache_outcome("eviction");
-        }
-        self.conditional(req, &slab)
+        Ok(self.cached(req, query.cache_key(), epoch, || query.execute(&self.index.load())))
     }
 
     /// Serve one history route: parameterless requests answer the
     /// precomputed full-series slab; a parameterized request parses
     /// (typed `400`s *before* target resolution, so a bad query never
     /// masquerades as a missing target), resolves the series (`404`
-    /// when the country or provider is unknown), and goes through the
-    /// result cache exactly like [`ServeState::parameterized`] — epoch
-    /// read before the index load, so a concurrent swap drops the
-    /// stale insert.
-    fn history(&self, req: &Request, target: HistoryTarget<'_>) -> Response {
-        let raw = req.query().unwrap_or("");
+    /// when the country or provider is unknown), and answers through
+    /// the result cache.
+    fn history(&self, req: &Request, route: Route<'_>, raw: &str) -> Result<Response, HttpError> {
         let params = if raw.split('&').all(str::is_empty) {
             None
         } else {
-            match crate::query::HistoryParams::parse(raw) {
-                Ok(params) => Some(params),
-                Err(err) => return Response::from_error(&err),
-            }
+            Some(crate::query::HistoryParams::parse(raw)?)
         };
         let epoch = self.cache.epoch();
         let index = self.index.load();
         let timeline = index.timeline();
-        let (route, series) = match target {
-            HistoryTarget::Hhi => ("/hhi/history".to_string(), timeline.hhi()),
-            HistoryTarget::Country(iso) => {
-                // The same allocation-free ASCII fold as `/country/{iso}`.
-                let resolved = match iso.as_bytes() {
-                    &[a, b] => {
-                        let upper = [a.to_ascii_uppercase(), b.to_ascii_uppercase()];
-                        std::str::from_utf8(&upper)
-                            .ok()
-                            .and_then(|code| timeline.country(code).map(|s| (code.to_string(), s)))
-                    }
-                    _ => None,
-                };
-                match resolved {
-                    Some((code, series)) => (format!("/country/{code}/history"), series),
-                    None => return Response::from_error(&HttpError::NotFound),
-                }
-            }
-            HistoryTarget::Provider(name) => match timeline.provider(name) {
-                Some((asn, p)) => (format!("/providers/AS{asn}/history"), &p.series),
-                None => return Response::from_error(&HttpError::NotFound),
-            },
-        };
+        let (path, series) = match route {
+            Route::CountryHistory(iso) => with_upper_iso(iso, |code| {
+                timeline.country(code).map(|series| (format!("/country/{code}/history"), series))
+            }),
+            Route::ProviderHistory(name) => timeline
+                .provider(name)
+                .map(|(asn, p)| (format!("/providers/AS{asn}/history"), &p.series)),
+            _ => Some(("/hhi/history".to_string(), timeline.hhi())),
+        }
+        .ok_or(HttpError::NotFound)?;
         let Some(params) = params else {
-            return self.conditional(req, &series.slab);
+            return Ok(self.conditional(req, &series.slab));
         };
-        let key = format!("{}?{}", route, params.canonical());
+        let key = format!("{path}?{}", params.canonical());
+        Ok(self.cached(req, key, epoch, || series.execute(&path, &params)))
+    }
+
+    /// Answer a parameterized request from the result cache, rendering
+    /// and inserting on a miss. `epoch` must be read before the index
+    /// `render` draws from is loaded: a swap in between bumps the epoch,
+    /// so bytes from the displaced index are never inserted.
+    fn cached(
+        &self,
+        req: &Request,
+        key: String,
+        epoch: u64,
+        render: impl FnOnce() -> String,
+    ) -> Response {
         if let Some(slab) = self.cache.get(&key) {
             self.count_cache_outcome("hit");
             return self.conditional(req, &slab);
         }
         self.count_cache_outcome("miss");
-        let slab = Arc::new(RouteSlab::json(series.execute(&route, &params)));
+        let slab = Arc::new(RouteSlab::json(render()));
         if self.cache.insert(key, slab.clone(), epoch) {
             self.count_cache_outcome("eviction");
         }
@@ -1040,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn history_validates_before_resolving_and_labels_routes() {
+    fn history_validates_before_resolving() {
         let state = state();
         // 400 before 404: a bad parameter on an unknown target is a 400.
         let resp = get(&state, "/country/ZZ/history?from=x");
@@ -1048,14 +981,6 @@ mod tests {
         let body = String::from_utf8(resp.body().to_vec()).unwrap();
         assert!(body.contains("parameter \\\"from\\\""), "names the parameter: {body}");
         assert_eq!(get(&state, "/hhi/history?verbose=1").status, 400);
-        assert_eq!(route_label("/hhi/history"), "/hhi/history");
-        assert_eq!(route_label("/country/US/history"), "/country/{iso}/history");
-        assert_eq!(route_label("/providers/AS13335/history"), "/providers/{name}/history");
-        assert_eq!(route_label("/country//history"), "/country/{iso}");
-        assert_eq!(route_label("/providers//history"), "other");
-        for route in ROUTES {
-            assert!(!route.is_empty());
-        }
     }
 
     #[test]
@@ -1106,11 +1031,72 @@ mod tests {
         parser.push(raw.as_bytes());
         let req = parser.next_request().unwrap().unwrap();
         assert_eq!(state.respond(Ok(&req)).status, 304);
-        // Route labels stay bounded.
-        assert_eq!(route_label("/scenario/quake"), "/scenario/{name}");
-        assert_eq!(route_label("/scenario/quake/diff"), "/scenario/{name}/diff");
-        assert_eq!(route_label("/scenario/"), "other");
-        assert_eq!(route_label("/scenario"), "other");
+    }
+
+    /// The route grammar's edge paths: each row is `(request target,
+    /// route label, status)`. The label is what `route_label` returns
+    /// for the decoded path *and* what `respond` counts the arrival
+    /// under; the status is what the handler answers.
+    #[test]
+    fn route_grammar_pins_labels_and_statuses() {
+        let world = World::generate(&GenParams::tiny());
+        let dataset = GovDataset::build(&world, &BuildOptions::default());
+        let file = govhost_scenario::parse("scenario quake\noutage provider AS13335\n").unwrap();
+        let runs = govhost_scenario::run_file(&GenParams::tiny(), &file, &BuildOptions::default())
+            .unwrap();
+        let state = ServeState::with_mode(&dataset, TimeMode::Deterministic)
+            .with_scenarios(crate::scenario::ScenarioIndex::build(&runs));
+        let rows: [(&str, &str, u16); 29] = [
+            // One 200 per route.
+            ("/healthz", "/healthz", 200),
+            ("/countries", "/countries", 200),
+            ("/country/AR", "/country/{iso}", 200),
+            ("/country/ar/history", "/country/{iso}/history", 200),
+            ("/flows", "/flows", 200),
+            ("/providers", "/providers", 200),
+            ("/providers/AS13335/history", "/providers/{name}/history", 200),
+            ("/hhi", "/hhi", 200),
+            ("/hhi/history", "/hhi/history", 200),
+            ("/scenario/quake", "/scenario/{name}", 200),
+            ("/scenario/quake/diff", "/scenario/{name}/diff", 200),
+            ("/metrics", "/metrics", 200),
+            // Edges: empty segments, trailing slashes, wrong lengths.
+            ("/countries/", "other", 404),
+            ("/country/", "/country/{iso}", 404),
+            ("/country/USA", "/country/{iso}", 404),
+            ("/country//history", "/country/{iso}", 404),
+            ("/providers//history", "other", 404),
+            ("/providers/nope/history", "/providers/{name}/history", 404),
+            ("/hhi/history/", "other", 404),
+            ("/scenario", "other", 404),
+            ("/scenario/", "other", 404),
+            ("/scenario//diff", "other", 404),
+            ("/scenario/x/diff", "/scenario/{name}/diff", 404),
+            ("/", "other", 404),
+            // A typed 400 outranks the 404, on every route shape.
+            ("/country/ZZ/history?from=x", "/country/{iso}/history", 400),
+            ("/country/USA?x=1", "/country/{iso}", 400),
+            ("/scenario?y=1", "other", 400),
+            ("/metrics?x=1", "/metrics", 400),
+            ("/nope?x=1", "other", 400),
+        ];
+        for (target, label, status) in rows {
+            let path = target.split('?').next().unwrap();
+            assert_eq!(route_label(path), label, "{target}");
+            let before = state
+                .telemetry_snapshot()
+                .registry
+                .counter_filtered("http.requests", &[("route", label)]);
+            assert_eq!(get(&state, target).status, status, "{target}");
+            let after = state
+                .telemetry_snapshot()
+                .registry
+                .counter_filtered("http.requests", &[("route", label)]);
+            assert_eq!(after, before + 1, "{target} counted under {label}");
+        }
+        for route in ROUTES {
+            assert!(rows.iter().any(|&(_, label, _)| label == route), "{route} has no row");
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! their idle timeout, and every thread is joined.
 
 use crate::event::{ConnPolicy, EventLoop, PollReadiness, SysClock};
-use crate::http::Limits;
 use crate::router::{Response, ServeState};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -54,21 +53,28 @@ const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 type BoxConn = Box<dyn Connection>;
 type Job = (BoxConn, Option<i32>);
 
-/// Configuration for [`Pool::start_with`].
-#[derive(Debug, Clone, Default)]
+/// Configuration for [`Pool::start_with`] and [`Server::bind`].
+#[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Per-connection serving policy (limits, keep-alive caps,
     /// idle timeout, backpressure bound).
     pub policy: ConnPolicy,
     /// Most in-flight connections across all workers; submissions past
-    /// this are shed with `503 Retry-After` instead of queued.
+    /// this are shed with `503 Retry-After` instead of queued. Zero
+    /// means the default, 1024.
     pub max_conns: usize,
+}
+
+impl Default for PoolConfig {
+    fn default() -> PoolConfig {
+        PoolConfig { policy: ConnPolicy::default(), max_conns: 1024 }
+    }
 }
 
 impl PoolConfig {
     fn normalized(mut self) -> PoolConfig {
         if self.max_conns == 0 {
-            self.max_conns = 1024;
+            self.max_conns = PoolConfig::default().max_conns;
         }
         self
     }
@@ -303,35 +309,6 @@ fn worker_loop(
     }
 }
 
-/// Configuration for [`Server::bind`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Worker threads ([`crate::resolve_serve_threads`] by default).
-    pub threads: usize,
-    /// Per-request parser limits.
-    pub limits: Limits,
-    /// Most requests served on one keep-alive connection.
-    pub max_requests_per_conn: usize,
-    /// Idle-connection eviction deadline.
-    pub idle_timeout: Duration,
-    /// Most in-flight connections before the acceptor sheds with
-    /// `503 Retry-After`.
-    pub max_conns: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        let policy = ConnPolicy::default();
-        ServerConfig {
-            threads: crate::resolve_serve_threads(),
-            limits: policy.limits,
-            max_requests_per_conn: policy.max_requests_per_conn,
-            idle_timeout: policy.idle_timeout,
-            max_conns: 1024,
-        }
-    }
-}
-
 /// A TCP acceptor feeding the event-loop worker pool.
 #[derive(Debug)]
 pub struct Server {
@@ -342,26 +319,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` and start accepting. The returned server runs in the
-    /// background until [`Server::shutdown`] (or drop).
+    /// Bind `addr` and start accepting into a pool of `threads`
+    /// event-loop workers (at least one) configured like
+    /// [`Pool::start_with`]. The returned server runs in the background
+    /// until [`Server::shutdown`] (or drop).
     pub fn bind<A: ToSocketAddrs>(
         state: Arc<ServeState>,
         addr: A,
-        config: ServerConfig,
+        threads: usize,
+        config: PoolConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let policy = ConnPolicy {
-            limits: config.limits,
-            max_requests_per_conn: config.max_requests_per_conn.max(1),
-            idle_timeout: config.idle_timeout,
-            ..ConnPolicy::default()
-        };
-        let pool = Arc::new(Pool::start_with(
-            state,
-            config.threads,
-            PoolConfig { policy, max_conns: config.max_conns },
-        ));
+        let pool = Arc::new(Pool::start_with(state, threads, config));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let stop = Arc::clone(&stop);

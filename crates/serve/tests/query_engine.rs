@@ -5,6 +5,7 @@
 //! contract — swapping in an index built from identical inputs leaves
 //! every route's bytes and ETags unchanged, across 1/2/4 workers.
 
+use govhost_core::evolve::Timeline;
 use govhost_core::prelude::*;
 use govhost_obs::TimeMode;
 use govhost_serve::{MemConn, Pool, PoolConfig, QueryIndex, RouteQuery, ServeState};
@@ -90,7 +91,12 @@ fn typed_400s_name_the_offending_parameter() {
 fn eviction_is_deterministic_lru_and_counted() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 2));
+    let state = Arc::new(ServeState::with_timeline_config(
+        &dataset,
+        &Timeline::snapshot(&dataset),
+        TimeMode::Deterministic,
+        2,
+    ));
     let q1 = get(&state, "/flows?limit=1");
     let _q2 = get(&state, "/flows?limit=2");
     let _q3 = get(&state, "/flows?limit=3"); // evicts limit=1 (LRU)
@@ -102,7 +108,12 @@ fn eviction_is_deterministic_lru_and_counted() {
     assert_eq!(metrics_count(&state, "http_query_cache{outcome=\"eviction\"} "), 2);
     assert_eq!(state.result_cache().len(), 2, "capacity holds");
     // And a zero capacity disables caching entirely without changing bytes.
-    let uncached = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 0));
+    let uncached = Arc::new(ServeState::with_timeline_config(
+        &dataset,
+        &Timeline::snapshot(&dataset),
+        TimeMode::Deterministic,
+        0,
+    ));
     assert_eq!(get(&uncached, "/flows?limit=1"), q1);
     assert!(uncached.result_cache().is_empty());
 }

@@ -288,27 +288,36 @@ fn cmd_har(flags: &Flags) {
 }
 
 fn cmd_serve(flags: &Flags) {
-    use govhost::serve::{resolve_serve_threads, ServeState, Server, ServerConfig, ROUTES};
+    use govhost::core::evolve::Timeline;
+    use govhost::obs::export::trace_level;
+    use govhost::serve::{resolve_serve_threads, PoolConfig, ServeState, Server, ROUTES};
     eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
     let mut world = World::generate(&params(flags));
     // `--years N` runs the longitudinal ticks up front and serves the
     // evolved world's final dataset with the full multi-year timeline
     // behind the history routes; without it those routes answer the
-    // single year-0 snapshot.
-    let state = if flags.years > 0 {
-        eprintln!("evolving {} years...", flags.years);
-        let outcome =
-            govhost::core::evolve::evolve(&mut world, flags.years, &BuildOptions::default())
+    // single year-0 snapshot. The dataset is dropped once indexed.
+    let state = {
+        let (dataset, timeline) = if flags.years > 0 {
+            eprintln!("evolving {} years...", flags.years);
+            let outcome =
+                govhost::core::evolve::evolve(&mut world, flags.years, &BuildOptions::default())
+                    .unwrap_or_else(|e| die(&e.to_string()));
+            (outcome.dataset, outcome.timeline)
+        } else {
+            let (dataset, _report) = GovDataset::try_build(&world, &BuildOptions::default())
                 .unwrap_or_else(|e| die(&e.to_string()));
-        ServeState::with_timeline_cache_capacity(
-            &outcome.dataset,
-            &outcome.timeline,
+            let timeline = Timeline::snapshot(&dataset);
+            (dataset, timeline)
+        };
+        // `GOVHOST_TRACE=verbose` keeps real latency numbers in
+        // `/metrics`; the default exposition stays deterministic.
+        ServeState::with_timeline_config(
+            &dataset,
+            &timeline,
+            trace_level().time_mode(),
             flags.query_cache,
         )
-    } else {
-        let (dataset, _report) = GovDataset::try_build(&world, &BuildOptions::default())
-            .unwrap_or_else(|e| die(&e.to_string()));
-        ServeState::with_cache_capacity(&dataset, flags.query_cache)
     };
     // `--scenario FILE` evaluates the what-if file against the same
     // year-0 parameters and prerenders `/scenario/{name}[/diff]`.
@@ -326,15 +335,15 @@ fn cmd_serve(flags: &Flags) {
     let state = std::sync::Arc::new(state);
     let threads =
         if flags.threads > 0 { flags.threads } else { resolve_serve_threads() };
-    let mut config = ServerConfig { threads, ..ServerConfig::default() };
+    let mut config = PoolConfig::default();
     if flags.max_conns > 0 {
         config.max_conns = flags.max_conns;
     }
     if flags.idle_timeout_ms > 0 {
-        config.idle_timeout = std::time::Duration::from_millis(flags.idle_timeout_ms);
+        config.policy.idle_timeout = std::time::Duration::from_millis(flags.idle_timeout_ms);
     }
-    let (max_conns, idle) = (config.max_conns, config.idle_timeout);
-    let server = Server::bind(state, flags.addr.as_str(), config)
+    let (max_conns, idle) = (config.max_conns, config.policy.idle_timeout);
+    let server = Server::bind(state, flags.addr.as_str(), threads, config)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", flags.addr)));
     println!(
         "serving on http://{} with {threads} workers (max-conns {max_conns}, idle-timeout {:?})",

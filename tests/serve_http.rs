@@ -13,7 +13,7 @@ use govhost::obs::TimeMode;
 use govhost::prelude::*;
 use govhost::serve::{
     ConnPolicy, EventLoop, FakeClock, FakeReadiness, MemConn, Pool, PoolConfig, ServeState,
-    Server, ServerConfig,
+    Server,
 };
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::AtomicBool;
@@ -247,8 +247,7 @@ fn loopback_smoke_answers_real_sockets() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
     let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
-    let config = ServerConfig { threads: 2, ..ServerConfig::default() };
-    let server = match Server::bind(state, "127.0.0.1:0", config) {
+    let server = match Server::bind(state, "127.0.0.1:0", 2, PoolConfig::default()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("skipping loopback smoke test: cannot bind a loopback socket ({e})");
@@ -288,8 +287,8 @@ fn loopback_shed_delivers_a_complete_503() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
     let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
-    let config = ServerConfig { threads: 1, max_conns: 1, ..ServerConfig::default() };
-    let server = match Server::bind(state, "127.0.0.1:0", config) {
+    let config = PoolConfig { max_conns: 1, ..PoolConfig::default() };
+    let server = match Server::bind(state, "127.0.0.1:0", 1, config) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("skipping loopback shed test: cannot bind a loopback socket ({e})");
