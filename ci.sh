@@ -106,9 +106,13 @@ cargo test -q --offline --test scenario
 # The repository benchmark's own unit tests: its statistics, span
 # tracer, request mix and in-process connections. perfbench is a
 # workspace of its own and builds into its own target directory. This
-# build is also the guard that the serve API perfbench pins still
-# compiles: `ServeState::with_timeline`, `ServeState::with_timeline_config`
-# and the `PoolConfig { policy, max_conns }` literal.
+# build is also the guard that the API perfbench pins still compiles:
+# in serve, `ServeState::with_timeline`, `ServeState::with_timeline_config`
+# and the `PoolConfig { policy, max_conns }` literal; in core and
+# scenario, `YearMetrics::measure`, the `Timeline { years }` literal,
+# `govhost_scenario::BuildMetrics::measure`, the `ScenarioRun` metric
+# fields (`baseline_metrics`, `shocked_metrics`, `ns_only_percent`) and
+# `EvolveOutcome`.
 echo "==> perfbench unit tests"
 CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
 

@@ -16,6 +16,7 @@
 //! | [`diversification`] | §7.2 | HHI analysis (Fig. 11) |
 //! | [`topsites`] | App. D | governments-vs-topsites comparison (Figs. 3, 7) |
 //! | [`explain`] | App. E | OLS explanatory model (Fig. 12, Table 7) |
+//! | [`metrics`] | §5–§7 | one dataset reduced to headline numbers (evolve, what-if) |
 //!
 //! The pipeline consumes only the observable surfaces of the simulated
 //! world (crawls, DNS, WHOIS, PeeringDB, search, probes) — never the
@@ -33,11 +34,11 @@ pub mod fold;
 pub mod hosting;
 pub mod infra;
 pub mod location;
+pub mod metrics;
 pub mod providers;
 pub mod similarity;
 pub mod table;
 pub mod topsites;
-pub mod trends;
 
 pub use affordability::AffordabilityAnalysis;
 pub use classify::{ClassificationMethod, Classifier, SeedSets};
@@ -47,21 +48,17 @@ pub use dataset::{
     QuarantineEntry, StageStat, StageTimings,
 };
 pub use diversification::DiversificationAnalysis;
-pub use evolve::{
-    evolve, evolve_with_systems, CountryYear, EvolveError, EvolveOutcome, ProviderYear,
-    TickSummary, Timeline,
-    YearMetrics,
-};
+pub use evolve::{evolve_with_systems, EvolveOutcome, TickSummary, Timeline, YearMetrics};
 pub use explain::ExplanatoryModel;
 pub use export::{export_csv, export_csv_full, import_csv, import_csv_full, DatasetCsv};
 pub use hosting::{CategoryShares, HostingAnalysis};
 pub use infra::{GovEvidence, InfraIdentifier};
 pub use location::LocationAnalysis;
+pub use metrics::{BuildMetrics, CountryMetrics, ProviderFootprint};
 pub use providers::ProviderAnalysis;
 pub use similarity::SimilarityAnalysis;
 pub use table::{UrlInterner, UrlRef, UrlTable};
 pub use topsites::TopsiteAnalysis;
-pub use trends::{SnapshotMetrics, TrendAnalysis};
 
 /// Common imports for downstream users.
 pub mod prelude {

@@ -139,6 +139,7 @@ mod tests {
                     hostnames: 9,
                     hhi_urls: hhi,
                     hhi_bytes: hhi,
+                    dominant: None,
                     offshore_percent: Some(offshore),
                     dark_percent: dark,
                 },
@@ -146,6 +147,8 @@ mod tests {
             providers: BTreeMap::new(),
             mean_hhi_urls: hhi,
             mean_hhi_bytes: hhi,
+            state_led: 0,
+            third_party_urls: 0.0,
             dark_percent: dark,
         }
     }

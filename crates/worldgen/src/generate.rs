@@ -525,8 +525,7 @@ impl Generator {
 
     fn build_country(&mut self, row: &CountryRow) {
         let code = row.cc();
-        let profile =
-            HostingProfile::for_country(row).drifted(self.params.third_party_drift);
+        let profile = HostingProfile::for_country(row);
         self.create_national_ases(row, &profile);
 
         let n_hosts = self.params.scaled(row.hostnames, 3) as usize;
@@ -1632,25 +1631,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn drift_one_empties_the_state_category() {
-        let world =
-            World::generate(&GenParams { third_party_drift: 1.0, ..GenParams::tiny() });
-        let state = world
-            .truth
-            .hosts
-            .values()
-            .filter(|t| !t.san_only && t.category == ProviderCategory::GovtSoe)
-            .count();
-        let total = world.truth.hosts.len();
-        // France's pinned gouv.nc and apportionment floors survive; the
-        // bulk of the state category must be gone.
-        assert!(
-            (state as f64) < total as f64 * 0.05,
-            "full drift leaves {state}/{total} state hostnames"
-        );
     }
 
     #[test]

@@ -28,11 +28,6 @@ pub struct GenParams {
     pub peeringdb_gov_coverage: f64,
     /// Fraction of state organizations discoverable through web search.
     pub search_coverage: f64,
-    /// Longitudinal drift: share mass moved from Govt&SOE toward global
-    /// providers in every country's profile (0 = the paper's 2024
-    /// snapshot). Models the consolidation trend §2 describes and the
-    /// longitudinal follow-up the paper cites (Kumar et al. 2023).
-    pub third_party_drift: f64,
 }
 
 impl Default for GenParams {
@@ -47,7 +42,6 @@ impl Default for GenParams {
             hoiho_coverage: 0.9,
             peeringdb_gov_coverage: 0.35,
             search_coverage: 0.88,
-            third_party_drift: 0.0,
         }
     }
 }

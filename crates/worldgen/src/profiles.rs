@@ -355,22 +355,6 @@ fn gov_tld_fraction_of(code: CountryCode, style: TldStyle) -> f64 {
 }
 
 impl HostingProfile {
-    /// Apply longitudinal drift: move `amount` of URL-share mass from
-    /// Govt&SOE toward global providers (bounded by what is available),
-    /// and erode domestic serving proportionally — the consolidation
-    /// trajectory §2 describes. `amount` of 0 returns the profile
-    /// unchanged; countries already fully on third parties saturate.
-    pub fn drifted(mut self, amount: f64) -> HostingProfile {
-        let moved = (self.url_shares[0] * amount.clamp(0.0, 1.0)).min(self.url_shares[0]);
-        self.url_shares[0] -= moved;
-        self.url_shares[2] += moved;
-        // Global providers serve partly from abroad: domestic share decays
-        // with the moved mass.
-        self.domestic_server_share =
-            (self.domestic_server_share - moved * 0.25).clamp(0.2, 1.0);
-        self
-    }
-
     /// The profile for a studied country.
     pub fn for_country(row: &CountryRow) -> HostingProfile {
         let code = row.cc();

@@ -1,11 +1,10 @@
 //! The `govhost` command-line tool: generate worlds, build and export
-//! datasets, re-analyze exported data, dump crawl/zone artifacts, and run
-//! the longitudinal extension.
+//! datasets, re-analyze exported data, dump crawl/zone artifacts, evolve
+//! a world through yearly ticks, serve, and evaluate what-if scenarios.
 //!
 //! ```text
 //! govhost dataset --scale 0.1 --out ./data        # build + export CSVs
 //! govhost analyze --dir ./data                    # analyses from CSVs
-//! govhost trends --scale 0.05 --steps 0.0,0.15,0.3
 //! govhost har --country AR --out ./data           # HAR of one country crawl
 //! govhost zone --host <hostname>                  # dump a zone file
 //! govhost serve --scale 0.1 --addr 127.0.0.1:8080 # HTTP query server
@@ -13,8 +12,8 @@
 //! govhost scenario what-if.scn --scale 0.1        # counterfactual report cards
 //! ```
 
+use govhost::core::evolve::evolve_with_systems;
 use govhost::core::export::{export_csv_full, import_csv, DatasetCsv};
-use govhost::core::trends::TrendAnalysis;
 use govhost::prelude::*;
 use govhost::web::crawler::{crawl_sites_parallel, Crawler};
 use std::path::PathBuf;
@@ -37,7 +36,6 @@ fn main() {
     match command.as_str() {
         "dataset" => cmd_dataset(&flags),
         "analyze" => cmd_analyze(&flags),
-        "trends" => cmd_trends(&flags),
         "har" => cmd_har(&flags),
         "zone" => cmd_zone(&flags),
         "serve" => cmd_serve(&flags),
@@ -53,7 +51,6 @@ fn usage() {
          commands:\n\
            dataset  --scale S --seed N --out DIR    build the dataset and export CSVs\n\
            analyze  --dir DIR                       run the analyses over exported CSVs\n\
-           trends   --scale S --steps a,b,c         longitudinal consolidation run\n\
            har      --country CC --out DIR          export one country's crawl as HAR JSON\n\
            zone     --host HOSTNAME                 print a hostname's zone as a master file\n\
            serve    --scale S --addr HOST:PORT      build the dataset and serve JSON queries\n\
@@ -76,7 +73,6 @@ struct Flags {
     dir: PathBuf,
     country: String,
     host: String,
-    steps: Vec<f64>,
     addr: String,
     years: u32,
     threads: usize,
@@ -95,7 +91,6 @@ impl Flags {
             dir: PathBuf::from("."),
             country: "AR".to_string(),
             host: String::new(),
-            steps: vec![0.0, 0.15, 0.3],
             addr: "127.0.0.1:8080".to_string(),
             years: 0,
             threads: 0,
@@ -116,12 +111,6 @@ impl Flags {
                 "--dir" => f.dir = PathBuf::from(&value),
                 "--country" => f.country = value.clone(),
                 "--host" => f.host = value.clone(),
-                "--steps" => {
-                    f.steps = value
-                        .split(',')
-                        .map(|s| s.parse().unwrap_or_else(|_| usage_die("bad --steps")))
-                        .collect()
-                }
                 "--addr" => f.addr = value.clone(),
                 "--years" => {
                     f.years = value.parse().unwrap_or_else(|_| usage_die("bad --years"))
@@ -166,6 +155,12 @@ fn usage_die(msg: &str) -> ! {
 
 fn params(flags: &Flags) -> GenParams {
     GenParams { scale: flags.scale, seed: flags.seed, ..GenParams::default() }
+}
+
+/// The tick roster `GOVHOST_TICKS` selects; an unknown system name is
+/// fatal.
+fn tick_systems() -> Vec<Box<dyn govhost::worldgen::TickSystem>> {
+    govhost::worldgen::systems_from_env().unwrap_or_else(|e| die(&e.to_string()))
 }
 
 fn cmd_dataset(flags: &Flags) {
@@ -230,35 +225,6 @@ fn cmd_analyze(flags: &Flags) {
     }
 }
 
-fn cmd_trends(flags: &Flags) {
-    let steps: Vec<(String, f64)> = flags
-        .steps
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (format!("snapshot-{i}"), *d))
-        .collect();
-    eprintln!("running {} snapshots at scale {}...", steps.len(), flags.scale);
-    let trend = TrendAnalysis::run(&params(flags), &steps, &BuildOptions::default());
-    println!("label        drift   3P URLs   3P bytes  domestic  leader-countries  state-led");
-    for s in &trend.snapshots {
-        println!(
-            "{:<12} {:<7.2} {:<9.3} {:<9.3} {:<9.3} {:<17} {}",
-            s.label,
-            s.drift,
-            s.third_party_urls,
-            s.third_party_bytes,
-            s.domestic_serving,
-            s.leader_countries,
-            s.state_led_countries
-        );
-    }
-    println!(
-        "consolidation Δ(3P URLs) = {:+.3}, monotone: {}",
-        trend.third_party_delta(),
-        trend.consolidation_is_monotone()
-    );
-}
-
 fn cmd_har(flags: &Flags) {
     let code: CountryCode =
         flags.country.parse().unwrap_or_else(|_| die("bad --country code"));
@@ -291,6 +257,8 @@ fn cmd_serve(flags: &Flags) {
     use govhost::core::evolve::Timeline;
     use govhost::obs::export::trace_level;
     use govhost::serve::{resolve_serve_threads, PoolConfig, ServeState, Server, ROUTES};
+    // A bad `GOVHOST_TICKS` roster fails before any world is generated.
+    let systems = if flags.years > 0 { tick_systems() } else { Vec::new() };
     eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
     let mut world = World::generate(&params(flags));
     // `--years N` runs the longitudinal ticks up front and serves the
@@ -300,9 +268,13 @@ fn cmd_serve(flags: &Flags) {
     let state = {
         let (dataset, timeline) = if flags.years > 0 {
             eprintln!("evolving {} years...", flags.years);
-            let outcome =
-                govhost::core::evolve::evolve(&mut world, flags.years, &BuildOptions::default())
-                    .unwrap_or_else(|e| die(&e.to_string()));
+            let outcome = evolve_with_systems(
+                &mut world,
+                flags.years,
+                &BuildOptions::default(),
+                &systems,
+            )
+            .unwrap_or_else(|e| die(&e.to_string()));
             (outcome.dataset, outcome.timeline)
         } else {
             let (dataset, _report) = GovDataset::try_build(&world, &BuildOptions::default())
@@ -427,10 +399,11 @@ fn cmd_scenario(file: &std::path::Path, flags: &Flags) {
 
 fn cmd_evolve(flags: &Flags) {
     let years = if flags.years > 0 { flags.years } else { 5 };
+    let systems = tick_systems();
     eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
     let mut world = World::generate(&params(flags));
     eprintln!("evolving {years} years...");
-    let outcome = govhost::core::evolve::evolve(&mut world, years, &BuildOptions::default())
+    let outcome = evolve_with_systems(&mut world, years, &BuildOptions::default(), &systems)
         .unwrap_or_else(|e| die(&e.to_string()));
     println!("year  dirty  events  HHI(urls)  HHI(bytes)  state-led  3P-URLs  rebuild-ms");
     for y in &outcome.timeline.years {
@@ -439,19 +412,20 @@ fn cmd_evolve(flags: &Flags) {
         let events = tick.map_or("-".to_string(), |t| t.events.len().to_string());
         let rebuild = tick
             .map_or("-".to_string(), |t| format!("{:.1}", t.rebuild.as_secs_f64() * 1000.0));
+        let m = &y.metrics;
         println!(
             "{:<5} {:<6} {:<7} {:<10.4} {:<11.4} {:<10} {:<8.4} {rebuild}",
             y.year,
             y.dirty.len(),
             events,
-            y.mean_hhi_urls,
-            y.mean_hhi_bytes,
-            y.state_led,
-            y.third_party_urls
+            m.mean_hhi_urls,
+            m.mean_hhi_bytes,
+            m.state_led,
+            m.third_party_urls
         );
     }
-    let last = outcome.timeline.latest().expect("timeline has year 0");
-    let first = &outcome.timeline.years[0];
+    let last = &outcome.timeline.latest().expect("timeline has year 0").metrics;
+    let first = &outcome.timeline.years[0].metrics;
     println!(
         "Δ over {years} years: mean HHI(urls) {:+.4}, state-led {:+}, 3P URLs {:+.4}",
         last.mean_hhi_urls - first.mean_hhi_urls,

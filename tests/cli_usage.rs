@@ -45,7 +45,6 @@ fn unknown_flag_is_a_usage_error() {
 fn malformed_flag_values_are_usage_errors() {
     assert_usage_error(&govhost(&["dataset", "--scale", "banana"]), "bad --scale");
     assert_usage_error(&govhost(&["dataset", "--seed", "1.5"]), "bad --seed");
-    assert_usage_error(&govhost(&["trends", "--steps", "0.1,x"]), "bad --steps");
     assert_usage_error(&govhost(&["serve", "--threads", "many"]), "bad --threads");
     assert_usage_error(&govhost(&["serve", "--max-conns", "lots"]), "bad --max-conns");
     assert_usage_error(&govhost(&["serve", "--idle-timeout-ms", "-3"]), "bad --idle-timeout-ms");
@@ -64,8 +63,7 @@ fn scenario_without_a_file_is_a_usage_error() {
 fn usage_mentions_every_command() {
     let out = govhost(&[]);
     let err = stderr(&out);
-    for command in ["dataset", "analyze", "trends", "har", "zone", "serve", "evolve", "scenario"]
-    {
+    for command in ["dataset", "analyze", "har", "zone", "serve", "evolve", "scenario"] {
         assert!(err.contains(command), "usage should list {command:?}: {err}");
     }
     assert!(err.contains("--addr"), "serve's address flag is documented: {err}");
@@ -97,4 +95,21 @@ fn runtime_errors_fail_without_the_usage_dump() {
     let err = stderr(&out);
     assert!(err.contains("/no/such/file.scn"), "{err}");
     assert!(!err.contains("usage: govhost"), "runtime errors skip the usage dump: {err}");
+}
+
+#[test]
+fn unknown_tick_system_fails_before_worldgen() {
+    // A bad `GOVHOST_TICKS` roster is a runtime error raised before any
+    // world is generated, on both commands that tick.
+    for args in [["evolve", "--years", "1"], ["serve", "--years", "1"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_govhost"))
+            .args(args)
+            .env("GOVHOST_TICKS", "bogus")
+            .output()
+            .expect("spawn the govhost binary");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown tick system \"bogus\""), "{args:?}: {err}");
+        assert!(!err.contains("generating world"), "{args:?} generated a world first: {err}");
+    }
 }

@@ -61,7 +61,6 @@ fn ten_year_timeline_is_identical_across_thread_counts() {
         assert_eq!(base_csv.hosts, csv.hosts, "threads={threads}");
         assert_eq!(base_csv.urls, csv.urls, "threads={threads}");
         for (t1, t2) in base.ticks.iter().zip(&other.ticks) {
-            assert_eq!(t1.dirty, t2.dirty, "threads={threads} year {}", t1.year);
             assert_eq!(t1.events, t2.events, "threads={threads} year {}", t1.year);
         }
     }

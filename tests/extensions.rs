@@ -1,12 +1,14 @@
 //! Integration tests for the extension features: dataset export/import,
-//! the longitudinal trends run, HAR export of real crawls, zone-file
-//! round trips of generated zones, and the affordability lens.
+//! longitudinal consolidation under agency migration, HAR export of real
+//! crawls, zone-file round trips of generated zones, and the
+//! affordability lens.
 
 use govhost::core::affordability::AffordabilityAnalysis;
 use govhost::core::export::{export_csv, import_csv};
-use govhost::core::trends::TrendAnalysis;
+use govhost::core::evolve::evolve_with_systems;
 use govhost::prelude::*;
 use govhost::web::crawler::Crawler;
+use govhost::worldgen::tick::{AgencyMigration, TickSystem};
 
 fn build() -> (World, GovDataset) {
     let world = World::generate(&GenParams::tiny());
@@ -38,17 +40,23 @@ fn exported_dataset_reproduces_every_analysis() {
     assert_eq!(a1.per_country.len(), a2.per_country.len());
 }
 
+/// The §2 consolidation trend, as agency migration drives it: every
+/// year moves state-hosted agencies onto third parties, so the
+/// third-party URL share only rises and the state-led count only falls.
 #[test]
 fn longitudinal_run_shows_consolidation() {
-    let steps: Vec<(String, f64)> =
-        [0.0, 0.25].iter().map(|d| (format!("t{d}"), *d)).collect();
-    let trend = TrendAnalysis::run(&GenParams::tiny(), &steps, &BuildOptions::default());
-    assert!(trend.consolidation_is_monotone());
-    assert!(trend.third_party_delta() > 0.03);
-    // Domestic serving erodes alongside.
-    assert!(
-        trend.snapshots[1].domestic_serving <= trend.snapshots[0].domestic_serving + 0.02
-    );
+    let mut world = World::generate(&GenParams::tiny());
+    let systems: Vec<Box<dyn TickSystem>> = vec![Box::new(AgencyMigration)];
+    let outcome = evolve_with_systems(&mut world, 4, &BuildOptions::default(), &systems)
+        .expect("tiny world evolves");
+    let years: Vec<_> =outcome.timeline.years.iter().map(|y| &y.metrics).collect();
+    assert_eq!(years.len(), 5, "year 0 plus four ticks");
+    for w in years.windows(2) {
+        assert!(w[1].third_party_urls >= w[0].third_party_urls, "3P share fell: {years:?}");
+        assert!(w[1].state_led <= w[0].state_led, "state-led count rose: {years:?}");
+    }
+    let delta = years[4].third_party_urls - years[0].third_party_urls;
+    assert!(delta > 0.03, "four migration years must visibly consolidate: Δ = {delta}");
 }
 
 #[test]
