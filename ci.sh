@@ -57,11 +57,15 @@ cargo test -q --offline -p govhost-core --test prop_table
 # content is mutated between ticks. Tick and shock rebuilds must re-run
 # only §3.4 identify: evolve and scenario gate on zero crawled pages,
 # and the worldgen content-version laws check that no tick or shock
-# touches what a crawl reads.
+# touches what a crawl reads. Every measure folds over the per-host
+# URL/byte rollup: prop_host_fold checks each analysis and
+# BuildMetrics bit for bit against the per-URL folds, on arbitrary
+# imported datasets and on every year of a tiny evolve.
 echo "==> evolve suites"
 cargo test -q --offline --release --test evolve -- --include-ignored
 cargo test -q --offline --release --test scenario
 cargo test -q --offline -p govhost-core --test prop_incremental
+cargo test -q --offline -p govhost-core --test prop_host_fold
 cargo test -q --offline -p govhost-worldgen --lib content_version
 
 # Hygiene gate for the interned path: the build and table modules must

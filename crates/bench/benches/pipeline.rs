@@ -4,15 +4,16 @@
 //!
 //! The scaling series runs `GovDataset::build` at scale 0.3 for
 //! 1/2/4/8 threads (best of three runs each; a single run in smoke
-//! mode), records the per-stage timings from the widest run, and
-//! asserts that `export_csv` output is byte-identical across every
-//! thread count — the determinism invariant the parallel build
-//! promises.
+//! mode), records the per-stage timings from the widest run, times
+//! one `BuildMetrics::measure` of its dataset, and asserts that
+//! `export_csv` output is byte-identical across every thread count —
+//! the determinism invariant the parallel build promises.
 
 use govhost_core::classify::SeedSets;
 use govhost_core::dataset::{BuildOptions, GovDataset};
 use govhost_core::export::export_csv;
 use govhost_core::hosting::HostingAnalysis;
+use govhost_core::metrics::BuildMetrics;
 use govhost_core::table::UrlInterner;
 use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig};
 use govhost_harness::bench::{black_box, Bench};
@@ -155,6 +156,12 @@ fn main() {
             );
         }
     }
+
+    // One headline measurement of the same dataset: the reduction every
+    // evolve year and every what-if scenario pays, folded by host.
+    b.bench("pipeline/build_metrics_measure", || {
+        black_box(BuildMetrics::measure(black_box(&widest)));
+    });
 
     // ---- Longitudinal ticks: after each yearly tick, the dirty-set
     // incremental rebuild faces off against a full from-scratch build

@@ -1,7 +1,7 @@
 //! §6.3: cross-border dependencies (Fig. 9, Table 5), plus the GDPR
 //! compliance check and the bilateral cases the paper highlights.
 
-use crate::dataset::GovDataset;
+use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{CountryCode, Region};
 use std::collections::HashMap;
 
@@ -130,18 +130,18 @@ impl CrossBorderAnalysis {
         let mut registration = FlowMatrix::default();
         let mut location = FlowMatrix::default();
         let mut country_totals: HashMap<CountryCode, (u64, u64)> = HashMap::new();
-        for (_, host) in dataset.url_views() {
+        for HostVolume { host, urls, .. } in dataset.host_volumes() {
             let totals = country_totals.entry(host.country).or_default();
             if let Some(reg) = host.registration {
-                totals.0 += 1;
+                totals.0 += urls;
                 if reg != host.country {
-                    *registration.flows.entry((host.country, reg)).or_default() += 1;
+                    *registration.flows.entry((host.country, reg)).or_default() += urls;
                 }
             }
             if let Some(loc) = host.server_country {
-                totals.1 += 1;
+                totals.1 += urls;
                 if loc != host.country {
-                    *location.flows.entry((host.country, loc)).or_default() += 1;
+                    *location.flows.entry((host.country, loc)).or_default() += urls;
                 }
             }
         }

@@ -329,6 +329,20 @@ pub struct HostRecord {
     pub geo_excluded: bool,
 }
 
+/// One host's share of the URL table, yielded by
+/// [`GovDataset::host_volumes`].
+#[derive(Debug, Clone, Copy)]
+pub struct HostVolume<'a> {
+    /// The host's id in the build's arena.
+    pub id: HostId,
+    /// The host's infrastructure record.
+    pub host: &'a HostRecord,
+    /// Government URLs on this host (at least 1).
+    pub urls: u64,
+    /// Summed bytes of those URLs.
+    pub bytes: u64,
+}
+
 /// Per-country collection statistics (Table 8 recomputed).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountryStats {
@@ -1327,8 +1341,45 @@ impl GovDataset {
     }
 
     /// Iterate URLs joined with their host records.
+    ///
+    /// Every §5–§7 analysis reads only the host side of this join, so
+    /// they fold over [`GovDataset::host_volumes`] instead; this view is
+    /// for callers that need the URL row itself.
     pub fn url_views(&self) -> impl Iterator<Item = (UrlRef<'_>, &HostRecord)> {
         self.urls.iter().map(move |u| (u, &self.hosts[u.host.index()]))
+    }
+
+    /// The URL table rolled up by host: each host with at least one URL,
+    /// with its URL count and summed bytes.
+    ///
+    /// One pass over the table's host and byte columns
+    /// ([`UrlTable::host_bytes`]). Hosts come out in *first-URL order* —
+    /// the order in which [`GovDataset::url_views`] first meets them —
+    /// so a fold that keeps the first value it sees (a provider's
+    /// organisation name) keeps the same one as a per-URL fold. For a
+    /// built dataset that is [`HostId`] order; for an imported one it
+    /// follows the URL rows, not `hosts.csv`. Hosts without a URL are
+    /// skipped, as a per-URL loop never meets them.
+    ///
+    /// A per-URL fold that adds 1 per URL and the URL's bytes to keys
+    /// drawn from the host record equals the same fold adding `urls` and
+    /// `bytes` once per host: the sums are integers, so regrouping them
+    /// cannot change a bit.
+    pub fn host_volumes(&self) -> impl Iterator<Item = HostVolume<'_>> {
+        let mut volumes = vec![(0u64, 0u64); self.hosts.len()];
+        let mut order: Vec<HostId> = Vec::new();
+        for (host, bytes) in self.urls.host_bytes() {
+            let volume = &mut volumes[host.index()];
+            if volume.0 == 0 {
+                order.push(host);
+            }
+            volume.0 += 1;
+            volume.1 += bytes;
+        }
+        order.into_iter().map(move |id| {
+            let (urls, bytes) = volumes[id.index()];
+            HostVolume { id, host: &self.hosts[id.index()], urls, bytes }
+        })
     }
 
     /// URLs of one country, joined.

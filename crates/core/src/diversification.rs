@@ -5,7 +5,7 @@
 //! finding: Govt&SOE-led countries are far more concentrated (63% serve
 //! over half their bytes from one network) than 3P-Global-led ones (32%).
 
-use crate::dataset::GovDataset;
+use crate::dataset::{GovDataset, HostVolume};
 use crate::hosting::HostingAnalysis;
 use govhost_stats::boxplot::FiveNumberSummary;
 use govhost_stats::hhi::hhi_from_counts;
@@ -37,10 +37,10 @@ impl DiversificationAnalysis {
     pub fn compute(dataset: &GovDataset, hosting: &HostingAnalysis) -> DiversificationAnalysis {
         let mut url_counts: HashMap<CountryCode, HashMap<Asn, u64>> = HashMap::new();
         let mut byte_counts: HashMap<CountryCode, HashMap<Asn, u64>> = HashMap::new();
-        for (url, host) in dataset.url_views() {
+        for HostVolume { host, urls, bytes, .. } in dataset.host_volumes() {
             let Some(asn) = host.asn else { continue };
-            *url_counts.entry(host.country).or_default().entry(asn).or_default() += 1;
-            *byte_counts.entry(host.country).or_default().entry(asn).or_default() += url.bytes;
+            *url_counts.entry(host.country).or_default().entry(asn).or_default() += urls;
+            *byte_counts.entry(host.country).or_default().entry(asn).or_default() += bytes;
         }
         let mut per_country = HashMap::new();
         for (country, urls) in &url_counts {

@@ -1,6 +1,6 @@
 //! §5.1–5.2: trends in government hosting (Figs. 1, 2, 4).
 
-use crate::dataset::GovDataset;
+use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{CountryCode, ProviderCategory, Region};
 use std::collections::HashMap;
 
@@ -53,8 +53,8 @@ struct Tally {
 }
 
 impl Tally {
-    fn add(&mut self, category: ProviderCategory, bytes: u64) {
-        self.urls[category.index()] += 1;
+    fn add(&mut self, category: ProviderCategory, urls: u64, bytes: u64) {
+        self.urls[category.index()] += urls;
         self.bytes[category.index()] += bytes;
     }
 
@@ -90,14 +90,14 @@ impl HostingAnalysis {
         let mut global = Tally::default();
         let mut per_region: HashMap<Region, Tally> = HashMap::new();
         let mut per_country: HashMap<CountryCode, Tally> = HashMap::new();
-        for (url, host) in dataset.url_views() {
+        for HostVolume { host, urls, bytes, .. } in dataset.host_volumes() {
             let Some(category) = host.category else { continue };
-            global.add(category, url.bytes);
-            per_country.entry(host.country).or_default().add(category, url.bytes);
+            global.add(category, urls, bytes);
+            per_country.entry(host.country).or_default().add(category, urls, bytes);
             if let Some(region) =
                 govhost_worldgen::countries::any_country(host.country).map(|r| r.region)
             {
-                per_region.entry(region).or_default().add(category, url.bytes);
+                per_region.entry(region).or_default().add(category, urls, bytes);
             }
         }
         HostingAnalysis {

@@ -45,7 +45,7 @@ pub use classify::{ClassificationMethod, Classifier, SeedSets};
 pub use crossborder::CrossBorderAnalysis;
 pub use dataset::{
     BuildCache, BuildError, BuildOptions, BuildReport, FailurePolicy, GovDataset, HostRecord,
-    QuarantineEntry, StageStat, StageTimings,
+    HostVolume, QuarantineEntry, StageStat, StageTimings,
 };
 pub use diversification::DiversificationAnalysis;
 pub use evolve::{evolve_with_systems, EvolveOutcome, TickSummary, Timeline, YearMetrics};

@@ -7,7 +7,7 @@
 //! excluded are left out of the location lens, per the paper's
 //! conservative policy.
 
-use crate::dataset::GovDataset;
+use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{CountryCode, Region};
 use std::collections::HashMap;
 
@@ -21,11 +21,11 @@ pub struct DomesticSplit {
 }
 
 impl DomesticSplit {
-    /// Record one URL under this lens.
-    pub fn add(&mut self, is_domestic: bool) {
-        self.total += 1;
+    /// Record `urls` URLs of one host under this lens.
+    pub fn add(&mut self, is_domestic: bool, urls: u64) {
+        self.total += urls;
         if is_domestic {
-            self.domestic += 1;
+            self.domestic += urls;
         }
     }
 
@@ -63,22 +63,22 @@ impl LocationAnalysis {
     /// Compute both lenses at global, regional and country level.
     pub fn compute(dataset: &GovDataset) -> LocationAnalysis {
         let mut out = LocationAnalysis::default();
-        for (_, host) in dataset.url_views() {
+        for HostVolume { host, urls, .. } in dataset.host_volumes() {
             let region = govhost_worldgen::countries::any_country(host.country).map(|r| r.region);
             if let Some(reg) = host.registration {
                 let dom = reg == host.country;
-                out.registration.add(dom);
+                out.registration.add(dom, urls);
                 if let Some(r) = region {
-                    out.registration_by_region.entry(r).or_default().add(dom);
+                    out.registration_by_region.entry(r).or_default().add(dom, urls);
                 }
             }
             if let Some(loc) = host.server_country {
                 let dom = loc == host.country;
-                out.geolocation.add(dom);
+                out.geolocation.add(dom, urls);
                 if let Some(r) = region {
-                    out.geolocation_by_region.entry(r).or_default().add(dom);
+                    out.geolocation_by_region.entry(r).or_default().add(dom, urls);
                 }
-                out.geolocation_by_country.entry(host.country).or_default().add(dom);
+                out.geolocation_by_country.entry(host.country).or_default().add(dom, urls);
             }
         }
         out

@@ -5,7 +5,7 @@
 //! each such AS the analysis counts the governments relying on it and the
 //! byte share it carries within each country.
 
-use crate::dataset::GovDataset;
+use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{Asn, CountryCode, ProviderCategory};
 use std::collections::{HashMap, HashSet};
 
@@ -60,13 +60,15 @@ impl ProviderAnalysis {
         let mut provider_bytes: HashMap<(Asn, CountryCode), u64> = HashMap::new();
         let mut provider_org: HashMap<Asn, String> = HashMap::new();
         let mut country_bytes: HashMap<CountryCode, u64> = HashMap::new();
-        for (url, host) in dataset.url_views() {
-            *country_bytes.entry(host.country).or_default() += url.bytes;
+        // Hosts arrive in first-URL order, so the first org string seen
+        // per AS is the one a per-URL pass would keep.
+        for HostVolume { host, bytes, .. } in dataset.host_volumes() {
+            *country_bytes.entry(host.country).or_default() += bytes;
             if host.category != Some(ProviderCategory::ThirdPartyGlobal) {
                 continue;
             }
             let Some(asn) = host.asn else { continue };
-            *provider_bytes.entry((asn, host.country)).or_default() += url.bytes;
+            *provider_bytes.entry((asn, host.country)).or_default() += bytes;
             if let Some(org) = &host.org {
                 provider_org.entry(asn).or_insert_with(|| org.clone());
             }

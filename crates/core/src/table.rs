@@ -111,6 +111,12 @@ impl UrlTable {
     pub fn iter(&self) -> impl Iterator<Item = UrlRef<'_>> {
         (0..self.len()).map(|i| self.get(UrlId::new(i as u32)))
     }
+
+    /// Iterate `(host, bytes)` of every row in insertion order — two of
+    /// the four columns, so a per-host rollup never slices a path.
+    pub fn host_bytes(&self) -> impl Iterator<Item = (HostId, u64)> + '_ {
+        self.hosts.iter().copied().zip(self.bytes.iter().copied())
+    }
 }
 
 impl<'a> IntoIterator for &'a UrlTable {

@@ -7,7 +7,7 @@
 //! the site's certificate SANs) marks self-hosting; otherwise the serving
 //! AS decides.
 
-use crate::dataset::GovDataset;
+use crate::dataset::{GovDataset, HostVolume};
 use crate::location::DomesticSplit;
 use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig};
 use govhost_types::{CountryCode, Hostname, ProviderCategory, Region, TopsiteCategory};
@@ -67,20 +67,20 @@ impl TopsiteAnalysis {
         let mut gov_bytes = [0u64; 4];
         let mut gov_whois = DomesticSplit::default();
         let mut gov_geo = DomesticSplit::default();
-        for (url, host) in dataset.url_views() {
+        for HostVolume { host, urls, bytes, .. } in dataset.host_volumes() {
             if !comparison.contains(&host.country) {
                 continue;
             }
             if let Some(category) = host.category {
                 let idx = map_government_category(category).index();
-                gov_urls[idx] += 1;
-                gov_bytes[idx] += url.bytes;
+                gov_urls[idx] += urls;
+                gov_bytes[idx] += bytes;
             }
             if let Some(reg) = host.registration {
-                gov_whois.add(reg == host.country);
+                gov_whois.add(reg == host.country, urls);
             }
             if let Some(loc) = host.server_country {
-                gov_geo.add(loc == host.country);
+                gov_geo.add(loc == host.country, urls);
             }
         }
 
@@ -144,15 +144,11 @@ impl TopsiteAnalysis {
                 top_bytes[category.index()] += bytes;
 
                 if let Some(rec) = whois.query(ip) {
-                    for _ in 0..urls {
-                        top_whois.add(rec.country == *country);
-                    }
+                    top_whois.add(rec.country == *country, urls);
                 }
                 let verdict = geo.locate(GeoTask { ip, serving_country: *country });
                 if let (false, Some(loc)) = (verdict.excluded, verdict.location) {
-                    for _ in 0..urls {
-                        top_geo.add(loc == *country);
-                    }
+                    top_geo.add(loc == *country, urls);
                 }
             }
         }

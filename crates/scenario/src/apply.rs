@@ -26,7 +26,7 @@
 use crate::diff::{diff, BuildMetrics, DiffReport};
 use crate::dsl::{ProviderRef, Scenario, ScenarioFile, Shock};
 use crate::insight::{insights_for, Insight, InsightContext};
-use govhost_core::dataset::{BuildCache, BuildError, BuildOptions, GovDataset};
+use govhost_core::dataset::{BuildCache, BuildError, BuildOptions, GovDataset, HostVolume};
 use govhost_types::CountryCode;
 use govhost_worldgen::shock::{self, DarkCause, DarkHost, ShockReport};
 use govhost_worldgen::{provider_by_asn, GenParams, GlobalProvider, World, GLOBAL_PROVIDERS};
@@ -241,17 +241,18 @@ fn ns_only_share(
     shocked: &GovDataset,
     darkened: &[DarkHost],
 ) -> BTreeMap<CountryCode, f64> {
-    let ns_only: std::collections::BTreeSet<&str> = darkened
-        .iter()
-        .filter(|d| d.cause == DarkCause::NsOnly)
-        .map(|d| d.host.as_str())
-        .collect();
+    let mut ns_only = vec![false; shocked.hosts.len()];
+    for d in darkened.iter().filter(|d| d.cause == DarkCause::NsOnly) {
+        if let Some(id) = shocked.host_id(&d.host) {
+            ns_only[id.index()] = true;
+        }
+    }
     let mut hit: BTreeMap<CountryCode, u64> = BTreeMap::new();
     let mut total: BTreeMap<CountryCode, u64> = BTreeMap::new();
-    for (_url, host) in shocked.url_views() {
-        *total.entry(host.country).or_default() += 1;
-        if ns_only.contains(host.hostname.as_str()) {
-            *hit.entry(host.country).or_default() += 1;
+    for HostVolume { id, host, urls, .. } in shocked.host_volumes() {
+        *total.entry(host.country).or_default() += urls;
+        if ns_only[id.index()] {
+            *hit.entry(host.country).or_default() += urls;
         }
     }
     total

@@ -27,7 +27,7 @@
 use crate::http::{percent_decode, HttpError};
 use crate::index::{jf, js, QueryIndex, RouteSlab};
 use govhost_core::crossborder::{CrossBorderAnalysis, FlowMatrix};
-use govhost_core::dataset::GovDataset;
+use govhost_core::dataset::{GovDataset, HostVolume};
 use govhost_core::diversification::{CountryConcentration, DiversificationAnalysis};
 use govhost_core::providers::ProviderAnalysis;
 use govhost_types::{CountryCode, ProviderCategory, Region};
@@ -117,16 +117,16 @@ impl QueryTables {
         // matrices only carry totals; categories need one more pass.
         let mut reg_cat: HashMap<(CountryCode, CountryCode), [u64; 4]> = HashMap::new();
         let mut loc_cat: HashMap<(CountryCode, CountryCode), [u64; 4]> = HashMap::new();
-        for (_, host) in dataset.url_views() {
+        for HostVolume { host, urls, .. } in dataset.host_volumes() {
             let Some(cat) = host.category else { continue };
             if let Some(reg) = host.registration {
                 if reg != host.country {
-                    reg_cat.entry((host.country, reg)).or_default()[cat.index()] += 1;
+                    reg_cat.entry((host.country, reg)).or_default()[cat.index()] += urls;
                 }
             }
             if let Some(loc) = host.server_country {
                 if loc != host.country {
-                    loc_cat.entry((host.country, loc)).or_default()[cat.index()] += 1;
+                    loc_cat.entry((host.country, loc)).or_default()[cat.index()] += urls;
                 }
             }
         }

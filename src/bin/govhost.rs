@@ -74,7 +74,8 @@ struct Flags {
     country: String,
     host: String,
     addr: String,
-    years: u32,
+    /// `None` when `--years` is absent, so an explicit 0 stays 0.
+    years: Option<u32>,
     threads: usize,
     max_conns: usize,
     idle_timeout_ms: u64,
@@ -92,7 +93,7 @@ impl Flags {
             country: "AR".to_string(),
             host: String::new(),
             addr: "127.0.0.1:8080".to_string(),
-            years: 0,
+            years: None,
             threads: 0,
             max_conns: 0,
             idle_timeout_ms: 0,
@@ -113,7 +114,7 @@ impl Flags {
                 "--host" => f.host = value.clone(),
                 "--addr" => f.addr = value.clone(),
                 "--years" => {
-                    f.years = value.parse().unwrap_or_else(|_| usage_die("bad --years"))
+                    f.years = Some(value.parse().unwrap_or_else(|_| usage_die("bad --years")))
                 }
                 "--threads" => {
                     f.threads = value.parse().unwrap_or_else(|_| usage_die("bad --threads"))
@@ -258,7 +259,8 @@ fn cmd_serve(flags: &Flags) {
     use govhost::obs::export::trace_level;
     use govhost::serve::{resolve_serve_threads, PoolConfig, ServeState, Server, ROUTES};
     // A bad `GOVHOST_TICKS` roster fails before any world is generated.
-    let systems = if flags.years > 0 { tick_systems() } else { Vec::new() };
+    let years = flags.years.unwrap_or(0);
+    let systems = if years > 0 { tick_systems() } else { Vec::new() };
     eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
     let mut world = World::generate(&params(flags));
     // `--years N` runs the longitudinal ticks up front and serves the
@@ -266,11 +268,11 @@ fn cmd_serve(flags: &Flags) {
     // behind the history routes; without it those routes answer the
     // single year-0 snapshot. The dataset is dropped once indexed.
     let state = {
-        let (dataset, timeline) = if flags.years > 0 {
-            eprintln!("evolving {} years...", flags.years);
+        let (dataset, timeline) = if years > 0 {
+            eprintln!("evolving {years} years...");
             let outcome = evolve_with_systems(
                 &mut world,
-                flags.years,
+                years,
                 &BuildOptions::default(),
                 &systems,
             )
@@ -398,7 +400,7 @@ fn cmd_scenario(file: &std::path::Path, flags: &Flags) {
 }
 
 fn cmd_evolve(flags: &Flags) {
-    let years = if flags.years > 0 { flags.years } else { 5 };
+    let years = flags.years.unwrap_or(5);
     let systems = tick_systems();
     eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
     let mut world = World::generate(&params(flags));

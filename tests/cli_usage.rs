@@ -113,3 +113,21 @@ fn unknown_tick_system_fails_before_worldgen() {
         assert!(!err.contains("generating world"), "{args:?} generated a world first: {err}");
     }
 }
+
+#[test]
+fn explicit_zero_years_evolves_nothing() {
+    // `--years 0` is a value, not "unset": only the year-0 row prints,
+    // and the Δ line is all zeros. (Without the flag, evolve runs its
+    // 5-year default.)
+    let out = govhost(&["evolve", "--years", "0", "--scale", "0.01"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "header, year 0, Δ line: {stdout}");
+    assert!(lines[1].starts_with("0 "), "only year 0 is measured: {stdout}");
+    assert_eq!(
+        lines[2],
+        "Δ over 0 years: mean HHI(urls) +0.0000, state-led +0, 3P URLs +0.0000"
+    );
+    assert!(stderr(&out).contains("evolving 0 years"), "{}", stderr(&out));
+}
