@@ -57,7 +57,7 @@ cargo test -q --offline -p govhost-core --test prop_table
 # content is mutated between ticks. Tick and shock rebuilds must re-run
 # only §3.4 identify: evolve and scenario gate on zero crawled pages,
 # and the worldgen content-version laws check that no tick or shock
-# touches what a crawl reads. Every measure folds over the per-host
+# touches what a crawl reads or any surface a world fork shares. Every measure folds over the per-host
 # URL/byte rollup: prop_host_fold checks each analysis and
 # BuildMetrics bit for bit against the per-URL folds, on arbitrary
 # imported datasets and on every year of a tiny evolve.
@@ -99,13 +99,14 @@ cargo test -q --offline --test serve_http --test cli_usage
 
 # The what-if engine: `-p govhost-scenario` runs the unit layers of
 # govhost-scenario and the scenario DSL's never-panic fuzz suite
-# (prop_dsl) in one pass; then the root determinism pins (empty
-# scenario == baseline bytes, all-zero self-diff with zero insights,
-# the shared-NS cascade acceptance, and /scenario/{name} responses
-# byte-identical across 1/2/4 build threads).
+# (prop_dsl) in one pass. The root determinism pins (tests/scenario.rs)
+# already ran in the workspace pass and in release under "evolve
+# suites". Then the CLI golden: the release binary's report cards and
+# insights for the worked scenario file must equal the recorded bytes.
 echo "==> scenario suites"
 cargo test -q --offline -p govhost-scenario
-cargo test -q --offline --test scenario
+./target/release/govhost scenario examples/what-if.scn --scale 0.05 2>/dev/null \
+    | diff -u results/what-if_scale0.05.txt -
 
 # The repository benchmark's own unit tests: its statistics, span
 # tracer, request mix and in-process connections. perfbench is a

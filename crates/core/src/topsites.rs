@@ -114,7 +114,7 @@ impl TopsiteAnalysis {
             }
         }
 
-        for (country, sites) in &world.topsites {
+        for (country, sites) in world.topsites.iter() {
             let vantage = world.vantage(*country);
             for landing in sites {
                 let site_host = landing.hostname();

@@ -17,6 +17,7 @@ use govhost_types::{CountryCode, Hostname};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Why a resolution failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,9 +88,13 @@ impl ResolvedAnswer {
 }
 
 /// The resolver's catalog of authoritative servers.
+///
+/// Each server sits behind an [`Arc`], so a clone copies the catalog
+/// and shares every zone; [`Resolver::add_server`] replaces a zone
+/// rather than editing it, so clones never see each other's writes.
 #[derive(Debug, Default, Clone)]
 pub struct Resolver {
-    zones: HashMap<DnsName, AuthoritativeServer>,
+    zones: HashMap<DnsName, Arc<AuthoritativeServer>>,
 }
 
 impl Resolver {
@@ -100,7 +105,7 @@ impl Resolver {
 
     /// Register an authoritative server under its zone apex.
     pub fn add_server(&mut self, server: AuthoritativeServer) {
-        self.zones.insert(server.zone().origin().clone(), server);
+        self.zones.insert(server.zone().origin().clone(), Arc::new(server));
     }
 
     /// Number of registered zones.
@@ -295,6 +300,22 @@ mod tests {
         r.add_server(AuthoritativeServer::new(gov));
         r.add_server(AuthoritativeServer::new(cdn));
         r
+    }
+
+    #[test]
+    fn a_clone_shares_zones_until_one_is_replaced() {
+        let parent = resolver();
+        let mut fork = parent.clone();
+        let apex = n("ministerio.gob.ar");
+        assert!(Arc::ptr_eq(&parent.zones[&apex], &fork.zones[&apex]));
+        let mut moved = Zone::new(apex.clone());
+        moved.add(n("static.ministerio.gob.ar"), RData::A(ip("198.51.100.7")));
+        fork.add_server(AuthoritativeServer::new(moved));
+        let static_host = n("static.ministerio.gob.ar");
+        assert_eq!(fork.resolve(&static_host, None).unwrap().addresses, [ip("198.51.100.7")]);
+        assert_eq!(parent.resolve(&static_host, None).unwrap().addresses, [ip("190.210.1.5")]);
+        let cdn = n("cdn.gphost.net");
+        assert!(Arc::ptr_eq(&parent.zones[&cdn], &fork.zones[&cdn]), "other zones stay shared");
     }
 
     #[test]

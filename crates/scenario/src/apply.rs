@@ -4,19 +4,18 @@
 //! Every scenario in a file shocks the same *baseline*, so
 //! [`run_file`] pays for it once: it generates the [`World`], builds
 //! the baseline dataset with [`GovDataset::build_cached`] and reduces it
-//! to [`BuildMetrics`]. Each scenario then gets its own world and a
-//! clone of the [`BuildCache`], applies its shocks in file order through
+//! to [`BuildMetrics`]. Each scenario then forks the baseline — a clone
+//! of the world, which copies only DNS and ground truth and shares every
+//! other surface, plus clones of the dataset and the [`BuildCache`] —
+//! applies its shocks to the fork in file order through
 //! [`govhost_worldgen::shock`], and rebuilds exactly the shocked
-//! countries with [`GovDataset::rebuild_incremental`] — the what-if
+//! countries with [`GovDataset::rebuild_incremental`]: the what-if
 //! answer arrives at incremental cost, not full-build cost. Shocks
-//! rewrite DNS only, so that rebuild re-runs §3.4 identify and crawls
-//! nothing. The first scenario shocks the baseline world itself; later
-//! ones regenerate it, which yields the same world (and the same
-//! content version, so the cached crawls still apply) because
-//! generation is deterministic, and keeps a single world alive at a
-//! time. Only the shocked dataset is
-//! measured per scenario. [`run_scenario`] is the one-scenario case of
-//! the same path.
+//! rewrite DNS only, and a fork keeps its parent's content version, so
+//! that rebuild re-runs §3.4 identify and crawls nothing. The baseline
+//! itself is never shocked. Only the shocked dataset is measured per
+//! scenario. [`run_scenario`] is the one-scenario case of the same
+//! path.
 //!
 //! Everything downstream of the same `(params, scenario, options)` is
 //! bit-identical at every thread count, and a scenario's run is the
@@ -126,10 +125,11 @@ fn resolve_outages(scenario: &Scenario) -> Result<Vec<&'static GlobalProvider>, 
         .collect()
 }
 
-/// The unshocked side of every scenario in a file.
+/// The unshocked side of every scenario in a file: the world, its
+/// dataset and build cache, and the dataset's metrics. Scenarios fork
+/// it in [`apply`] and never write it.
 struct Baseline {
-    /// The generated world, until the first scenario takes it to shock.
-    world: Option<World>,
+    world: World,
     dataset: GovDataset,
     cache: BuildCache,
     metrics: BuildMetrics,
@@ -140,49 +140,43 @@ impl Baseline {
         let world = World::generate(params);
         let (dataset, _report, cache) = GovDataset::build_cached(&world, options)?;
         let metrics = BuildMetrics::measure(&dataset);
-        Ok(Baseline { world: Some(world), dataset, cache, metrics })
-    }
-
-    /// A copy for one scenario to consume. The world moves with the
-    /// first fork; later forks regenerate it in [`apply`].
-    fn fork(&mut self) -> Baseline {
-        Baseline {
-            world: self.world.take(),
-            dataset: self.dataset.clone(),
-            cache: self.cache.clone(),
-            metrics: self.metrics.clone(),
-        }
+        Ok(Baseline { world, dataset, cache, metrics })
     }
 }
 
-/// Shock a baseline with one scenario whose outages are already
-/// resolved, rebuild the dirty countries, and measure the result.
+/// Fork the baseline, shock the fork with one scenario whose outages
+/// are already resolved, rebuild the dirty countries, and measure the
+/// result.
 fn apply(
-    params: &GenParams,
     options: &BuildOptions,
-    base: Baseline,
+    base: &Baseline,
     scenario: &Scenario,
     providers: Vec<&'static GlobalProvider>,
 ) -> Result<ScenarioRun, ApplyError> {
-    let Baseline { world, dataset: baseline, mut cache, metrics: baseline_metrics } = base;
-    let mut world = world.unwrap_or_else(|| World::generate(params));
     let outages: Vec<(u32, String)> =
         providers.iter().map(|p| (p.asn, p.org.to_string())).collect();
-    let mut combined = ShockReport::default();
-    let mut providers = providers.into_iter();
-    for s in &scenario.shocks {
-        let report = match s {
-            Shock::Outage(_) => {
-                let p = providers.next().expect("one resolved provider per outage");
-                shock::provider_outage(&mut world, p)
-            }
-            Shock::Onshore(target) => shock::onshore(&mut world, *target),
-            Shock::Vantage(key) => shock::vantage_shift(&mut world, key),
-        };
-        combined.absorb(report);
-    }
-    let (shocked, _report) =
-        GovDataset::rebuild_incremental(&world, options, &mut cache, &combined.dirty)?;
+    // The fork lives only until its rebuild, so the measurement below
+    // and the baseline copy in the run never hold it.
+    let (shocked, combined) = {
+        let mut world = base.world.clone();
+        let mut combined = ShockReport::default();
+        let mut providers = providers.into_iter();
+        for s in &scenario.shocks {
+            let report = match s {
+                Shock::Outage(_) => {
+                    let p = providers.next().expect("one resolved provider per outage");
+                    shock::provider_outage(&mut world, p)
+                }
+                Shock::Onshore(target) => shock::onshore(&mut world, *target),
+                Shock::Vantage(key) => shock::vantage_shift(&mut world, key),
+            };
+            combined.absorb(report);
+        }
+        let mut cache = base.cache.clone();
+        let (shocked, _report) =
+            GovDataset::rebuild_incremental(&world, options, &mut cache, &combined.dirty)?;
+        (shocked, combined)
+    };
     let shocked_metrics = BuildMetrics::measure(&shocked);
     let ns_only_percent = ns_only_share(&shocked, &combined.darkened);
     Ok(ScenarioRun {
@@ -191,9 +185,9 @@ fn apply(
         dirty: combined.dirty.into_iter().collect(),
         outages,
         darkened: combined.darkened,
-        baseline,
+        baseline: base.dataset.clone(),
         shocked,
-        baseline_metrics,
+        baseline_metrics: base.metrics.clone(),
         shocked_metrics,
         ns_only_percent,
     })
@@ -208,7 +202,7 @@ pub fn run_scenario(
     // Resolve every provider reference *before* paying for worldgen, so
     // a typo'd org name fails in microseconds.
     let providers = resolve_outages(scenario)?;
-    apply(params, options, Baseline::build(params, options)?, scenario, providers)
+    apply(options, &Baseline::build(params, options)?, scenario, providers)
 }
 
 /// Evaluate every scenario in a file, in declaration order, against one
@@ -222,17 +216,15 @@ pub fn run_file(
     // in the last scenario fails as fast as one in the first.
     let resolved =
         file.scenarios.iter().map(resolve_outages).collect::<Result<Vec<_>, _>>()?;
-    let mut plans = file.scenarios.iter().zip(resolved);
-    let Some((last, last_providers)) = plans.next_back() else {
+    if resolved.is_empty() {
         return Ok(Vec::new());
-    };
-    let mut base = Baseline::build(params, options)?;
-    let mut runs = Vec::with_capacity(file.scenarios.len());
-    for (scenario, providers) in plans {
-        runs.push(apply(params, options, base.fork(), scenario, providers)?);
     }
-    runs.push(apply(params, options, base, last, last_providers)?);
-    Ok(runs)
+    let base = Baseline::build(params, options)?;
+    file.scenarios
+        .iter()
+        .zip(resolved)
+        .map(|(scenario, providers)| apply(options, &base, scenario, providers))
+        .collect()
 }
 
 /// Per-country percentage of URLs whose host went dark *only* through

@@ -13,9 +13,10 @@
 //!    (`scenario`, `outage provider`, `onshore`, `vantage` directives)
 //!    with typed, line-numbered errors; total over hostile input.
 //! 2. **[`apply`]** — [`run_file`] generates the world and builds and
-//!    measures the baseline once; each scenario then applies its shocks
-//!    via [`govhost_worldgen::shock`] as one synthetic tick on its own
-//!    world and a clone of the build cache, and rebuilds only the dirty
+//!    measures the baseline once; each scenario then forks it (a world
+//!    clone that copies only DNS and ground truth, plus a clone of the
+//!    build cache), applies its shocks via [`govhost_worldgen::shock`]
+//!    as one synthetic tick on the fork, and rebuilds only the dirty
 //!    countries. [`run_scenario`] is the same path for one scenario.
 //! 3. **[`mod@diff`] / [`insight`]** — any two builds reduced to
 //!    [`BuildMetrics`] and lined up row by row with winners and

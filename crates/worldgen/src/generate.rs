@@ -36,6 +36,7 @@ use govhost_web::site::Website;
 use govhost_det::DetRng;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Ministry/agency name stems used to synthesize hostnames.
 const AGENCY_WORDS: &[&str] = &[
@@ -128,7 +129,9 @@ struct NationalAses {
 
 impl World {
     /// Generate a world from parameters. Deterministic: the same
-    /// parameters always produce the same world.
+    /// parameters always produce the same world, though each call stamps
+    /// its own fresh [`ContentVersion`], so a cache built against one
+    /// generated world is reused only by that world and its forks.
     pub fn generate(params: &GenParams) -> World {
         Generator::new(*params).run()
     }
@@ -1335,22 +1338,22 @@ impl Generator {
 
         World {
             params: self.params,
-            registry: self.registry,
-            peeringdb: self.peeringdb,
-            search: self.search,
+            registry: Arc::new(self.registry),
+            peeringdb: Arc::new(self.peeringdb),
+            search: Arc::new(self.search),
             resolver,
-            corpus: self.corpus,
-            fleet: self.fleet,
-            latency: self.latency,
-            geodb,
-            manycast,
-            thresholds,
-            hoiho: self.hoiho,
-            ipmap: self.ipmap,
-            landing_pages: self.landing_pages,
-            topsites: self.topsites,
+            corpus: Arc::new(self.corpus),
+            fleet: Arc::new(self.fleet),
+            latency: Arc::new(self.latency),
+            geodb: Arc::new(geodb),
+            manycast: Arc::new(manycast),
+            thresholds: Arc::new(thresholds),
+            hoiho: Arc::new(self.hoiho),
+            ipmap: Arc::new(self.ipmap),
+            landing_pages: Arc::new(self.landing_pages),
+            topsites: Arc::new(self.topsites),
             truth: self.truth,
-            content_version: ContentVersion::Generated(self.params),
+            content_version: ContentVersion::fresh(),
         }
     }
 }
