@@ -42,9 +42,15 @@ cargo test -q --offline -p govhost-obs --test prop_obs
 # The interned-build determinism pin runs at full paper scale (scale 1,
 # ~1M URLs) across 1/2/4/8 work-stealing threads, so it is #[ignore]d in
 # the debug pass above and exercised here in release, together with the
-# interner-vs-reference-model property suite.
+# interner-vs-reference-model property suite. Those compare builds with
+# each other; the digest pin (build_digests, also #[ignore]d in debug)
+# compares one scale-0.3, seed-7, 2-thread build with the FNV-1a 64
+# digests of its export_csv files and metrics.json recorded in
+# results/build_digests_scale0.3.txt, so a change that alters the
+# dataset the same way at every thread count fails too.
 echo "==> interned build suites"
 cargo test -q --offline --release --test interning -- --include-ignored
+cargo test -q --offline --release --test build_digests -- --include-ignored
 cargo test -q --offline -p govhost-core --test prop_table
 
 # Longitudinal determinism: same-seed ticks are bit-identical, the

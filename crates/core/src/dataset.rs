@@ -71,16 +71,19 @@
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
-use crate::table::{UrlInterner, UrlRef, UrlTable};
+use crate::table::{mix64, PreHashedSet, UrlInterner, UrlRef, UrlTable};
 use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig, ValidationStats};
 use govhost_types::{
     Asn, CountryCode, HostId, HostInterner, Hostname, PipelineError, PipelineStage,
     ProviderCategory, Region, Url,
 };
+use govhost_types::url::Scheme;
 use govhost_web::crawler::{Crawler, FailureCauses};
+use govhost_web::page::Page;
 use govhost_worldgen::{ContentVersion, World};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Options for [`GovDataset::build`].
 #[derive(Debug, Clone, Copy)]
@@ -233,7 +236,9 @@ pub struct StageTimings {
     pub identify: StageStat,
     /// §3.5 geolocation; items = unique (address, country) tasks.
     pub geolocate: StageStat,
-    /// Merge + §5.1 category assignment; items = host records.
+    /// Merge + §5.1 category assignment: the per-country merge of the
+    /// crawled chunks, the assembly replay into the global tables and
+    /// the category pass; items = host records.
     pub analyze: StageStat,
     /// Elapsed wall-clock of the whole build, in nanoseconds.
     pub build_nanos: u64,
@@ -440,6 +445,10 @@ struct ChunkJob {
 /// What one chunk job produces: a chunk-local interned, columnar view of
 /// every *unique* URL its crawls examined. Host ids are local to the
 /// chunk's own arena (`host_names` order); the merge remaps them.
+///
+/// The partial is a function of the *set* of pages the chunk examined
+/// and their first-visit order, not of how often each comes back: see
+/// [`stream_chunk`] for why a repeat page is skipped.
 struct ChunkPartial {
     /// Chunk-local hostname arena, in first-seen order.
     host_names: Vec<Hostname>,
@@ -453,10 +462,46 @@ struct ChunkPartial {
     failure_causes: FailureCauses,
 }
 
+/// The identity of one examined page within a build: the address of its
+/// record in the corpus plus the scheme it was fetched under.
+///
+/// The corpus is borrowed immutably for the whole build, so a page's
+/// address is stable and names exactly one `(host, path)`: sites are
+/// keyed by hostname and pages by path. A page answers under either
+/// scheme, and its own URL row carries the scheme it was fetched under,
+/// so the scheme is part of the key: `http://` and `https://` visits of
+/// the same page are two different examinations. Everything else the
+/// examination reads — the page's byte count and its resource list — is
+/// the record behind the address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PageKey {
+    page: *const Page,
+    scheme: Scheme,
+}
+
+impl std::hash::Hash for PageKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // One pre-mixed word for a `PreHashed` set. Records are at least
+        // word-aligned, so bit 0 of the address is free for the scheme.
+        let word = self.page as usize as u64 | u64::from(self.scheme == Scheme::Https);
+        state.write_u64(mix64(word));
+    }
+}
+
 /// The §3.2–§3.3 streaming stage for one landing chunk: crawl each
 /// landing page breadth-first, stream batches of pages straight through
 /// classification into the chunk's interners. Pure in
 /// `(world, options, ctx, range)` — scheduling cannot change its output.
+///
+/// Each page is examined at most once per chunk, keyed by [`PageKey`].
+/// The crawls of one chunk keep rendering the same pages (every landing
+/// crawl of a country re-walks its shared sections), and a repeat can
+/// add nothing: on the first visit its own URL row and every resource
+/// row were interned with the bytes the same record lists, so a second
+/// examination would find every host and every row already present and
+/// change no row, no row order and no first-sighting byte count. The
+/// crawl itself still walks every page, so page counts, HAR entries and
+/// fetch failures are unchanged.
 ///
 /// A landing page that cannot be fetched is a crawl-stage fault
 /// ([`PipelineError::Crawl`]): the site would contribute nothing, so the
@@ -472,6 +517,7 @@ fn stream_chunk(
     let mut hosts = HostInterner::new();
     let mut verdicts: Vec<Option<ClassificationMethod>> = Vec::new();
     let mut rows = UrlInterner::new();
+    let mut examined: PreHashedSet<PageKey> = PreHashedSet::default();
     let mut pages = 0u64;
     let mut crawl_failures = 0u32;
     let mut failure_causes = FailureCauses::default();
@@ -504,6 +550,9 @@ fn stream_chunk(
             }
             let _classify = govhost_obs::span!("classify");
             for visit in &batch {
+                if !examined.insert(PageKey { page: visit.page, scheme: visit.url.scheme() }) {
+                    continue; // every row this page lists is already interned
+                }
                 examine(&visit.url, visit.page.html_bytes);
                 for res in &visit.page.resources {
                     examine(&res.url, res.bytes);
@@ -535,11 +584,15 @@ type ContentKey = (ContentVersion, Crawler);
 /// [`GovDataset::rebuild_incremental`] exact.
 ///
 /// The entry is split by what each half reads, so a rebuild can redo
-/// one half without the other.
+/// one half without the other. The content half is never written after
+/// [`GovDataset::crawl_countries`] creates it — a rebuild either keeps
+/// it whole or replaces it, and only the infra half is spliced in place —
+/// so it sits behind an `Arc`: cloning a [`BuildCache`] (every what-if
+/// scenario forks the baseline's) copies pointers plus the infra halves.
 #[derive(Debug, Clone)]
 struct CountryEntry {
     code: CountryCode,
-    content: ContentHalf,
+    content: Arc<ContentHalf>,
     infra: InfraHalf,
 }
 
@@ -1045,7 +1098,9 @@ impl GovDataset {
         // sighting wins, in crawl order), and distil each country's
         // government surface into its own entry. No global state is
         // touched here — that is the assembly's job — so an entry is a
-        // pure function of the world and one country.
+        // pure function of the world and one country. This is the first
+        // half of the `analyze` stage; the assembly replay is the second.
+        let _analyze = govhost_obs::span!("analyze");
         let mut quarantined: Vec<QuarantineEntry> = Vec::new();
         let mut works: Vec<CountryWork> = Vec::with_capacity(ctxs.len());
         for (ci, ctx) in ctxs.iter().enumerate() {
@@ -1066,6 +1121,8 @@ impl GovDataset {
             }
             let mut country_hosts = HostInterner::new();
             let mut country_verdicts: Vec<Option<ClassificationMethod>> = Vec::new();
+            // Country-local host id → its id in `gov`, once it has one.
+            let mut gov_ids: Vec<Option<HostId>> = Vec::new();
             let mut country_rows = UrlInterner::new();
             let mut gov = HostInterner::new();
             let mut gov_methods: Vec<ClassificationMethod> = Vec::new();
@@ -1086,6 +1143,7 @@ impl GovDataset {
                         let (chid, new) = country_hosts.intern(name);
                         if new {
                             country_verdicts.push(*verdict);
+                            gov_ids.push(None);
                         }
                         chid
                     })
@@ -1104,11 +1162,12 @@ impl GovDataset {
                     // arena at their first government row, so the local
                     // ids run in exactly the order the global merge will
                     // first see each host — the invariant replay needs.
-                    let name = country_hosts.resolve(chid);
-                    let (lid, new_gov) = gov.intern(name);
-                    if new_gov {
+                    // Later rows of the host read its id from `gov_ids`
+                    // instead of hashing the hostname again.
+                    let lid = *gov_ids[chid.index()].get_or_insert_with(|| {
                         gov_methods.push(method);
-                    }
+                        gov.intern(country_hosts.resolve(chid)).0
+                    });
                     rows.push(row.scheme, lid, row.path, row.bytes);
                 }
             }
@@ -1116,7 +1175,7 @@ impl GovDataset {
             works.push(CountryWork {
                 entry: CountryEntry {
                     code: ctx.code,
-                    content: ContentHalf {
+                    content: Arc::new(ContentHalf {
                         read: key,
                         landing: ctx.landing.len() as u32,
                         gov,
@@ -1125,7 +1184,7 @@ impl GovDataset {
                         examined,
                         crawl_failures,
                         failure_causes,
-                    },
+                    }),
                     infra: InfraHalf::default(),
                 },
                 shards: CountryShards {
@@ -1172,13 +1231,35 @@ impl GovDataset {
     /// span and the merge-side counters are emitted — and `None` for
     /// countries replayed from cache, which emit no telemetry because no
     /// measurement work happened. `classify.urls_examined` is emitted
-    /// only for countries whose crawl actually ran.
+    /// only for countries whose crawl actually ran. The replay and the
+    /// category pass run under the `analyze` stage span.
     fn assemble(
         world: &World,
         options: &BuildOptions,
         entries: &[CountryEntry],
         shards: Vec<Option<CountryShards>>,
     ) -> Assembled {
+        let mut recomputed: Vec<bool> = Vec::with_capacity(entries.len());
+        for (entry, shard) in entries.iter().zip(shards) {
+            recomputed.push(shard.is_some());
+            let Some(shard) = shard else { continue };
+            let code = entry.code;
+            let _country = govhost_obs::span_labeled("country", &[("country", code.as_str())]);
+            let country_ctx = govhost_obs::context();
+            for s in shard.crawl {
+                govhost_obs::absorb(s, &country_ctx);
+            }
+            govhost_obs::absorb(shard.identify, &country_ctx);
+            if shard.content_fresh {
+                govhost_obs::counter_add(
+                    "classify.urls_examined",
+                    &[("country", code.as_str())],
+                    entry.content.examined,
+                );
+            }
+        }
+
+        let analyze = govhost_obs::span!("analyze");
         let mut hosts: Vec<HostRecord> = Vec::new();
         let mut host_ids = HostInterner::new();
         let mut urls = UrlTable::new();
@@ -1187,44 +1268,15 @@ impl GovDataset {
         let mut failure_causes = FailureCauses::default();
         let mut resolution_failures = 0u64;
         let mut per_country: HashMap<CountryCode, CountryStats> = HashMap::new();
-        for (entry, shard) in entries.iter().zip(shards) {
+        for (entry, recomputed) in entries.iter().zip(recomputed) {
             let code = entry.code;
             let (content, infra) = (&entry.content, &entry.infra);
-            let _country = shard.is_some().then(|| {
-                govhost_obs::span_labeled("country", &[("country", code.as_str())])
-            });
-            if let Some(shard) = shard {
-                let country_ctx = govhost_obs::context();
-                for s in shard.crawl {
-                    govhost_obs::absorb(s, &country_ctx);
-                }
-                govhost_obs::absorb(shard.identify, &country_ctx);
-                if shard.content_fresh {
-                    govhost_obs::counter_add(
-                        "classify.urls_examined",
-                        &[("country", code.as_str())],
-                        content.examined,
-                    );
-                }
-                // Host records are attributed to the first country that
-                // surfaces them (fixed country order), and so is the
-                // counter.
-                let new_hosts = content
-                    .gov
-                    .iter()
-                    .filter(|(_, name)| host_ids.get(name).is_none())
-                    .count() as u64;
-                govhost_obs::counter_add(
-                    "analyze.hosts",
-                    &[("country", code.as_str())],
-                    new_hosts,
-                );
-            }
             // Replay the global merge: intern this country's government
             // hostnames (the first surfacing country wins the record),
             // then append its URL rows. Both orders equal the original
             // crawl-order merge, so the global tables come out
             // byte-identical whether the entry is fresh or cached.
+            let first_new = hosts.len();
             let mut gids: Vec<HostId> = Vec::with_capacity(content.gov.len());
             for (lid, name) in content.gov.iter() {
                 let (gid, new_global) = host_ids.intern(name);
@@ -1245,6 +1297,16 @@ impl GovDataset {
                     });
                 }
                 gids.push(gid);
+            }
+            if recomputed {
+                // Host records are attributed to the first country that
+                // surfaces them (fixed country order), and so is the
+                // counter.
+                govhost_obs::counter_add(
+                    "analyze.hosts",
+                    &[("country", code.as_str())],
+                    (hosts.len() - first_new) as u64,
+                );
             }
             let mut stats = CountryStats {
                 landing: content.landing,
@@ -1285,10 +1347,8 @@ impl GovDataset {
         }
 
         // Cross-country pass: provider footprints → §5.1 categories.
-        {
-            let _analyze = govhost_obs::span!("analyze");
-            assign_categories(&mut hosts);
-        }
+        assign_categories(&mut hosts);
+        drop(analyze);
 
         // §3.5 (parallel): validate every (address, serving country) pair.
         let validation = {
@@ -1499,6 +1559,54 @@ mod tests {
     fn dataset() -> GovDataset {
         let world = World::generate(&GenParams::tiny());
         GovDataset::build(&world, &BuildOptions::default())
+    }
+
+    /// The page key of `stream_chunk` includes the scheme: a page crawled
+    /// under `https://` and again under `http://` in one chunk is two
+    /// examinations with two URL rows. A landing page gains an `http://`
+    /// link to a page it already links under `https://`; both rows must
+    /// be exported, each with the page's bytes.
+    #[test]
+    fn a_page_fetched_under_both_schemes_exports_both_rows() {
+        let mut world = World::generate(&GenParams::tiny());
+        let options = BuildOptions::default();
+        let before = GovDataset::build(&world, &options);
+        let row_bytes = |ds: &GovDataset, scheme: Scheme, host: &Hostname, path: &str| {
+            let id = ds.host_id(host)?;
+            ds.urls
+                .iter()
+                .find(|r| r.scheme == scheme && r.host == id && r.path == path)
+                .map(|r| r.bytes)
+        };
+        // A landing page with an https link to an existing page of its own
+        // site whose http row the build does not export yet.
+        let (landing, target) = world
+            .studied_countries()
+            .iter()
+            .flat_map(|row| world.landing(row.cc()).iter())
+            .find_map(|landing| {
+                let site = world.corpus().site(landing.hostname())?;
+                let link = site.landing_page().links.iter().find(|l| {
+                    l.scheme() == Scheme::Https
+                        && l.hostname() == landing.hostname()
+                        && l.path() != landing.path()
+                        && site.page(l.path()).is_some()
+                        && row_bytes(&before, Scheme::Https, l.hostname(), l.path()).is_some()
+                        && row_bytes(&before, Scheme::Http, l.hostname(), l.path()).is_none()
+                })?;
+                Some((landing.clone(), link.clone()))
+            })
+            .expect("some landing page links to a page of its own site");
+        let host = target.hostname().clone();
+        let http: Url = format!("http://{host}{}", target.path()).parse().unwrap();
+        let site = world.corpus_mut().site_mut(&host).unwrap();
+        let page_bytes = site.page(target.path()).unwrap().html_bytes;
+        site.page_mut(landing.path()).unwrap().links.push(http);
+
+        let after = GovDataset::build(&world, &options);
+        assert_eq!(row_bytes(&after, Scheme::Https, &host, target.path()), Some(page_bytes));
+        assert_eq!(row_bytes(&after, Scheme::Http, &host, target.path()), Some(page_bytes));
+        assert_eq!(after.urls.len(), before.urls.len() + 1, "exactly the http row is new");
     }
 
     #[test]

@@ -12,11 +12,24 @@
 //! URLs (the crawl visits the same URL from many pages) without ever
 //! materializing an owned key: candidate rows are hashed from their parts
 //! and verified against the columns on collision.
+//!
+//! ## One hash per row
+//!
+//! A row is hashed once: an FNV-style pass over scheme, host id and the
+//! path's bytes, eight at a time, then a 64-bit finaliser (`row_hash`).
+//! The index map keys on that finished `u64` and hashes it no further
+//! (`PreHashed`). The hash only picks a bucket: a lookup is a hit only
+//! when the stored row's columns equal the candidate's, and two
+//! different rows that share a hash both get rows (the second through
+//! the overflow list). So the choice of hash can change speed, never
+//! which rows exist, their ids, their order or their bytes. The hash is
+//! unkeyed: rows come from the generated world's corpus, never from
+//! outside input that could be crafted to collide.
 
 use govhost_types::url::Scheme;
 use govhost_types::{HostId, UrlId};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One URL row viewed out of a [`UrlTable`]: copies of the fixed-width
 /// columns plus a borrowed path slice.
@@ -127,15 +140,66 @@ impl<'a> IntoIterator for &'a UrlTable {
     }
 }
 
+/// A [`Hasher`] for keys that are already well-mixed `u64` hashes: it
+/// keeps the last word written and returns it unchanged, so a map keyed
+/// by a finished hash does not hash it a second time. Keys must be
+/// written with [`Hasher::write_u64`] (the `Hash` impl of `u64` does).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PreHashed takes finished u64 hashes only");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// A `HashMap` over pre-hashed keys (see [`PreHashed`]).
+pub(crate) type PreHashedMap<K, V> = HashMap<K, V, BuildHasherDefault<PreHashed>>;
+
+/// A `HashSet` over pre-hashed keys (see [`PreHashed`]).
+pub(crate) type PreHashedSet<K> = HashSet<K, BuildHasherDefault<PreHashed>>;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+/// The 64-bit finaliser of MurmurHash3: spreads every input bit over
+/// the whole word, so both the bucket bits and the control bits a
+/// `HashMap` reads from a [`PreHashed`] key are well mixed.
+pub(crate) fn mix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The row's hash: one FNV-style pass over scheme, host id and the path
+/// (eight bytes per step, the length folded in so a short tail cannot
+/// alias a zero-padded one), then [`mix64`]. Deterministic across
+/// processes; only bucket choice depends on it.
 fn row_hash(scheme: Scheme, host: HostId, path: &str) -> u64 {
-    // DefaultHasher with its fixed default keys: deterministic within a
-    // process, and the hash only gates bucket lookup — row order (and
-    // therefore every exported byte) never depends on it.
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    scheme.hash(&mut h);
-    host.hash(&mut h);
-    path.hash(&mut h);
-    h.finish()
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
+    let mut h = step(FNV_OFFSET, u64::from(host.raw()) << 1 | u64::from(scheme == Scheme::Https));
+    h = step(h, path.len() as u64);
+    let mut words = path.as_bytes().chunks_exact(8);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("chunks of eight")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    mix64(h)
 }
 
 /// Deduplicating writer over a [`UrlTable`].
@@ -148,7 +212,7 @@ fn row_hash(scheme: Scheme, host: HostId, path: &str) -> u64 {
 pub struct UrlInterner {
     table: UrlTable,
     /// hash → first row with that hash.
-    index: HashMap<u64, UrlId>,
+    index: PreHashedMap<u64, UrlId>,
     /// Rows whose hash collided with an earlier, different row.
     overflow: Vec<(u64, UrlId)>,
 }
@@ -167,7 +231,19 @@ impl UrlInterner {
     /// Intern a URL row: returns its id and whether this call inserted it
     /// (`true` exactly on the first sighting).
     pub fn intern(&mut self, scheme: Scheme, host: HostId, path: &str, bytes: u64) -> (UrlId, bool) {
-        let hash = row_hash(scheme, host, path);
+        self.intern_hashed(row_hash(scheme, host, path), scheme, host, path, bytes)
+    }
+
+    /// [`Self::intern`] with the row's hash given, so a test can make two
+    /// different rows collide.
+    fn intern_hashed(
+        &mut self,
+        hash: u64,
+        scheme: Scheme,
+        host: HostId,
+        path: &str,
+        bytes: u64,
+    ) -> (UrlId, bool) {
         if let Some(&first) = self.index.get(&hash) {
             if self.row_matches(first, scheme, host, path) {
                 return (first, false);
@@ -242,6 +318,21 @@ mod tests {
         let (d, _) = it.intern(Scheme::Https, HostId::new(0), "/y", 10);
         assert_eq!(it.len(), 4);
         assert!(a != b && b != c && c != d);
+    }
+
+    #[test]
+    fn colliding_rows_stay_distinct() {
+        let mut it = UrlInterner::new();
+        let (a, _) = it.intern_hashed(7, Scheme::Https, HostId::new(0), "/a", 1);
+        let (b, new_b) = it.intern_hashed(7, Scheme::Https, HostId::new(0), "/b", 2);
+        let (c, new_c) = it.intern_hashed(7, Scheme::Http, HostId::new(0), "/a", 3);
+        assert!(new_b && new_c);
+        assert_eq!((a.raw(), b.raw(), c.raw()), (0, 1, 2));
+        // Repeats find their rows through the index and the overflow list.
+        assert_eq!(it.intern_hashed(7, Scheme::Https, HostId::new(0), "/a", 9), (a, false));
+        assert_eq!(it.intern_hashed(7, Scheme::Https, HostId::new(0), "/b", 9), (b, false));
+        assert_eq!(it.intern_hashed(7, Scheme::Http, HostId::new(0), "/a", 9), (c, false));
+        assert_eq!(it.table().get(c).bytes, 3);
     }
 
     #[test]

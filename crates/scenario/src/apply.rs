@@ -6,8 +6,9 @@
 //! the baseline dataset with [`GovDataset::build_cached`] and reduces it
 //! to [`BuildMetrics`]. Each scenario then forks the baseline — a clone
 //! of the world, which copies only DNS and ground truth and shares every
-//! other surface, plus clones of the dataset and the [`BuildCache`] —
-//! applies its shocks to the fork in file order through
+//! other surface, plus clones of the dataset and the [`BuildCache`],
+//! whose per-country crawl results are shared, so the cache clone copies
+//! pointers and the §3.4 identification halves — applies its shocks to the fork in file order through
 //! [`govhost_worldgen::shock`], and rebuilds exactly the shocked
 //! countries with [`GovDataset::rebuild_incremental`]: the what-if
 //! answer arrives at incremental cost, not full-build cost. Shocks

@@ -1,0 +1,56 @@
+//! Absolute byte pin of the build. Every other build pin compares two
+//! builds with each other — thread counts, incremental against full — so
+//! a change that alters the dataset the same way everywhere passes them
+//! all. This one compares a scale-0.3, seed-7, 2-thread build against
+//! FNV-1a 64 digests recorded in `results/build_digests_scale0.3.txt`:
+//! the three `export_csv` files and the deterministic `metrics.json`.
+//!
+//! A digest may only change together with a change that is meant to
+//! alter the dataset; the recorded file then changes in the same commit.
+//! The scale-0.3 world is slow in debug, so the test is `#[ignore]`d by
+//! default; `ci.sh` runs it in release with `--include-ignored`.
+
+use govhost::obs::export::metrics_json;
+use govhost::prelude::*;
+
+const RECORDED: &str = include_str!("../results/build_digests_scale0.3.txt");
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// The recorded file's data lines: `<file> <fnv1a64 hex> <bytes>`.
+fn render(files: &[(&str, &str)]) -> String {
+    files
+        .iter()
+        .map(|(name, body)| format!("{name} {:016x} {}\n", fnv1a64(body.as_bytes()), body.len()))
+        .collect()
+}
+
+#[test]
+#[ignore = "scale-0.3 world: run in release via ci.sh"]
+fn scale_03_build_matches_the_recorded_digests() {
+    let world = World::generate(&GenParams { seed: 7, scale: 0.3, ..GenParams::default() });
+    let options = BuildOptions { threads: 2, ..BuildOptions::default() };
+    let (dataset, _report) = GovDataset::try_build(&world, &options).expect("clean world builds");
+    let csv = export_csv(&dataset);
+    let metrics = metrics_json(&dataset.telemetry);
+    let got = render(&[
+        ("hosts.csv", &csv.hosts),
+        ("urls.csv", &csv.urls),
+        ("meta.csv", &csv.meta),
+        ("metrics.json", &metrics),
+    ]);
+    let recorded: String = RECORDED
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(got, recorded, "build bytes differ from the recorded digests:\n{got}");
+}
