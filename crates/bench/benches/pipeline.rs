@@ -55,7 +55,7 @@ fn interned_crawl_classify(world: &World) -> usize {
                     }
                     rows.intern(url.scheme(), hid, url.path(), bytes);
                 };
-                examine(&visit.url, visit.page.html_bytes);
+                examine(visit.url, visit.page.html_bytes);
                 for res in &visit.page.resources {
                     examine(&res.url, res.bytes);
                 }
@@ -70,6 +70,26 @@ fn interned_crawl_classify(world: &World) -> usize {
     total_rows
 }
 
+/// Drain a crawl session from every landing page of every studied
+/// country, on one thread and with nothing classified: the crawl alone.
+/// Returns the pages rendered.
+fn crawl_all(world: &World) -> usize {
+    let crawler = Crawler::default();
+    let mut pages = 0;
+    for row in world.studied_countries() {
+        let code = row.cc();
+        let vantage = world.vantage(code).country;
+        for landing_url in world.landing(code) {
+            let mut session = crawler.session(world.corpus(), landing_url, Some(vantage));
+            while let Some(visit) = session.next_page() {
+                black_box(visit.page);
+                pages += 1;
+            }
+        }
+    }
+    pages
+}
+
 fn main() {
     let mut b = Bench::new("pipeline");
 
@@ -78,6 +98,18 @@ fn main() {
     });
 
     let world = World::generate(&GenParams::tiny());
+    // The crawl bare and inside a collection scope, as every build runs
+    // it: the difference is what telemetry costs the crawl (a `fetch`
+    // and a `har` span per page).
+    b.bench("pipeline/crawl", || {
+        black_box(crawl_all(black_box(&world)));
+    });
+    b.bench("pipeline/crawl_collected", || {
+        black_box(govhost_obs::collect(|| {
+            let _crawl = govhost_obs::span!("crawl");
+            crawl_all(black_box(&world))
+        }));
+    });
     b.bench("pipeline/dataset_build_tiny", || {
         black_box(GovDataset::build(black_box(&world), &BuildOptions::default()));
     });

@@ -1,5 +1,6 @@
 //! Benchmarks for the substrate layers: DNS wire format, resolution,
-//! WHOIS, latency model, and the crawler.
+//! WHOIS, latency model, the crawler, and the telemetry recorder's span
+//! cost.
 
 use govhost_dns::{
     AuthoritativeServer, DnsName, Message, RData, Record, RecordType, Resolver, Zone,
@@ -76,6 +77,19 @@ fn main() {
     let crawler = Crawler::default();
     b.bench_with_input("crawler/one_site_depth7", &landing, |url| {
         black_box(crawler.crawl(world.corpus(), &url, Some(ar)));
+    });
+
+    // The recorder's per-span cost inside a collection scope: 64 pairs
+    // of sibling spans under one parent per iteration, the shape of the
+    // crawl's `fetch`/`har` pair under `crawl`.
+    let ((), _spans) = govhost_obs::collect(|| {
+        b.bench("substrates/obs_span_open_close", || {
+            let _parent = govhost_obs::span!("parent");
+            for _ in 0..64 {
+                drop(black_box(govhost_obs::span!("first")));
+                drop(black_box(govhost_obs::span!("second")));
+            }
+        });
     });
 
     // A routing-table-sized trie vs the naive linear scan.

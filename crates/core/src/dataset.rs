@@ -71,12 +71,13 @@
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
-use crate::table::{mix64, PreHashedSet, UrlInterner, UrlRef, UrlTable};
+use crate::table::{UrlInterner, UrlRef, UrlTable};
 use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig, ValidationStats};
 use govhost_types::{
     Asn, CountryCode, HostId, HostInterner, Hostname, PipelineError, PipelineStage,
     ProviderCategory, Region, Url,
 };
+use govhost_types::hash::DetHashSet;
 use govhost_types::url::Scheme;
 use govhost_web::crawler::{Crawler, FailureCauses};
 use govhost_web::page::Page;
@@ -481,10 +482,10 @@ struct PageKey {
 
 impl std::hash::Hash for PageKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // One pre-mixed word for a `PreHashed` set. Records are at least
+        // One word for the deterministic hasher. Records are at least
         // word-aligned, so bit 0 of the address is free for the scheme.
         let word = self.page as usize as u64 | u64::from(self.scheme == Scheme::Https);
-        state.write_u64(mix64(word));
+        state.write_u64(word);
     }
 }
 
@@ -517,7 +518,7 @@ fn stream_chunk(
     let mut hosts = HostInterner::new();
     let mut verdicts: Vec<Option<ClassificationMethod>> = Vec::new();
     let mut rows = UrlInterner::new();
-    let mut examined: PreHashedSet<PageKey> = PreHashedSet::default();
+    let mut examined: DetHashSet<PageKey> = DetHashSet::default();
     let mut pages = 0u64;
     let mut crawl_failures = 0u32;
     let mut failure_causes = FailureCauses::default();
@@ -553,7 +554,7 @@ fn stream_chunk(
                 if !examined.insert(PageKey { page: visit.page, scheme: visit.url.scheme() }) {
                     continue; // every row this page lists is already interned
                 }
-                examine(&visit.url, visit.page.html_bytes);
+                examine(visit.url, visit.page.html_bytes);
                 for res in &visit.page.resources {
                     examine(&res.url, res.bytes);
                 }

@@ -15,20 +15,22 @@
 //!
 //! ## One hash per row
 //!
-//! A row is hashed once: an FNV-style pass over scheme, host id and the
-//! path's bytes, eight at a time, then a 64-bit finaliser (`row_hash`).
-//! The index map keys on that finished `u64` and hashes it no further
-//! (`PreHashed`). The hash only picks a bucket: a lookup is a hit only
-//! when the stored row's columns equal the candidate's, and two
-//! different rows that share a hash both get rows (the second through
-//! the overflow list). So the choice of hash can change speed, never
-//! which rows exist, their ids, their order or their bytes. The hash is
+//! A row is hashed once, with the workspace's deterministic hasher
+//! (`govhost_types::hash::DetHasher`: an FNV-style pass over scheme, host
+//! id and the path's bytes, eight at a time, then a 64-bit finaliser;
+//! `row_hash`). The index map keys on that finished `u64` and hashes it
+//! no further (`PreHashed`). The hash only picks a bucket: a lookup is a
+//! hit only when the stored row's columns equal the candidate's, and two
+//! different rows that share a hash both get rows (the second through the
+//! overflow list). So the choice of hash can change speed, never which
+//! rows exist, their ids, their order or their bytes. The hash is
 //! unkeyed: rows come from the generated world's corpus, never from
 //! outside input that could be crafted to collide.
 
 use govhost_types::url::Scheme;
 use govhost_types::{HostId, UrlId};
-use std::collections::{HashMap, HashSet};
+use govhost_types::hash::DetHasher;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One URL row viewed out of a [`UrlTable`]: copies of the fixed-width
@@ -145,7 +147,7 @@ impl<'a> IntoIterator for &'a UrlTable {
 /// by a finished hash does not hash it a second time. Keys must be
 /// written with [`Hasher::write_u64`] (the `Hash` impl of `u64` does).
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PreHashed(u64);
+struct PreHashed(u64);
 
 impl Hasher for PreHashed {
     fn finish(&self) -> u64 {
@@ -162,44 +164,17 @@ impl Hasher for PreHashed {
 }
 
 /// A `HashMap` over pre-hashed keys (see [`PreHashed`]).
-pub(crate) type PreHashedMap<K, V> = HashMap<K, V, BuildHasherDefault<PreHashed>>;
+type PreHashedMap<K, V> = HashMap<K, V, BuildHasherDefault<PreHashed>>;
 
-/// A `HashSet` over pre-hashed keys (see [`PreHashed`]).
-pub(crate) type PreHashedSet<K> = HashSet<K, BuildHasherDefault<PreHashed>>;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-/// The 64-bit finaliser of MurmurHash3: spreads every input bit over
-/// the whole word, so both the bucket bits and the control bits a
-/// `HashMap` reads from a [`PreHashed`] key are well mixed.
-pub(crate) fn mix64(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
-/// The row's hash: one FNV-style pass over scheme, host id and the path
-/// (eight bytes per step, the length folded in so a short tail cannot
-/// alias a zero-padded one), then [`mix64`]. Deterministic across
-/// processes; only bucket choice depends on it.
+/// The row's hash: the workspace's deterministic hasher
+/// ([`DetHasher`]) over one word packing the host id and the scheme, then
+/// the path (its length, then its bytes eight at a time). Deterministic
+/// across processes; only bucket choice depends on it.
 fn row_hash(scheme: Scheme, host: HostId, path: &str) -> u64 {
-    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
-    let mut h = step(FNV_OFFSET, u64::from(host.raw()) << 1 | u64::from(scheme == Scheme::Https));
-    h = step(h, path.len() as u64);
-    let mut words = path.as_bytes().chunks_exact(8);
-    for word in &mut words {
-        h = step(h, u64::from_le_bytes(word.try_into().expect("chunks of eight")));
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        h = step(h, u64::from_le_bytes(last));
-    }
-    mix64(h)
+    let mut h = DetHasher::default();
+    h.write_u64(u64::from(host.raw()) << 1 | u64::from(scheme == Scheme::Https));
+    h.write(path.as_bytes());
+    h.finish()
 }
 
 /// Deduplicating writer over a [`UrlTable`].

@@ -67,6 +67,7 @@ pub use metrics::{Histogram, Labels, Registry};
 pub use trace::{SpanContext, SpanKey, SpanNode};
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// One complete capture: the aggregated span tree plus the metrics
@@ -117,11 +118,89 @@ impl Telemetry {
     }
 }
 
-/// A per-thread capture in progress: the telemetry being built plus the
-/// path of currently open spans.
+/// One node of a scope's span arena: a [`SpanNode`] whose children are
+/// arena indices, so an open span is addressed by its index instead of
+/// by its path from the root.
+#[derive(Debug)]
+struct ArenaNode {
+    /// The node's key under its parent (empty for the root), kept so
+    /// [`context`] can spell out the open path.
+    key: SpanKey,
+    count: u64,
+    busy_ns: u64,
+    children: BTreeMap<SpanKey, usize>,
+}
+
+impl ArenaNode {
+    fn new(key: SpanKey) -> ArenaNode {
+        ArenaNode { key, count: 0, busy_ns: 0, children: BTreeMap::new() }
+    }
+}
+
+/// The arena index of the virtual root.
+const ROOT: usize = 0;
+
+/// A per-thread capture in progress: the span tree being built, as an
+/// arena, plus the stack of open spans and the metrics registry.
+///
+/// Opening a span looks its key up among the children of the innermost
+/// open node and pushes the child's index; closing one pops the index and
+/// adds to that node. Neither walks the path from the root nor clones a
+/// key unless the node is new. The arena becomes the [`SpanNode`] tree
+/// of the returned [`Telemetry`] when the scope ends.
 struct Shard {
-    telemetry: Telemetry,
-    path: Vec<SpanKey>,
+    nodes: Vec<ArenaNode>,
+    /// Arena indices of the open spans, outermost first.
+    open: Vec<usize>,
+    registry: Registry,
+}
+
+impl Shard {
+    fn new() -> Shard {
+        Shard {
+            nodes: vec![ArenaNode::new(("", Labels::empty()))],
+            open: Vec::new(),
+            registry: Registry::new(),
+        }
+    }
+
+    /// The child of `parent` under `key`, created empty if missing.
+    fn child(&mut self, parent: usize, key: &SpanKey) -> usize {
+        if let Some(&index) = self.nodes[parent].children.get(key) {
+            return index;
+        }
+        let index = self.nodes.len();
+        self.nodes.push(ArenaNode::new(key.clone()));
+        self.nodes[parent].children.insert(key.clone(), index);
+        index
+    }
+
+    /// Fold `node`'s subtree into the children of arena node `at` (the
+    /// arena form of [`SpanNode::merge`] over `node.children`).
+    fn graft(&mut self, at: usize, node: &SpanNode) {
+        for (key, child) in &node.children {
+            let index = self.child(at, key);
+            self.nodes[index].count += child.count;
+            self.nodes[index].busy_ns += child.busy_ns;
+            self.graft(index, child);
+        }
+    }
+
+    /// Move arena node `index` and its subtree out as a [`SpanNode`].
+    fn take_tree(&mut self, index: usize) -> SpanNode {
+        let children = std::mem::take(&mut self.nodes[index].children);
+        let node = &self.nodes[index];
+        let (count, busy_ns) = (node.count, node.busy_ns);
+        SpanNode {
+            count,
+            busy_ns,
+            children: children.into_iter().map(|(key, c)| (key, self.take_tree(c))).collect(),
+        }
+    }
+
+    fn into_telemetry(mut self) -> Telemetry {
+        Telemetry { root: self.take_tree(ROOT), registry: self.registry }
+    }
 }
 
 thread_local! {
@@ -136,13 +215,11 @@ thread_local! {
 /// exactly what a worker job wants — its shard travels back inside the
 /// job result instead of racing other threads for shared state.
 pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Telemetry) {
-    SHARDS.with(|s| {
-        s.borrow_mut().push(Shard { telemetry: Telemetry::new(), path: Vec::new() })
-    });
+    SHARDS.with(|s| s.borrow_mut().push(Shard::new()));
     let result = f();
     let shard = SHARDS.with(|s| s.borrow_mut().pop().expect("collect scope still open"));
-    debug_assert!(shard.path.is_empty(), "span guards must not outlive their collect scope");
-    (result, shard.telemetry)
+    debug_assert!(shard.open.is_empty(), "span guards must not outlive their collect scope");
+    (result, shard.into_telemetry())
 }
 
 /// The current position in the active scope's span tree (the root
@@ -150,16 +227,30 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Telemetry) {
 /// out; pass it to [`absorb`] when the shards come back.
 pub fn context() -> SpanContext {
     SHARDS.with(|s| {
-        s.borrow().last().map(|shard| SpanContext(shard.path.clone())).unwrap_or_default()
+        s.borrow()
+            .last()
+            .map(|shard| {
+                SpanContext(shard.open.iter().map(|&i| shard.nodes[i].key.clone()).collect())
+            })
+            .unwrap_or_default()
     })
 }
 
 /// Graft a shard captured elsewhere (usually by a worker job) into the
 /// active scope at `ctx`. A no-op when no scope is active.
+///
+/// `ctx` is a path of keys from the root, so it may name the open span,
+/// an open ancestor of it, or a span that has closed since; nodes on the
+/// path that do not exist yet are created empty.
 pub fn absorb(shard: Telemetry, ctx: &SpanContext) {
     SHARDS.with(|s| {
         if let Some(active) = s.borrow_mut().last_mut() {
-            active.telemetry.absorb_at(&shard, ctx);
+            let mut at = ROOT;
+            for key in &ctx.0 {
+                at = active.child(at, key);
+            }
+            active.graft(at, &shard.root);
+            active.registry.merge(&shard.registry);
         }
     });
 }
@@ -168,7 +259,7 @@ pub fn absorb(shard: Telemetry, ctx: &SpanContext) {
 pub fn counter_add(name: &'static str, labels: &[(&'static str, &str)], n: u64) {
     SHARDS.with(|s| {
         if let Some(shard) = s.borrow_mut().last_mut() {
-            shard.telemetry.registry.add_counter(name, Labels::new(labels), n);
+            shard.registry.add_counter(name, Labels::new(labels), n);
         }
     });
 }
@@ -179,7 +270,19 @@ pub fn counter_add(name: &'static str, labels: &[(&'static str, &str)], n: u64) 
 pub fn gauge_set(name: &'static str, labels: &[(&'static str, &str)], value: i64) {
     SHARDS.with(|s| {
         if let Some(shard) = s.borrow_mut().last_mut() {
-            shard.telemetry.registry.set_gauge(name, Labels::new(labels), value);
+            shard.registry.set_gauge(name, Labels::new(labels), value);
+        }
+    });
+}
+
+/// Fold a histogram of observations into `name{labels}`: the same
+/// capture as calling [`observe`] with each of its values. Lets a hot
+/// loop sum its observations locally and record them once. A no-op
+/// outside a [`collect`] scope.
+pub fn merge_histogram(name: &'static str, labels: &[(&'static str, &str)], histogram: &Histogram) {
+    SHARDS.with(|s| {
+        if let Some(shard) = s.borrow_mut().last_mut() {
+            shard.registry.merge_histogram(name, Labels::new(labels), histogram);
         }
     });
 }
@@ -190,7 +293,7 @@ pub fn gauge_set(name: &'static str, labels: &[(&'static str, &str)], value: i64
 pub fn observe(name: &'static str, labels: &[(&'static str, &str)], value: u64) {
     SHARDS.with(|s| {
         if let Some(shard) = s.borrow_mut().last_mut() {
-            shard.telemetry.registry.observe(name, Labels::new(labels), value);
+            shard.registry.observe(name, Labels::new(labels), value);
         }
     });
 }
@@ -219,11 +322,9 @@ pub fn span_labeled(name: &'static str, labels: &[(&'static str, &str)]) -> Span
         let mut shards = s.borrow_mut();
         match shards.last_mut() {
             Some(shard) => {
-                let key = (name, Labels::new(labels));
-                // Create the node eagerly so children opened while this
-                // span is live can attach below it.
-                shard.telemetry.root.node_at_mut(&shard.path).children.entry(key.clone()).or_default();
-                shard.path.push(key);
+                let parent = shard.open.last().copied().unwrap_or(ROOT);
+                let index = shard.child(parent, &(name, Labels::new(labels)));
+                shard.open.push(index);
                 true
             }
             None => false,
@@ -241,10 +342,11 @@ impl Drop for Span {
         SHARDS.with(|s| {
             let mut shards = s.borrow_mut();
             if let Some(shard) = shards.last_mut() {
-                let node = shard.telemetry.root.node_at_mut(&shard.path);
-                node.count += 1;
-                node.busy_ns += elapsed;
-                shard.path.pop();
+                if let Some(index) = shard.open.pop() {
+                    let node = &mut shard.nodes[index];
+                    node.count += 1;
+                    node.busy_ns += elapsed;
+                }
             }
         });
     }

@@ -293,6 +293,17 @@ impl Registry {
         self.histograms.entry(key).or_default().observe(value);
     }
 
+    /// Fold a histogram of observations into `name{labels}`: the same
+    /// registry as observing each of its values there one by one, so an
+    /// empty histogram registers no series.
+    pub fn merge_histogram(&mut self, name: &'static str, labels: Labels, histogram: &Histogram) {
+        if histogram.count() == 0 {
+            return;
+        }
+        let key = bounded_key(&self.histograms, name, labels);
+        self.histograms.entry(key).or_default().merge(histogram);
+    }
+
     /// Fold another registry into this one (sum counters, max gauges,
     /// merge histograms).
     pub fn merge(&mut self, other: &Registry) {

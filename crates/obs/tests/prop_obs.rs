@@ -3,11 +3,13 @@
 //! over arbitrary shard contents and arbitrary shard orders — that is
 //! the exact property the deterministic cross-thread telemetry contract
 //! rests on (worker shards fold together in whatever grouping the
-//! scheduler produced; the export must not care). On the in-repo
-//! harness.
+//! scheduler produced; the export must not care). And the recorder
+//! itself: random programs of nested spans, metrics, nested collection
+//! scopes and grafts must record exactly what a reference recorder that
+//! walks each span's path from the root records. On the in-repo harness.
 
 use govhost_harness::{gens, prop_assert_eq, Config, Gen};
-use govhost_obs::{Histogram, Labels, Registry, Telemetry};
+use govhost_obs::{Histogram, Labels, Registry, SpanContext, SpanKey, SpanNode, Telemetry};
 
 const REGRESSIONS: &str = "tests/regressions/prop_obs.txt";
 
@@ -144,6 +146,168 @@ fn registry_level_merge_is_shard_order_independent() {
             govhost_obs::export::metrics_json(&wrap(&backward)),
             "metrics.json bytes are fold-order independent"
         );
+        Ok(())
+    });
+}
+
+/// Where a nested scope's capture is grafted back.
+#[derive(Debug, Clone, Copy)]
+enum Graft {
+    /// At [`govhost_obs::context`] right now.
+    Current,
+    /// At the context of the open span this many levels up (clamped at
+    /// the root), while its descendants are still open.
+    Ancestor(usize),
+    /// At the context of the last sibling span that closed at this
+    /// level (the current context when none has).
+    ClosedSibling,
+}
+
+/// One step of a recording program.
+#[derive(Debug)]
+enum Op {
+    /// Open a span (labelled when `Some`), run the body, close it.
+    Span(&'static str, Option<&'static str>, Vec<Op>),
+    Counter(&'static str, Option<&'static str>, u64),
+    Observe(&'static str, u64),
+    /// Fold a batch of observations in at once.
+    ObserveAll(&'static str, Vec<u64>),
+    /// Run the body in a nested `collect` and graft its capture back.
+    Collect(Vec<Op>, Graft),
+}
+
+fn arb_program(depth: u32) -> Gen<Vec<Op>> {
+    let name = || gens::select(vec!["a", "b", "c"]);
+    let label = || gens::select(vec![None, Some("x"), Some("y")]);
+    let value = gens::u64_range(0, 1 << 20);
+    let mut ops = vec![
+        name().zip(label()).zip(gens::u64_range(0, 9)).map(|((n, l), v)| Op::Counter(n, l, v)),
+        name().zip(value.clone()).map(|(n, v)| Op::Observe(n, v)),
+        name().zip(gens::vec(value, 0, 4)).map(|(n, vs)| Op::ObserveAll(n, vs)),
+    ];
+    if depth > 0 {
+        let graft = gens::one_of(vec![
+            Gen::constant(Graft::Current),
+            gens::usize_range(1, 4).map(Graft::Ancestor),
+            Gen::constant(Graft::ClosedSibling),
+        ]);
+        ops.push(
+            gens::zip3(name(), label(), arb_program(depth - 1)).map(|(n, l, b)| Op::Span(n, l, b)),
+        );
+        ops.push(arb_program(depth - 1).zip(graft).map(|(b, g)| Op::Collect(b, g)));
+    }
+    gens::vec(gens::one_of(ops), 0, 5)
+}
+
+fn labels_of(label: Option<&'static str>) -> Vec<(&'static str, &'static str)> {
+    label.map(|v| vec![("k", v)]).unwrap_or_default()
+}
+
+/// The context a [`Graft`] names, given the contexts captured at each
+/// open span (root first) and at the last closed sibling.
+fn graft_target<C: Clone>(graft: Graft, open: &[C], closed: &Option<C>, current: C) -> C {
+    match graft {
+        Graft::Current => current,
+        Graft::Ancestor(k) => open[open.len() - 1 - k.min(open.len() - 1)].clone(),
+        Graft::ClosedSibling => closed.clone().unwrap_or(current),
+    }
+}
+
+/// Run a program against the real recorder.
+fn run_real(ops: &[Op], open: &mut Vec<SpanContext>) {
+    let mut closed = None;
+    for op in ops {
+        match op {
+            Op::Span(name, label, body) => {
+                let _span = govhost_obs::span_labeled(name, &labels_of(*label));
+                open.push(govhost_obs::context());
+                run_real(body, open);
+                closed = open.pop();
+            }
+            Op::Counter(name, label, n) => govhost_obs::counter_add(name, &labels_of(*label), *n),
+            Op::Observe(name, v) => govhost_obs::observe(name, &[], *v),
+            Op::ObserveAll(name, values) => {
+                let mut h = Histogram::new();
+                values.iter().for_each(|v| h.observe(*v));
+                govhost_obs::merge_histogram(name, &[], &h);
+            }
+            Op::Collect(body, graft) => {
+                let ((), shard) =
+                    govhost_obs::collect(|| run_real(body, &mut vec![SpanContext::root()]));
+                let ctx = graft_target(*graft, open, &closed, govhost_obs::context());
+                govhost_obs::absorb(shard, &ctx);
+            }
+        }
+    }
+}
+
+/// The reference recorder: the span tree plus the path of open keys;
+/// every open, close and graft walks the path from the root.
+#[derive(Default)]
+struct Reference {
+    root: SpanNode,
+    path: Vec<SpanKey>,
+    registry: Registry,
+}
+
+fn node_at<'a>(mut node: &'a mut SpanNode, path: &[SpanKey]) -> &'a mut SpanNode {
+    for key in path {
+        node = node.children.entry(key.clone()).or_default();
+    }
+    node
+}
+
+impl Reference {
+    fn run(&mut self, ops: &[Op], open: &mut Vec<Vec<SpanKey>>) {
+        let mut closed = None;
+        for op in ops {
+            match op {
+                Op::Span(name, label, body) => {
+                    let key: SpanKey = (name, Labels::new(&labels_of(*label)));
+                    node_at(&mut self.root, &self.path).children.entry(key.clone()).or_default();
+                    self.path.push(key);
+                    open.push(self.path.clone());
+                    self.run(body, open);
+                    closed = open.pop();
+                    node_at(&mut self.root, &self.path).count += 1;
+                    self.path.pop();
+                }
+                Op::Counter(name, label, n) => {
+                    self.registry.add_counter(name, Labels::new(&labels_of(*label)), *n)
+                }
+                Op::Observe(name, v) => self.registry.observe(name, Labels::empty(), *v),
+                Op::ObserveAll(name, values) => {
+                    values.iter().for_each(|v| self.registry.observe(name, Labels::empty(), *v))
+                }
+                Op::Collect(body, graft) => {
+                    let mut inner = Reference::default();
+                    inner.run(body, &mut vec![Vec::new()]);
+                    let path = graft_target(*graft, open, &closed, self.path.clone());
+                    let at = node_at(&mut self.root, &path);
+                    for (key, child) in &inner.root.children {
+                        at.children.entry(key.clone()).or_default().merge(child);
+                    }
+                    self.registry.merge(&inner.registry);
+                }
+            }
+        }
+    }
+}
+
+fn zero_busy(node: &mut SpanNode) {
+    node.busy_ns = 0;
+    node.children.values_mut().for_each(zero_busy);
+}
+
+#[test]
+fn recorder_matches_the_path_walking_reference() {
+    cfg("recorder_matches_the_path_walking_reference").run(&arb_program(3), |program| {
+        let ((), mut got) = govhost_obs::collect(|| run_real(program, &mut vec![SpanContext::root()]));
+        zero_busy(&mut got.root);
+        let mut want = Reference::default();
+        want.run(program, &mut vec![Vec::new()]);
+        prop_assert_eq!(got.root, want.root, "span tree");
+        prop_assert_eq!(got.registry, want.registry, "registry");
         Ok(())
     });
 }

@@ -1038,6 +1038,9 @@ pub struct ResultCache {
 struct CacheInner {
     epoch: u64,
     tick: u64,
+    /// Keyed by request-derived strings, so it keeps the standard
+    /// library's randomly keyed hasher; the workspace's deterministic
+    /// `DetHasher` is for generated keys only.
     map: HashMap<String, CacheEntry>,
 }
 

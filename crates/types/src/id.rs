@@ -14,8 +14,8 @@
 //! The interner's arena order *is* the host-record order of the built
 //! dataset, so `HostId` doubles as the row index of the host table.
 
+use crate::hash::DetHashMap;
 use crate::host::Hostname;
-use std::collections::HashMap;
 
 /// Identifier of one host record: an index into the host arena of the
 /// build that produced it. Ids from different builds (or different
@@ -83,6 +83,8 @@ impl std::fmt::Display for UrlId {
 /// `Hostname` is an `Arc<str>` internally, so interning an
 /// already-known name costs one hash lookup and interning a new one
 /// costs one reference-count bump — no string copies either way.
+/// Hostnames are generated keys, so the lookup map uses the
+/// deterministic [`DetHasher`](crate::hash::DetHasher).
 ///
 /// ```
 /// use govhost_types::{HostId, HostInterner, Hostname};
@@ -97,7 +99,7 @@ impl std::fmt::Display for UrlId {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostInterner {
     names: Vec<Hostname>,
-    ids: HashMap<Hostname, HostId>,
+    ids: DetHashMap<Hostname, HostId>,
 }
 
 impl HostInterner {

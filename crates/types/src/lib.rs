@@ -12,6 +12,7 @@
 pub mod category;
 pub mod country;
 pub mod error;
+pub mod hash;
 pub mod host;
 pub mod id;
 pub mod indices;

@@ -4,8 +4,8 @@
 use crate::cert::TlsCert;
 use crate::page::Page;
 use crate::site::Website;
+use govhost_types::hash::DetHashMap;
 use govhost_types::{CountryCode, Hostname, Url};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a fetch failed.
@@ -31,10 +31,11 @@ impl fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// All websites in the world.
+/// All websites in the world, keyed by hostname (generated keys, so the
+/// map uses the deterministic [`govhost_types::hash::DetHasher`]).
 #[derive(Debug, Default, Clone)]
 pub struct WebCorpus {
-    sites: HashMap<Hostname, Website>,
+    sites: DetHashMap<Hostname, Website>,
 }
 
 impl WebCorpus {

@@ -16,6 +16,16 @@
 //! - [`Crawler::crawl`] drains a session into a [`CrawlOutcome`] with a
 //!   full [`HarLog`] for callers that want the classic materialized form.
 //!
+//! The traversal is borrowed from the corpus. The queue, the visited set
+//! and each yielded [`CrawledPage::url`] are references to the landing
+//! URL and to the link lists of the corpus's own pages, so following a
+//! link copies no string. Visits are still deduplicated by URL value, and
+//! the visited set hashes with [`govhost_types::hash::DetHasher`]. That
+//! unkeyed hasher is for generated keys only: links come from the
+//! generated corpus. It must never key a map filled from outside input,
+//! such as the server's request-derived maps, which keep the standard
+//! library's randomly keyed hasher.
+//!
 //! [`crawl_sites_parallel`] fans a batch of landing pages out over worker
 //! threads (`govhost_par::parallel_map` and its work-stealing deques);
 //! results are returned in input order, so parallel and sequential runs
@@ -27,8 +37,10 @@ use crate::corpus::{FetchError, WebCorpus};
 use crate::har::{HarEntry, HarLog};
 use crate::page::Page;
 use crate::resource::ContentType;
+use govhost_obs::Histogram;
+use govhost_types::hash::DetHashSet;
 use govhost_types::{CountryCode, PipelineError, Url};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Crawl configuration.
 ///
@@ -104,12 +116,13 @@ pub struct CrawlOutcome {
     pub landing_error: Option<PipelineError>,
 }
 
-/// One page yielded by [`CrawlSession::next_page`]: the rendered
-/// document plus a borrow of its corpus record (resources, sizes).
+/// One page yielded by [`CrawlSession::next_page`]: the URL it was
+/// reached by and its corpus record, both borrowed from the corpus.
 #[derive(Debug)]
 pub struct CrawledPage<'a> {
-    /// The page's URL (BFS traversal order).
-    pub url: Url,
+    /// The page's URL (BFS traversal order): the landing URL or the
+    /// corpus link that first reached it.
+    pub url: &'a Url,
     /// Link depth below the landing page.
     pub depth: u32,
     /// The rendered page: `html_bytes`, `resources` — borrowed straight
@@ -125,17 +138,32 @@ pub struct CrawledPage<'a> {
 /// Failure accounting ([`CrawlSession::failures`],
 /// [`CrawlSession::failure_causes`], the landing-page fault) accumulates
 /// on the session and is read off after the final page.
+///
+/// The queue and the visited set borrow their URLs from the corpus (see
+/// the [module docs](self)). `visited` compares URLs by value: two pages
+/// linking the same URL share one visit, and the `http://` and
+/// `https://` forms of one page are two.
+///
+/// Telemetry: each fetch runs in a `fetch` span and each rendered page
+/// in a `har` span. The per-page series `crawl.har_entries` and
+/// `crawl.page_bytes` are summed on the session and recorded once, when
+/// the crawl ends or the session is dropped; counters sum and histograms
+/// merge, so the registry is the same as if every page recorded its own.
 pub struct CrawlSession<'a> {
     crawler: Crawler,
     corpus: &'a WebCorpus,
     vantage: Option<CountryCode>,
-    queue: VecDeque<(Url, u32)>,
-    visited: HashSet<Url>,
+    queue: VecDeque<(&'a Url, u32)>,
+    visited: DetHashSet<&'a Url>,
     pages_visited: usize,
     truncated: bool,
     failures: u32,
     failure_causes: FailureCauses,
     landing_error: Option<PipelineError>,
+    /// `crawl.har_entries` not yet recorded.
+    har_entries: u64,
+    /// `crawl.page_bytes` observations not yet recorded.
+    page_bytes: Histogram,
 }
 
 impl<'a> CrawlSession<'a> {
@@ -151,11 +179,11 @@ impl<'a> CrawlSession<'a> {
                 self.truncated = true;
                 govhost_obs::counter_add("crawl.truncated", &[], 1);
                 self.queue.clear();
-                return None;
+                break;
             }
             let fetched = {
                 let _fetch = govhost_obs::span!("fetch");
-                self.corpus.fetch(&url, self.vantage)
+                self.corpus.fetch(url, self.vantage)
             };
             let page = match fetched {
                 Ok(p) => p,
@@ -169,32 +197,40 @@ impl<'a> CrawlSession<'a> {
                     );
                     if depth == 0 {
                         self.landing_error =
-                            Some(PipelineError::Crawl { url, cause: e.to_string() });
+                            Some(PipelineError::Crawl { url: url.clone(), cause: e.to_string() });
                     }
                     continue;
                 }
             };
             self.pages_visited += 1;
-            govhost_obs::observe("crawl.page_bytes", &[], page.html_bytes);
+            self.page_bytes.observe(page.html_bytes);
             {
                 let _har = govhost_obs::span!("har");
-                govhost_obs::counter_add(
-                    "crawl.har_entries",
-                    &[],
-                    1 + page.resources.len() as u64,
-                );
+                self.har_entries += 1 + page.resources.len() as u64;
                 if depth < self.crawler.max_depth {
                     for link in &page.links {
-                        if !self.visited.contains(link) {
-                            self.visited.insert(link.clone());
-                            self.queue.push_back((link.clone(), depth + 1));
+                        if self.visited.insert(link) {
+                            self.queue.push_back((link, depth + 1));
                         }
                     }
                 }
             }
             return Some(CrawledPage { url, depth, page });
         }
+        self.record_page_series();
         None
+    }
+
+    /// Record the summed per-page series into the active telemetry scope
+    /// and reset them, so a later call records only what came after.
+    /// Nothing is recorded while no page has rendered, exactly as when
+    /// every page recorded its own.
+    fn record_page_series(&mut self) {
+        if self.page_bytes.count() == 0 {
+            return;
+        }
+        govhost_obs::counter_add("crawl.har_entries", &[], std::mem::take(&mut self.har_entries));
+        govhost_obs::merge_histogram("crawl.page_bytes", &[], &std::mem::take(&mut self.page_bytes));
     }
 
     /// Pages successfully rendered so far.
@@ -223,6 +259,17 @@ impl<'a> CrawlSession<'a> {
     }
 }
 
+impl Drop for CrawlSession<'_> {
+    /// A session abandoned before its last page still records the pages
+    /// it rendered — unless the thread is unwinding, where recording
+    /// could panic a second time.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.record_page_series();
+        }
+    }
+}
+
 impl Crawler {
     /// A crawler bounded at `max_depth` with the default page cap.
     pub fn with_depth(max_depth: u32) -> Self {
@@ -234,13 +281,13 @@ impl Crawler {
     pub fn session<'a>(
         &self,
         corpus: &'a WebCorpus,
-        landing: &Url,
+        landing: &'a Url,
         vantage: Option<CountryCode>,
     ) -> CrawlSession<'a> {
         let mut queue = VecDeque::new();
-        queue.push_back((landing.clone(), 0));
-        let mut visited = HashSet::new();
-        visited.insert(landing.clone());
+        queue.push_back((landing, 0));
+        let mut visited = DetHashSet::default();
+        visited.insert(landing);
         CrawlSession {
             crawler: *self,
             corpus,
@@ -252,6 +299,8 @@ impl Crawler {
             failures: 0,
             failure_causes: FailureCauses::default(),
             landing_error: None,
+            har_entries: 0,
+            page_bytes: Histogram::new(),
         }
     }
 
@@ -295,7 +344,7 @@ impl Crawler {
             pages_visited: session.pages_visited,
             truncated: session.truncated,
             failure_causes: session.failure_causes,
-            landing_error: session.landing_error,
+            landing_error: session.take_landing_error(),
         }
     }
 }
@@ -530,11 +579,8 @@ mod tests {
     #[test]
     fn session_reports_landing_error_and_truncation() {
         let corpus = chain_corpus();
-        let mut session = Crawler::default().session(
-            &corpus,
-            &"https://blocked.gob.mx/".parse().unwrap(),
-            Some(cc!("US")),
-        );
+        let blocked: Url = "https://blocked.gob.mx/".parse().unwrap();
+        let mut session = Crawler::default().session(&corpus, &blocked, Some(cc!("US")));
         assert!(session.next_page().is_none());
         assert_eq!(session.failures(), 1);
         let err = session.take_landing_error().expect("landing fetch failed");
@@ -542,8 +588,8 @@ mod tests {
         assert!(session.take_landing_error().is_none(), "take consumes the fault");
 
         let capped = Crawler { max_depth: 7, max_pages: 3 };
-        let mut session =
-            capped.session(&corpus, &"https://a.gov/p0".parse().unwrap(), None);
+        let landing: Url = "https://a.gov/p0".parse().unwrap();
+        let mut session = capped.session(&corpus, &landing, None);
         let mut pages = 0;
         while session.next_page().is_some() {
             pages += 1;

@@ -3,8 +3,8 @@
 
 use crate::cert::TlsCert;
 use crate::page::Page;
+use govhost_types::hash::DetHashMap;
 use govhost_types::{CountryCode, Url};
-use std::collections::HashMap;
 
 /// A website served under one hostname.
 #[derive(Debug, Clone)]
@@ -13,8 +13,8 @@ pub struct Website {
     pub landing: Url,
     /// The TLS certificate presented on HTTPS connections, if any.
     pub cert: Option<TlsCert>,
-    /// Pages by path.
-    pages: HashMap<String, Page>,
+    /// Pages by path (generated keys: see [`govhost_types::hash`]).
+    pages: DetHashMap<String, Page>,
     /// When set, the site only answers requests from this country
     /// (the paper's footnote 1: Mexico's prodecon.gob.mx refuses
     /// non-domestic clients).
@@ -24,7 +24,7 @@ pub struct Website {
 impl Website {
     /// Create a site with an empty landing page.
     pub fn new(landing: Url) -> Self {
-        let mut pages = HashMap::new();
+        let mut pages = DetHashMap::default();
         pages.insert(landing.path().to_string(), Page::empty(landing.clone(), 8_192));
         Self { landing, cert: None, pages, geo_restricted_to: None }
     }

@@ -237,7 +237,12 @@ fn cmd_har(flags: &Flags) {
     let vantage = world.vantage(code);
     let jobs: Vec<_> =
         landing.iter().map(|u| (u.clone(), Some(vantage.country))).collect();
-    let outcomes = crawl_sites_parallel(world.corpus(), &Crawler::default(), &jobs, 4);
+    let outcomes = crawl_sites_parallel(
+        world.corpus(),
+        &Crawler::default(),
+        &jobs,
+        govhost_par::resolve_threads(),
+    );
     let mut log = govhost::web::har::HarLog::new();
     for outcome in outcomes {
         log.merge(outcome.log);

@@ -3,14 +3,17 @@
 //! a change that alters the dataset the same way everywhere passes them
 //! all. This one compares a scale-0.3, seed-7, 2-thread build against
 //! FNV-1a 64 digests recorded in `results/build_digests_scale0.3.txt`:
-//! the three `export_csv` files and the deterministic `metrics.json`.
+//! the three `export_csv` files and the deterministic `metrics.json` and
+//! `trace.json` (the span tree with every nanosecond zeroed, so its shape,
+//! counts and attributes are pinned, not its timings).
 //!
 //! A digest may only change together with a change that is meant to
 //! alter the dataset; the recorded file then changes in the same commit.
 //! The scale-0.3 world is slow in debug, so the test is `#[ignore]`d by
 //! default; `ci.sh` runs it in release with `--include-ignored`.
 
-use govhost::obs::export::metrics_json;
+use govhost::obs::export::{metrics_json, trace_json};
+use govhost::obs::TimeMode;
 use govhost::prelude::*;
 
 const RECORDED: &str = include_str!("../results/build_digests_scale0.3.txt");
@@ -41,11 +44,13 @@ fn scale_03_build_matches_the_recorded_digests() {
     let (dataset, _report) = GovDataset::try_build(&world, &options).expect("clean world builds");
     let csv = export_csv(&dataset);
     let metrics = metrics_json(&dataset.telemetry);
+    let trace = trace_json(&dataset.telemetry, TimeMode::Deterministic);
     let got = render(&[
         ("hosts.csv", &csv.hosts),
         ("urls.csv", &csv.urls),
         ("meta.csv", &csv.meta),
         ("metrics.json", &metrics),
+        ("trace.json", &trace),
     ]);
     let recorded: String = RECORDED
         .lines()

@@ -131,3 +131,27 @@ fn explicit_zero_years_evolves_nothing() {
     );
     assert!(stderr(&out).contains("evolving 0 years"), "{}", stderr(&out));
 }
+
+#[test]
+fn har_export_does_not_depend_on_the_thread_count() {
+    // `har` crawls with `GOVHOST_THREADS` workers, like every other
+    // command; the crawls come back in landing order, so the written
+    // HAR is the same bytes whatever the count.
+    let har_with = |threads: &str| {
+        let dir = std::env::temp_dir()
+            .join(format!("govhost-cli-har-{}-{threads}", std::process::id()));
+        let out = Command::new(env!("CARGO_BIN_EXE_govhost"))
+            .args(["har", "--country", "AR", "--scale", "0.02", "--out"])
+            .arg(&dir)
+            .env("GOVHOST_THREADS", threads)
+            .output()
+            .expect("spawn the govhost binary");
+        assert_eq!(out.status.code(), Some(0), "GOVHOST_THREADS={threads}: {}", stderr(&out));
+        let bytes = std::fs::read(dir.join("ar.har.json")).expect("the HAR file was written");
+        std::fs::remove_dir_all(&dir).expect("remove the output directory");
+        bytes
+    };
+    let one = har_with("1");
+    assert!(!one.is_empty());
+    assert!(one == har_with("3"), "GOVHOST_THREADS=1 and =3 wrote different HAR bytes");
+}
