@@ -73,6 +73,12 @@ cargo test -q --offline --release --test scenario
 cargo test -q --offline -p govhost-core --test prop_incremental
 cargo test -q --offline -p govhost-core --test prop_host_fold
 cargo test -q --offline -p govhost-worldgen --lib content_version
+# The CLI golden of the evolve table: the release binary's ten-year
+# trend at scale 0.05 (seed 42) must equal the recorded bytes, with the
+# wall-clock rebuild-ms column masked.
+./target/release/govhost evolve --years 10 --scale 0.05 2>/dev/null \
+    | sed -E 's/ +[0-9]+\.[0-9]+$/  <ms>/' \
+    | diff -u results/evolve_scale0.05.txt -
 
 # Hygiene gate for the interned path: the build and table modules must
 # obtain every hostname from the interner — parsing one from a raw

@@ -68,11 +68,28 @@
 //! rebuilds crawl nothing. Validity is decided by the world itself:
 //! the corpus and search index can only be written through accessors
 //! that stamp a new version.
+//!
+//! ## Memoized verdicts
+//!
+//! The cache also keeps the build's §3.5 verdict per (address, serving
+//! country), with strong clones of the surfaces they read. The next
+//! rebuild locates only the pairs it lacks or cannot vouch for: a
+//! surface that is no longer the world's own allocation, or a different
+//! geolocation config, drops the memo whole, and a verdict that
+//! consulted HOIHO is kept only while the resolver gives the PTR answer
+//! it read. Ticks and shocks write no geolocation surface and no
+//! reverse zone, so their rebuilds locate only the year's new pairs.
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
 use crate::table::{UrlInterner, UrlRef, UrlTable};
-use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig, ValidationStats};
+use govhost_geoloc::pipeline::{
+    GeoTask, GeoVerdict, GeolocationPipeline, PipelineConfig, PtrRead, ValidationStats,
+};
+use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
+use govhost_netsim::asdb::AsRegistry;
+use govhost_netsim::latency::LatencyModel;
+use govhost_netsim::probes::ProbeFleet;
 use govhost_types::{
     Asn, CountryCode, HostId, HostInterner, Hostname, PipelineError, PipelineStage,
     ProviderCategory, Region, Url,
@@ -235,7 +252,9 @@ pub struct StageTimings {
     pub classify: StageStat,
     /// §3.4 resolution + WHOIS; items = hostnames identified.
     pub identify: StageStat,
-    /// §3.5 geolocation; items = unique (address, country) tasks.
+    /// §3.5 geolocation; items = unique (address, country) tasks
+    /// located in this build (an incremental rebuild replays the
+    /// verdicts it can reuse from the cache and does not count them).
     pub geolocate: StageStat,
     /// Merge + §5.1 category assignment: the per-country merge of the
     /// crawled chunks, the assembly replay into the global tables and
@@ -659,12 +678,76 @@ struct Assembled {
     hosts: Vec<HostRecord>,
     urls: UrlTable,
     host_ids: HostInterner,
-    validation: ValidationStats,
+    geo: Geolocated,
     method_counts: [u64; 3],
     crawl_failures: u32,
     failure_causes: FailureCauses,
     resolution_failures: u64,
     per_country: HashMap<CountryCode, CountryStats>,
+}
+
+/// Table 4 for one build, split by where each verdict came from.
+struct Geolocated {
+    /// Over every (address, serving country) task.
+    validation: ValidationStats,
+    /// The share located in this build: what the `geoloc.*` counters saw.
+    fresh: ValidationStats,
+    /// The share replayed from the previous build's [`GeoMemo`].
+    replayed: ValidationStats,
+}
+
+/// Strong clones of the substrate surfaces a §3.5 verdict reads, apart
+/// from the resolver. Holding a clone keeps its allocation alive, so a
+/// surface written through [`Arc::make_mut`] or replaced lands at a new
+/// address, and pointer equality with the world's proves it unchanged.
+#[derive(Debug)]
+struct GeoSurfaces {
+    registry: Arc<AsRegistry>,
+    geodb: Arc<GeoDb>,
+    manycast: Arc<MAnycastSnapshot>,
+    fleet: Arc<ProbeFleet>,
+    latency: Arc<LatencyModel>,
+    thresholds: Arc<CountryThresholds>,
+    hoiho: Arc<Hoiho>,
+    ipmap: Arc<IpMapCache>,
+}
+
+impl GeoSurfaces {
+    fn of(world: &World) -> GeoSurfaces {
+        GeoSurfaces {
+            registry: Arc::clone(&world.registry),
+            geodb: Arc::clone(&world.geodb),
+            manycast: Arc::clone(&world.manycast),
+            fleet: Arc::clone(&world.fleet),
+            latency: Arc::clone(&world.latency),
+            thresholds: Arc::clone(&world.thresholds),
+            hoiho: Arc::clone(&world.hoiho),
+            ipmap: Arc::clone(&world.ipmap),
+        }
+    }
+
+    /// Whether these are the world's surfaces, each the same allocation.
+    fn are_of(&self, world: &World) -> bool {
+        Arc::ptr_eq(&self.registry, &world.registry)
+            && Arc::ptr_eq(&self.geodb, &world.geodb)
+            && Arc::ptr_eq(&self.manycast, &world.manycast)
+            && Arc::ptr_eq(&self.fleet, &world.fleet)
+            && Arc::ptr_eq(&self.latency, &world.latency)
+            && Arc::ptr_eq(&self.thresholds, &world.thresholds)
+            && Arc::ptr_eq(&self.hoiho, &world.hoiho)
+            && Arc::ptr_eq(&self.ipmap, &world.ipmap)
+    }
+}
+
+/// The last build's §3.5 verdicts, and what they read: the next rebuild
+/// locates only the tasks this cannot vouch for (see [`geolocate`]).
+#[derive(Debug)]
+struct GeoMemo {
+    surfaces: GeoSurfaces,
+    config: PipelineConfig,
+    /// Every task of the build with its verdict and the PTR answer the
+    /// verdict read, sorted by (address, serving country).
+    verdicts: Vec<(GeoTask, GeoVerdict, Option<PtrRead>)>,
 }
 
 /// Per-country build state retained by [`GovDataset::build_cached`] so a
@@ -680,11 +763,14 @@ struct Assembled {
 /// same world lineage it was built from: after a tick, the entries of
 /// countries in the tick's dirty set are stale and must be recomputed —
 /// though only their infra half, as long as the world's content version
-/// still matches.
+/// still matches. It also keeps the build's §3.5 verdicts, which the next
+/// rebuild reuses while the surfaces they read are unchanged.
 #[derive(Debug, Default, Clone)]
 pub struct BuildCache {
     entries: Vec<CountryEntry>,
     quarantined: Vec<QuarantineEntry>,
+    /// Shared, so a forked cache copies a pointer.
+    geo: Option<Arc<GeoMemo>>,
 }
 
 impl BuildCache {
@@ -815,17 +901,24 @@ impl GovDataset {
     /// any contributing country the cache has no record of) re-runs the
     /// full per-country fan-out (crawl → classify → identify). Ticks and
     /// shocks rewrite DNS and ground truth only, so their rebuilds never
-    /// crawl. The global merge, §5.1 category assignment and §3.5
-    /// geolocation always run in full, so the resulting dataset — down
-    /// to `export_csv` bytes — is identical to a from-scratch
-    /// [`Self::try_build`] against the mutated world (`tests/evolve.rs`
-    /// pins this). This is the only build body: a full build is this
-    /// call on an empty cache.
+    /// crawl. The global merge and §5.1 category assignment run in full.
+    /// §3.5 geolocation reuses the cached verdict of every (address,
+    /// serving country) pair the previous build located, as long as the
+    /// geolocation surfaces are the world's own (the same `Arc`s), the
+    /// [`BuildOptions::geo`] config is equal and, for a verdict that
+    /// consulted HOIHO, the resolver still gives the PTR answer it read;
+    /// the dirty set plays no part in that. Only the other pairs are
+    /// located. So the resulting dataset — down to `export_csv` bytes —
+    /// is identical to a from-scratch [`Self::try_build`] against the
+    /// mutated world (`tests/evolve.rs` pins this). This is the only
+    /// build body: a full build is this call on an empty cache.
     ///
     /// Telemetry is the one documented divergence: spans and counters are
     /// only emitted for the work that actually ran. A recomputed country
     /// gets a `country` span with its identify spans and counters; only
-    /// a country that was also re-crawled adds crawl and classify ones.
+    /// a country that was also re-crawled adds crawl and classify ones;
+    /// only a pair located afresh adds a `locate` span and `geoloc.*`
+    /// counts.
     /// So [`GovDataset::timings`] and [`GovDataset::telemetry`] describe
     /// the incremental work, not a full build. Every rebuild still asserts
     /// that this recomputed share of the registry agrees with the merge
@@ -904,9 +997,11 @@ impl GovDataset {
                     quarantined.push(q.clone());
                 }
             }
-            let asm = Self::assemble(world, options, &entries, shards);
+            let (asm, memo) =
+                Self::assemble(world, options, &entries, shards, cache.geo.as_deref());
             cache.entries = entries;
             cache.quarantined = quarantined.clone();
+            cache.geo = Some(Arc::new(memo));
             Ok((asm, quarantined, recompute, crawl))
         });
         let (asm, quarantined, recompute, crawled) = result?;
@@ -928,9 +1023,11 @@ impl GovDataset {
     /// against sums over the re-crawled entries, and the
     /// resolution-failure and `analyze.hosts` counters against sums over
     /// every recomputed entry and the host records it owns. Geolocation
-    /// always runs in full, so its counters are checked against the
-    /// whole [`ValidationStats`]. For a full build every country is
-    /// fresh and re-crawled.
+    /// counts only the pairs it located afresh, so its counters are
+    /// checked against that fresh share of the [`ValidationStats`], and
+    /// the fresh and replayed shares must add up to the whole. For a
+    /// full build every country is fresh and re-crawled, and every pair
+    /// is located.
     fn finish_checked<'a>(
         asm: Assembled,
         quarantined: Vec<QuarantineEntry>,
@@ -941,8 +1038,8 @@ impl GovDataset {
             quarantined,
             crawl_failures: asm.failure_causes,
             resolution_failures: asm.resolution_failures,
-            geo_excluded: asm.validation.unicast[2] + asm.validation.anycast[2],
-            geo_conflicts: asm.validation.conflicts,
+            geo_excluded: asm.geo.validation.unicast[2] + asm.geo.validation.anycast[2],
+            geo_conflicts: asm.geo.validation.conflicts,
         };
 
         // The registry is the single source of truth for the
@@ -984,15 +1081,31 @@ impl GovDataset {
             fresh_resolution_failures,
             "registry resolution-failure counter must match the per-country merge"
         );
+        let geo = &asm.geo;
+        assert_eq!(
+            r.counter_total("geoloc.tasks") as usize,
+            geo.fresh.unicast_total() + geo.fresh.anycast_total(),
+            "geolocation task counter must match the freshly located verdicts"
+        );
         assert_eq!(
             r.counter_filtered("geoloc.verdict", &[("method", "unresolved")]) as usize,
-            report.geo_excluded,
-            "unresolved-verdict counter must match the Table-4 UR buckets"
+            geo.fresh.unicast[2] + geo.fresh.anycast[2],
+            "unresolved-verdict counter must match the fresh Table-4 UR buckets"
         );
         assert_eq!(
             r.counter_total("geoloc.conflicts") as usize,
-            report.geo_conflicts,
-            "conflict counter must match the validation statistics"
+            geo.fresh.conflicts,
+            "conflict counter must match the fresh validation statistics"
+        );
+        let mut whole = geo.fresh;
+        for i in 0..3 {
+            whole.unicast[i] += geo.replayed.unicast[i];
+            whole.anycast[i] += geo.replayed.anycast[i];
+        }
+        whole.conflicts += geo.replayed.conflicts;
+        assert_eq!(
+            whole, geo.validation,
+            "fresh plus replayed verdicts must make up the validation statistics"
         );
 
         let timings = StageTimings::from_telemetry(&telemetry);
@@ -1006,7 +1119,7 @@ impl GovDataset {
             hosts: asm.hosts,
             urls: asm.urls,
             host_ids: asm.host_ids,
-            validation: asm.validation,
+            validation: asm.geo.validation,
             method_counts: asm.method_counts,
             crawl_failures: asm.crawl_failures,
             per_country: asm.per_country,
@@ -1225,7 +1338,8 @@ impl GovDataset {
 
     /// Assembly: replay entries in fixed country order into the global
     /// tables, then run the cross-country passes (§5.1 categories, §3.5
-    /// geolocation) over the merged whole.
+    /// geolocation over what `memo` cannot vouch for) over the merged
+    /// whole. Returns the memo for the next build as well.
     ///
     /// `shards` is parallel to `entries`: `Some` for recomputed
     /// countries — their telemetry shards are grafted below a `country`
@@ -1239,7 +1353,8 @@ impl GovDataset {
         options: &BuildOptions,
         entries: &[CountryEntry],
         shards: Vec<Option<CountryShards>>,
-    ) -> Assembled {
+        memo: Option<&GeoMemo>,
+    ) -> (Assembled, GeoMemo) {
         let mut recomputed: Vec<bool> = Vec::with_capacity(entries.len());
         for (entry, shard) in entries.iter().zip(shards) {
             recomputed.push(shard.is_some());
@@ -1263,7 +1378,7 @@ impl GovDataset {
         let analyze = govhost_obs::span!("analyze");
         let mut hosts: Vec<HostRecord> = Vec::new();
         let mut host_ids = HostInterner::new();
-        let mut urls = UrlTable::new();
+        let mut urls = UrlTable::with_capacity_for(entries.iter().map(|e| &e.content.rows));
         let mut method_counts = [0u64; 3];
         let mut crawl_failures = 0u32;
         let mut failure_causes = FailureCauses::default();
@@ -1312,19 +1427,19 @@ impl GovDataset {
             let mut stats = CountryStats {
                 landing: content.landing,
                 hostnames: content.gov.len() as u32,
+                urls: content.rows.len() as u64,
                 ..Default::default()
             };
-            for row in content.rows.iter() {
-                stats.urls += 1;
-                stats.bytes += row.bytes;
-                let midx = match content.gov_methods[row.host.index()] {
+            for (host, bytes) in content.rows.host_bytes() {
+                stats.bytes += bytes;
+                let midx = match content.gov_methods[host.index()] {
                     ClassificationMethod::GovTld => 0,
                     ClassificationMethod::DomainMatch => 1,
                     ClassificationMethod::San => 2,
                 };
                 method_counts[midx] += 1;
-                urls.push(row.scheme, gids[row.host.index()], row.path, row.bytes);
             }
+            urls.append_mapped(&content.rows, &gids);
             crawl_failures += content.crawl_failures;
             failure_causes.merge(content.failure_causes);
             resolution_failures += infra.resolution_failures;
@@ -1351,23 +1466,25 @@ impl GovDataset {
         assign_categories(&mut hosts);
         drop(analyze);
 
-        // §3.5 (parallel): validate every (address, serving country) pair.
-        let validation = {
+        // §3.5 (parallel): validate every (address, serving country) pair
+        // the memo cannot vouch for.
+        let (geo, memo) = {
             let _geo = govhost_obs::span!("geolocate");
-            geolocate(world, &mut hosts, options)
+            geolocate(world, &mut hosts, options, memo)
         };
 
-        Assembled {
+        let asm = Assembled {
             hosts,
             urls,
             host_ids,
-            validation,
+            geo,
             method_counts,
             crawl_failures,
             failure_causes,
             resolution_failures,
             per_country,
-        }
+        };
+        (asm, memo)
     }
 
 
@@ -1511,13 +1628,20 @@ fn region_of(country: CountryCode) -> Option<Region> {
 }
 
 /// §3.5 validation over every unique (address, serving-country) pair.
-/// Returns the Table 4 statistics; the task count lands in the
-/// `geoloc.tasks` counter.
+///
+/// A task keeps its verdict from `memo` when the memo read this world's
+/// surfaces with this build's [`PipelineConfig`] and, if the verdict
+/// consulted HOIHO, the resolver still gives the PTR answer it read.
+/// Every other task is located afresh, and only those land in the
+/// `geoloc.*` counters. Returns the Table 4 statistics with their fresh
+/// and replayed shares, plus the next memo: this build's verdicts and
+/// nothing older.
 fn geolocate(
     world: &World,
     hosts: &mut [HostRecord],
     options: &BuildOptions,
-) -> ValidationStats {
+    memo: Option<&GeoMemo>,
+) -> (Geolocated, GeoMemo) {
     let pipeline = GeolocationPipeline {
         registry: &world.registry,
         geodb: &world.geodb,
@@ -1530,26 +1654,64 @@ fn geolocate(
         resolver: &world.resolver,
         config: options.geo,
     };
+    let key = |t: &GeoTask| (t.ip, t.serving_country);
     let mut tasks: Vec<GeoTask> = hosts
         .iter()
         .filter_map(|h| h.ip.map(|ip| GeoTask { ip, serving_country: h.country }))
         .collect();
-    tasks.sort_by_key(|t| (t.ip, t.serving_country));
+    tasks.sort_by_key(key);
     tasks.dedup();
-    let (verdicts, stats) = pipeline.locate_all_threaded(&tasks, options.threads);
-    let verdict_map: HashMap<(Ipv4Addr, CountryCode), _> = tasks
+
+    // Tasks and memo are both sorted by key, so one merge pass finds
+    // each task's memoized verdict.
+    let memoized = memo
+        .filter(|m| m.config == options.geo && m.surfaces.are_of(world))
+        .map_or(&[][..], |m| &m.verdicts[..]);
+    let mut next = 0;
+    let kept: Vec<Option<(GeoVerdict, Option<PtrRead>)>> = tasks
         .iter()
-        .zip(&verdicts)
-        .map(|(t, v)| ((t.ip, t.serving_country), *v))
+        .map(|task| {
+            while memoized.get(next).is_some_and(|(m, _, _)| key(m) < key(task)) {
+                next += 1;
+            }
+            let (m, verdict, ptr) = memoized.get(next)?;
+            let holds = m == task && ptr.as_ref().is_none_or(|p| p.holds(&world.resolver));
+            holds.then(|| (*verdict, ptr.clone()))
+        })
+        .collect();
+    let fresh: Vec<GeoTask> =
+        tasks.iter().zip(&kept).filter(|(_, k)| k.is_none()).map(|(t, _)| *t).collect();
+    let (located, fresh_stats) = pipeline.locate_all_reading(&fresh, options.threads);
+    let replayed: ValidationStats = kept.iter().flatten().map(|(v, _)| v).collect();
+
+    let mut located = located.into_iter();
+    let verdicts: Vec<(GeoTask, GeoVerdict, Option<PtrRead>)> = tasks
+        .into_iter()
+        .zip(kept)
+        .map(|(task, kept)| {
+            let (v, ptr) = kept
+                .or_else(|| located.next())
+                .expect("one fresh verdict per task the memo did not keep");
+            (task, v, ptr)
+        })
         .collect();
     for h in hosts.iter_mut() {
         let Some(ip) = h.ip else { continue };
-        let Some(v) = verdict_map.get(&(ip, h.country)) else { continue };
+        let Ok(i) = verdicts.binary_search_by_key(&(ip, h.country), |(t, _, _)| key(t)) else {
+            continue;
+        };
+        let v = &verdicts[i].1;
         h.anycast = v.anycast;
         h.geo_excluded = v.excluded;
         h.server_country = if v.excluded { None } else { v.location };
     }
-    stats
+    let geo = Geolocated {
+        validation: verdicts.iter().map(|(_, v, _)| v).collect(),
+        fresh: fresh_stats,
+        replayed,
+    };
+    let memo = GeoMemo { surfaces: GeoSurfaces::of(world), config: options.geo, verdicts };
+    (geo, memo)
 }
 
 #[cfg(test)]

@@ -78,6 +78,22 @@ impl UrlTable {
         UrlTable::default()
     }
 
+    /// An empty table with room for every row of `parts`, so appending
+    /// them all with [`Self::append_mapped`] allocates each column once
+    /// and leaves no spare capacity behind.
+    pub fn with_capacity_for<'a>(parts: impl IntoIterator<Item = &'a UrlTable>) -> UrlTable {
+        let (rows, path_bytes) = parts
+            .into_iter()
+            .fold((0, 0), |(rows, bytes), t| (rows + t.len(), bytes + t.paths.len()));
+        UrlTable {
+            schemes: Vec::with_capacity(rows),
+            hosts: Vec::with_capacity(rows),
+            bytes: Vec::with_capacity(rows),
+            path_offsets: Vec::with_capacity(rows + 1),
+            paths: String::with_capacity(path_bytes),
+        }
+    }
+
     /// Append a row; returns its id.
     ///
     /// # Panics
@@ -95,6 +111,33 @@ impl UrlTable {
         self.path_offsets
             .push(u32::try_from(self.paths.len()).expect("URL path column outgrew u32"));
         id
+    }
+
+    /// Append every row of `src` in order, its host column mapped
+    /// through `hosts` (`src` host id → id in this table): the same
+    /// table as pushing each row with [`Self::push`], in one columnar
+    /// copy per column.
+    ///
+    /// # Panics
+    ///
+    /// If a `src` host id is out of bounds for `hosts`, or where
+    /// [`Self::push`] would.
+    pub fn append_mapped(&mut self, src: &UrlTable, hosts: &[HostId]) {
+        if src.is_empty() {
+            return;
+        }
+        u32::try_from(self.len() + src.len() - 1).expect("URL table outgrew u32");
+        u32::try_from(self.paths.len() + src.paths.len()).expect("URL path column outgrew u32");
+        let base = self.paths.len() as u32;
+        if self.path_offsets.is_empty() {
+            self.path_offsets.push(0);
+        }
+        self.schemes.extend_from_slice(&src.schemes);
+        self.hosts.extend(src.hosts.iter().map(|h| hosts[h.index()]));
+        self.bytes.extend_from_slice(&src.bytes);
+        self.paths.push_str(&src.paths);
+        // `src.path_offsets[0]` is 0: every offset after it ends a row.
+        self.path_offsets.extend(src.path_offsets[1..].iter().map(|&end| base + end));
     }
 
     /// Number of rows.

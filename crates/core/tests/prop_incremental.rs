@@ -5,9 +5,13 @@
 //! and export the same bytes as a from-scratch build of the evolved
 //! world. A second property mutates web content between ticks, which
 //! must force a re-crawl where a tick alone re-runs only §3.4 identify.
-//! On the in-repo harness.
+//! A third rewrites reverse DNS between ticks and rebuilds with an empty
+//! dirty set: the §3.5 verdicts the cache keeps must follow the PTR
+//! answers they read, not the dirty set. On the in-repo harness.
 
 use govhost_core::export::export_csv_full;
+use govhost_dns::reverse::{build_reverse_zone, reverse_name};
+use govhost_dns::{AuthoritativeServer, DnsName, RData, Zone};
 use govhost_core::{BuildCache, BuildOptions, FailurePolicy, GovDataset};
 use govhost_harness::{gens, prop_assert_eq, Config, Gen};
 use govhost_types::CountryCode;
@@ -129,6 +133,69 @@ fn incremental_rebuild_matches_full_after_content_mutations() {
                 let mut dirty = report.dirty;
                 dirty.insert(victim);
                 check_rebuild(&world, &options, &mut cache, &dirty)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Rewrite reverse DNS so that already-located addresses read a
+/// different PTR answer or none, picked by `bits`: rotate the PTR names
+/// of the whole `in-addr.arpa` zone, empty it, or shadow one /24 with a
+/// more specific reverse zone holding rotated names for half its
+/// addresses and none for the rest.
+fn rewrite_reverse_dns(world: &mut World, bits: u64) {
+    let ptrs: Vec<(std::net::Ipv4Addr, String)> = world
+        .registry
+        .servers()
+        .iter()
+        .filter_map(|s| s.ptr.clone().map(|p| (s.ip, p)))
+        .collect();
+    if ptrs.len() < 2 {
+        return;
+    }
+    let shift = 1 + (bits >> 2) as usize % (ptrs.len() - 1);
+    let rotated = |i: usize| ptrs[(i + shift) % ptrs.len()].1.as_str();
+    let zone = match bits & 3 {
+        0 | 1 => build_reverse_zone(ptrs.iter().enumerate().map(|(i, (ip, _))| (*ip, rotated(i)))),
+        2 => Zone::new("in-addr.arpa".parse().expect("static name")),
+        _ => {
+            let [a, b, c, _] = ptrs[(bits >> 32) as usize % ptrs.len()].0.octets();
+            let origin: DnsName =
+                format!("{c}.{b}.{a}.in-addr.arpa").parse().expect("octet-based name");
+            let mut zone = Zone::new(origin);
+            for (i, (ip, _)) in ptrs.iter().enumerate() {
+                let [x, y, z, _] = ip.octets();
+                if (x, y, z) == (a, b, c) && i % 2 == 0 {
+                    if let Ok(name) = rotated(i).parse::<DnsName>() {
+                        zone.add(reverse_name(*ip), RData::Ptr(name));
+                    }
+                }
+            }
+            zone
+        }
+    };
+    world.resolver.add_server(AuthoritativeServer::new(zone));
+}
+
+#[test]
+fn incremental_rebuild_matches_full_after_reverse_dns_rewrites() {
+    cfg("incremental_rebuild_matches_full_after_reverse_dns_rewrites").run(
+        &arb_case(),
+        |&(seed, years, rewrite_bits, threads)| {
+            let params = GenParams { seed, ..GenParams::tiny() };
+            let options = BuildOptions { threads: threads as usize, ..BuildOptions::default() };
+            let mut world = World::generate(&params);
+            let (_, _, mut cache) = GovDataset::build_cached(&world, &options)
+                .map_err(|e| e.to_string())?;
+            let systems = default_systems();
+            for year in 1..=years as u32 {
+                let report = run_year(&mut world, year, &systems);
+                check_rebuild(&world, &options, &mut cache, &report.dirty)?;
+                // No country's identify inputs changed, so the dirty set
+                // is empty; only the PTR answers behind some verdicts did.
+                rewrite_reverse_dns(&mut world, rewrite_bits.rotate_left(13 * year));
+                check_rebuild(&world, &options, &mut cache, &BTreeSet::new())?;
             }
             Ok(())
         },

@@ -138,3 +138,51 @@ fn url_table_round_trips_pushed_rows() {
         Ok(())
     });
 }
+
+/// `append_mapped` is per-row `push` through the same host map: the
+/// same columns, path buffer and offsets (the leading 0 included), on a
+/// possibly empty destination, possibly empty sources, and any sequence
+/// of appends into one table, pre-sized or not.
+#[test]
+fn bulk_append_equals_per_row_push() {
+    // (destination prefix rows, source tables, host map draw)
+    let case = gens::zip3(
+        gens::vec(gens::u64_any(), 0, 24),
+        gens::vec(gens::vec(gens::u64_any(), 0, 24), 1, 5),
+        gens::u64_any(),
+    );
+    cfg("bulk_append_equals_per_row_push").run(&case, |(prefix, sources, map_bits)| {
+        // Source tables draw host ids 0..8; map each to a different id.
+        let map: Vec<HostId> =
+            (0..8).map(|i| HostId::new((map_bits >> (i * 8) & 0xFF) as u32)).collect();
+        let sources: Vec<UrlTable> = sources
+            .iter()
+            .map(|raw| {
+                let mut src = UrlTable::new();
+                for &bits in raw {
+                    let (scheme, host, path, bytes) = decode_row(bits);
+                    src.push(scheme, host, &path, bytes);
+                }
+                src
+            })
+            .collect();
+        // Pre-sized for the sources, as the build's assembly does;
+        // capacity must not show in the rows.
+        let mut bulk = UrlTable::with_capacity_for(&sources);
+        let mut pushed = UrlTable::new();
+        for &bits in prefix {
+            let (scheme, host, path, bytes) = decode_row(bits);
+            bulk.push(scheme, host, &path, bytes);
+            pushed.push(scheme, host, &path, bytes);
+        }
+        for src in &sources {
+            bulk.append_mapped(src, &map);
+            for row in src.iter() {
+                pushed.push(row.scheme, map[row.host.index()], row.path, row.bytes);
+            }
+            govhost_harness::prop_assert_eq!(&bulk, &pushed);
+        }
+        govhost_harness::prop_assert_eq!(bulk.len(), pushed.len());
+        Ok(())
+    });
+}

@@ -33,7 +33,7 @@ pub mod zonefile;
 
 pub use iterative::{DelegatingServer, IterativeResolver};
 pub use name::DnsName;
-pub use resolver::{ResolutionError, ResolvedAnswer, Resolver};
+pub use resolver::{PtrLookup, ResolutionError, ResolvedAnswer, Resolver};
 pub use reverse::reverse_name;
 pub use rr::{RData, Record, RecordType};
 pub use server::AuthoritativeServer;

@@ -80,6 +80,17 @@ impl DnsName {
         }
     }
 
+    /// Drop the leftmost label in place, making this its parent; `false`
+    /// (and no change) for the root. Unlike [`DnsName::parent`] it copies
+    /// no label.
+    pub(crate) fn pop_front_label(&mut self) -> bool {
+        if self.is_root() {
+            return false;
+        }
+        self.labels.remove(0);
+        true
+    }
+
     /// Prepend a label, if limits allow.
     pub fn child(&self, label: &str) -> Result<DnsName, ParseError> {
         let mut labels = Vec::with_capacity(self.labels.len() + 1);

@@ -19,6 +19,18 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+/// A PTR lookup plus the zone that settled it (see
+/// [`Resolver::resolve_ptr_sourced`]).
+#[derive(Debug)]
+pub struct PtrLookup {
+    /// The PTR name, as [`Resolver::resolve_ptr`] returns it.
+    pub answer: Result<DnsName, ResolutionError>,
+    /// The zone whose one response settled the lookup, when it needed no
+    /// second query (no CNAME out of the zone). `None` when it did, or
+    /// when no zone covered the reverse name.
+    pub sole_zone: Option<Arc<AuthoritativeServer>>,
+}
+
 /// Why a resolution failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolutionError {
@@ -114,15 +126,16 @@ impl Resolver {
     }
 
     /// The most specific registered zone covering `name`.
-    fn server_for(&self, name: &DnsName) -> Option<&AuthoritativeServer> {
-        let mut candidate = Some(name.clone());
-        while let Some(n) = candidate {
-            if let Some(s) = self.zones.get(&n) {
+    fn server_for(&self, name: &DnsName) -> Option<&Arc<AuthoritativeServer>> {
+        let mut candidate = name.clone();
+        loop {
+            if let Some(s) = self.zones.get(&candidate) {
                 return Some(s);
             }
-            candidate = n.parent();
+            if !candidate.pop_front_label() {
+                return None;
+            }
         }
-        None
     }
 
     /// Resolve `name` to addresses as seen from `vantage`, following CNAME
@@ -184,15 +197,40 @@ impl Resolver {
 
     /// Look up the PTR name for an address, if a reverse zone is loaded.
     pub fn resolve_ptr(&self, ip: Ipv4Addr) -> Result<DnsName, ResolutionError> {
+        self.resolve_ptr_sourced(ip).answer
+    }
+
+    /// [`Resolver::resolve_ptr`], also returning the zone that settled
+    /// the lookup alone, if one did.
+    ///
+    /// Zones are immutable once registered ([`Resolver::add_server`]
+    /// replaces a zone with a new allocation), so while
+    /// [`Resolver::is_ptr_zone`] holds for that zone — a caller keeping
+    /// the returned `Arc` keeps its allocation from being reused — the
+    /// same lookup gets the same answer.
+    pub fn resolve_ptr_sourced(&self, ip: Ipv4Addr) -> PtrLookup {
         let name = crate::reverse::reverse_name(ip);
-        let (_, rdatas) = self.resolve_rtype(&name, RecordType::Ptr, None)?;
-        rdatas
-            .into_iter()
-            .find_map(|rd| match rd {
-                RData::Ptr(target) => Some(target),
-                _ => None,
-            })
-            .ok_or(ResolutionError::NoAddresses(name))
+        let mut sole_zone = None;
+        let answer = self
+            .resolve_rtype_traced(&name, RecordType::Ptr, None, &mut sole_zone)
+            .and_then(|(_, rdatas)| {
+                rdatas
+                    .into_iter()
+                    .find_map(|rd| match rd {
+                        RData::Ptr(target) => Some(target),
+                        _ => None,
+                    })
+                    .ok_or(ResolutionError::NoAddresses(name))
+            });
+        PtrLookup { answer, sole_zone }
+    }
+
+    /// Whether `zone` is the zone a PTR lookup for `ip` queries first:
+    /// the most specific registered zone covering its reverse name. Reads
+    /// the catalog only; no query is sent.
+    pub fn is_ptr_zone(&self, ip: Ipv4Addr, zone: &Arc<AuthoritativeServer>) -> bool {
+        self.server_for(&crate::reverse::reverse_name(ip))
+            .is_some_and(|first| Arc::ptr_eq(first, zone))
     }
 
     /// Shared machinery: returns the alias chain and the terminal records.
@@ -207,8 +245,20 @@ impl Resolver {
         rtype: RecordType,
         vantage: Option<CountryCode>,
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
+        self.resolve_rtype_traced(name, rtype, vantage, &mut None)
+    }
+
+    /// [`Resolver::resolve_rtype`] that leaves in `sole_zone` the zone of
+    /// the first query when no second query followed.
+    fn resolve_rtype_traced(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        vantage: Option<CountryCode>,
+        sole_zone: &mut Option<Arc<AuthoritativeServer>>,
+    ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
         let _span = govhost_obs::span!("dns_resolve");
-        let result = self.resolve_rtype_inner(name, rtype, vantage);
+        let result = self.resolve_rtype_inner(name, rtype, vantage, sole_zone);
         if let Err(e) = &result {
             govhost_obs::counter_add("dns.failures", &[("kind", e.kind())], 1);
         }
@@ -220,13 +270,14 @@ impl Resolver {
         name: &DnsName,
         rtype: RecordType,
         vantage: Option<CountryCode>,
+        sole_zone: &mut Option<Arc<AuthoritativeServer>>,
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
         let mut chain = vec![name.clone()];
         let mut current = name.clone();
         for hop in 0..8u16 {
-            let server = self
-                .server_for(&current)
-                .ok_or_else(|| ResolutionError::NoZone(current.clone()))?;
+            let server = self.server_for(&current);
+            *sole_zone = if hop == 0 { server.cloned() } else { None };
+            let server = server.ok_or_else(|| ResolutionError::NoZone(current.clone()))?;
             govhost_obs::counter_add("dns.queries", &[], 1);
             let query = Message::query(hop + 1, current.clone(), rtype);
             let query_bytes = query.encode().map_err(|e| ResolutionError::Wire(e.to_string()))?;

@@ -33,7 +33,9 @@ pub use anycast::MAnycastSnapshot;
 pub use geodb::{GeoDb, GeoEntry};
 pub use hoiho::Hoiho;
 pub use ipmap::IpMapCache;
-pub use pipeline::{GeoMethod, GeoTask, GeoVerdict, GeolocationPipeline, ValidationStats};
+pub use pipeline::{
+    GeoMethod, GeoTask, GeoVerdict, GeolocationPipeline, PtrRead, ValidationStats,
+};
 pub use probing::ActiveProber;
 pub use single_radius::single_radius;
 pub use thresholds::CountryThresholds;

@@ -8,12 +8,13 @@ use crate::ipmap::IpMapCache;
 use crate::probing::ActiveProber;
 use crate::single_radius::single_radius;
 use crate::thresholds::CountryThresholds;
-use govhost_dns::Resolver;
+use govhost_dns::{AuthoritativeServer, DnsName, Resolver};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
 use govhost_netsim::probes::ProbeFleet;
 use govhost_types::CountryCode;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One address to geolocate, tagged with the country whose government it
 /// serves (the vantage for in-country verification).
@@ -133,6 +134,51 @@ impl ValidationStats {
     }
 }
 
+impl<'a> FromIterator<&'a GeoVerdict> for ValidationStats {
+    /// Fold verdicts into Table 4 counts (the same fold
+    /// [`GeolocationPipeline::locate_all`] applies).
+    fn from_iter<I: IntoIterator<Item = &'a GeoVerdict>>(verdicts: I) -> Self {
+        let mut stats = ValidationStats::default();
+        for verdict in verdicts {
+            stats.bump(verdict);
+        }
+        stats
+    }
+}
+
+/// The PTR answer one verdict read from the resolver.
+///
+/// Every other surface the pipeline reads is a snapshot its owner never
+/// writes in place; reverse DNS is the one that can change under a kept
+/// verdict. Only a verdict whose multistage step asked HOIHO for a hint
+/// has a `PtrRead`, and the verdict still holds while the resolver gives
+/// the same answer (see [`PtrRead::holds`]).
+#[derive(Debug, Clone)]
+pub struct PtrRead {
+    ip: Ipv4Addr,
+    /// `None`: the lookup failed.
+    answer: Option<DnsName>,
+    /// The zone that settled the lookup alone, if one did (held, so its
+    /// allocation cannot be reused while this read lives).
+    sole_zone: Option<Arc<AuthoritativeServer>>,
+}
+
+impl PtrRead {
+    /// Whether `resolver` still gives the PTR answer this read got.
+    ///
+    /// When one zone settled the lookup and the resolver would still ask
+    /// that very zone first, the answer is the same without a query;
+    /// otherwise the lookup runs again and the answers are compared.
+    pub fn holds(&self, resolver: &Resolver) -> bool {
+        if let Some(zone) = &self.sole_zone {
+            if resolver.is_ptr_zone(self.ip, zone) {
+                return true;
+            }
+        }
+        resolver.resolve_ptr(self.ip).ok() == self.answer
+    }
+}
+
 /// Configuration for the stages that take scalar knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -194,10 +240,17 @@ impl<'a> GeolocationPipeline<'a> {
     /// anycast flag or claimed country — to keep the label space small
     /// and bounded (see `govhost_obs` on cardinality limits).
     pub fn locate(&self, task: GeoTask) -> GeoVerdict {
+        self.locate_reading(task).0
+    }
+
+    /// [`Self::locate`], also returning the PTR answer the verdict read,
+    /// if its multistage step consulted HOIHO (same telemetry).
+    pub fn locate_reading(&self, task: GeoTask) -> (GeoVerdict, Option<PtrRead>) {
         let _span = govhost_obs::span!("locate");
         let country = task.serving_country;
         govhost_obs::counter_add("geoloc.tasks", &[("country", country.as_str())], 1);
-        let verdict = self.locate_inner(task);
+        let mut ptr = None;
+        let verdict = self.locate_inner(task, &mut ptr);
         let method = match verdict.method {
             GeoMethod::ActiveProbing => "active_probing",
             GeoMethod::Multistage => "multistage",
@@ -211,10 +264,10 @@ impl<'a> GeolocationPipeline<'a> {
         if verdict.conflict {
             govhost_obs::counter_add("geoloc.conflicts", &[], 1);
         }
-        verdict
+        (verdict, ptr)
     }
 
-    fn locate_inner(&self, task: GeoTask) -> GeoVerdict {
+    fn locate_inner(&self, task: GeoTask, ptr: &mut Option<PtrRead>) -> GeoVerdict {
         let claimed = self.geodb.lookup(task.ip).map(|e| e.country);
         let is_anycast = self.anycast.is_anycast(task.ip);
         let server = self.registry.server_by_ip(task.ip);
@@ -260,7 +313,7 @@ impl<'a> GeolocationPipeline<'a> {
         }
 
         // Stage #4: multistage fallback.
-        let mg = self.multistage(server);
+        let mg = self.multistage(server, ptr);
         match (mg, claimed) {
             (Some(found), Some(c)) if found == c => {
                 verdict.location = Some(c);
@@ -286,10 +339,20 @@ impl<'a> GeolocationPipeline<'a> {
         verdict
     }
 
-    fn multistage(&self, server: &govhost_netsim::asdb::Server) -> Option<CountryCode> {
+    fn multistage(
+        &self,
+        server: &govhost_netsim::asdb::Server,
+        ptr: &mut Option<PtrRead>,
+    ) -> Option<CountryCode> {
         if self.config.use_hoiho {
-            if let Ok(ptr) = self.resolver.resolve_ptr(server.ip) {
-                if let Some(c) = self.hoiho.infer(&ptr.to_string()) {
+            let lookup = self.resolver.resolve_ptr_sourced(server.ip);
+            let read = ptr.insert(PtrRead {
+                ip: server.ip,
+                answer: lookup.answer.ok(),
+                sole_zone: lookup.sole_zone,
+            });
+            if let Some(name) = &read.answer {
+                if let Some(c) = self.hoiho.infer(&name.to_string()) {
                     govhost_obs::counter_add("geoloc.stage_resolved", &[("stage", "hoiho")], 1);
                     return Some(c);
                 }
@@ -341,6 +404,17 @@ impl<'a> GeolocationPipeline<'a> {
         tasks: &[GeoTask],
         threads: usize,
     ) -> (Vec<GeoVerdict>, ValidationStats) {
+        let (located, stats) = self.locate_all_reading(tasks, threads);
+        (located.into_iter().map(|(verdict, _)| verdict).collect(), stats)
+    }
+
+    /// [`Self::locate_all_threaded`] over [`Self::locate_reading`]: each
+    /// verdict comes with the PTR answer it read, if any.
+    pub fn locate_all_reading(
+        &self,
+        tasks: &[GeoTask],
+        threads: usize,
+    ) -> (Vec<(GeoVerdict, Option<PtrRead>)>, ValidationStats) {
         let threads = threads.max(1);
         // A few chunks per worker evens out chunks of unequal cost
         // without paying per-address channel overhead.
@@ -356,20 +430,20 @@ impl<'a> GeolocationPipeline<'a> {
             },
             |_, c| {
                 govhost_obs::collect(|| {
-                    c.iter().map(|t| self.locate(*t)).collect::<Vec<GeoVerdict>>()
+                    c.iter().map(|t| self.locate_reading(*t)).collect::<Vec<_>>()
                 })
             },
         );
         let mut stats = ValidationStats::default();
-        let verdicts: Vec<GeoVerdict> = per_chunk
+        let located: Vec<(GeoVerdict, Option<PtrRead>)> = per_chunk
             .into_iter()
-            .flat_map(|(verdicts, shard)| {
+            .flat_map(|(located, shard)| {
                 govhost_obs::absorb(shard, &ctx);
-                verdicts
+                located
             })
-            .inspect(|v| stats.bump(v))
+            .inspect(|(v, _)| stats.bump(v))
             .collect();
-        (verdicts, stats)
+        (located, stats)
     }
 }
 

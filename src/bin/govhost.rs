@@ -105,7 +105,14 @@ impl Flags {
             let value = args.get(i + 1).cloned().unwrap_or_default();
             match args[i].as_str() {
                 "--scale" => {
-                    f.scale = value.parse().unwrap_or_else(|_| usage_die("bad --scale"))
+                    // A world needs a positive, finite size: 0 or a
+                    // negative scale would silently build the minimum
+                    // world, and inf would saturate every count.
+                    f.scale = value
+                        .parse()
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .unwrap_or_else(|| usage_die("bad --scale"))
                 }
                 "--seed" => f.seed = value.parse().unwrap_or_else(|_| usage_die("bad --seed")),
                 "--out" => f.out = PathBuf::from(&value),

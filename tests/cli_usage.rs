@@ -53,6 +53,17 @@ fn malformed_flag_values_are_usage_errors() {
 }
 
 #[test]
+fn non_positive_or_non_finite_scales_are_usage_errors() {
+    // Each parses as an f64, but none names a world size: they are
+    // rejected before any world is generated.
+    for scale in ["0", "-1", "nan", "inf"] {
+        let out = govhost(&["evolve", "--years", "2", "--scale", scale]);
+        assert_usage_error(&out, "bad --scale");
+        assert!(!stderr(&out).contains("generating world"), "--scale {scale}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn scenario_without_a_file_is_a_usage_error() {
     assert_usage_error(&govhost(&["scenario"]), "scenario needs a file");
     // A flag where the file should be is the same mistake.

@@ -66,15 +66,22 @@ fn ten_year_timeline_is_identical_across_thread_counts() {
     }
 }
 
+/// The (address, serving country) pairs §3.5 validates for a dataset.
+fn geo_pairs(dataset: &GovDataset) -> BTreeSet<(std::net::Ipv4Addr, CountryCode)> {
+    dataset.hosts.iter().filter_map(|h| h.ip.map(|ip| (ip, h.country))).collect()
+}
+
 /// Run `years` ticks over one world, rebuilding incrementally after
 /// each, and assert the export bytes match a from-scratch build of the
 /// same evolved world every single year. Ticks never touch the web
 /// corpus, so every rebuild must also re-run §3.4 identify alone: no
-/// page crawled, no URL classified.
+/// page crawled, no URL classified. Nor do they touch a geolocation
+/// surface or reverse DNS, so §3.5 locates exactly the year's pairs that
+/// the previous year's dataset did not have.
 fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usize) {
     let options = options(threads);
     let mut world = World::generate(params);
-    let (_, _, mut cache) =
+    let (mut previous, _, mut cache) =
         GovDataset::build_cached(&world, &options).expect("seed build succeeds");
     let systems = default_systems();
     for year in 1..=years {
@@ -88,6 +95,12 @@ fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usiz
         if !report.dirty.is_empty() {
             assert!(work.identify.items > 0, "year {year}: dirty countries were not identified");
         }
+        let seen = geo_pairs(&previous);
+        let new_pairs = geo_pairs(&incremental).difference(&seen).count();
+        assert_eq!(
+            work.geolocate.items, new_pairs as u64,
+            "year {year}: a tick rebuild located pairs other than the year's new ones"
+        );
         let full = GovDataset::build(&world, &options);
         let inc_csv = export_csv(&incremental);
         let full_csv = export_csv(&full);
@@ -101,6 +114,7 @@ fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usiz
             "year {year}: urls.csv diverges ({} dirty countries)",
             report.dirty.len()
         );
+        previous = incremental;
     }
 }
 
@@ -120,6 +134,8 @@ fn empty_dirty_set_replays_the_cache_exactly() {
             .expect("replay succeeds");
     assert_eq!(export_csv(&dataset).hosts, export_csv(&replayed).hosts);
     assert_eq!(export_csv(&dataset).urls, export_csv(&replayed).urls);
+    assert_eq!(replayed.timings.geolocate.items, 0, "every verdict replays from the cache");
+    assert_eq!(replayed.validation, dataset.validation);
 }
 
 /// A full build is an incremental rebuild from an empty cache with an
