@@ -44,10 +44,10 @@ cargo test -q --offline -p govhost-obs --test prop_obs
 # the debug pass above and exercised here in release, together with the
 # interner-vs-reference-model property suite. Those compare builds with
 # each other; the digest pin (build_digests, also #[ignore]d in debug)
-# compares one scale-0.3, seed-7, 2-thread build with the FNV-1a 64
-# digests of its export_csv files and metrics.json recorded in
-# results/build_digests_scale0.3.txt, so a change that alters the
-# dataset the same way at every thread count fails too.
+# compares the scale-0.3, seed-7 build at 1, 2 and 4 threads with the
+# FNV-1a 64 digests of its export_csv files, metrics.json and trace.json
+# recorded in results/build_digests_scale0.3.txt, so a change that
+# alters the dataset the same way at every thread count fails too.
 echo "==> interned build suites"
 cargo test -q --offline --release --test interning -- --include-ignored
 cargo test -q --offline --release --test build_digests -- --include-ignored

@@ -10,14 +10,18 @@
 //!
 //! ## Parallelism & determinism
 //!
-//! Crawling and classification fan out over *(country, landing-chunk)*
-//! jobs on [`BuildOptions::threads`] work-stealing worker threads
-//! ([`govhost_par::parallel_map`]), so one giant country no longer
-//! serializes the build; identification fans out per country, and
-//! geolocation (§3.5) over address chunks. Each job streams crawled
-//! pages straight through classification into a chunk-local interned,
-//! columnar partial (no whole-crawl HAR logs are ever materialized), and
-//! the partials are merged **in fixed job order** on the calling thread.
+//! Crawling and classification fan out one job per contributing country
+//! — the paper's unit, crawled from its own in-country vantage — on
+//! [`BuildOptions::threads`] work-stealing worker threads
+//! ([`govhost_par::parallel_map`]); identification fans out per country
+//! too, and geolocation (§3.5) over address chunks. The longest country
+//! job bounds the crawl/classify wall time: at scale 0.3, seed 7, the
+//! largest country holds 9.5% of `crawl.pages` and the largest share of
+//! `classify.urls_examined` is 21.4%. Each job streams crawled pages
+//! straight through classification into its country's interned,
+//! columnar content half (no whole-crawl HAR logs are ever
+//! materialized), and the halves are merged **in fixed country order**
+//! on the calling thread.
 //! Because every worker computes a pure function of the immutable world
 //! and the merge order never depends on scheduling, the dataset — down
 //! to `export_csv` bytes — is identical for every thread count
@@ -256,9 +260,9 @@ pub struct StageTimings {
     /// located in this build (an incremental rebuild replays the
     /// verdicts it can reuse from the cache and does not count them).
     pub geolocate: StageStat,
-    /// Merge + §5.1 category assignment: the per-country merge of the
-    /// crawled chunks, the assembly replay into the global tables and
-    /// the category pass; items = host records.
+    /// Merge + §5.1 category assignment: packing the crawled countries
+    /// into entries, the assembly replay into the global tables and the
+    /// category pass; items = host records.
     pub analyze: StageStat,
     /// Elapsed wall-clock of the whole build, in nanoseconds.
     pub build_nanos: u64,
@@ -434,52 +438,18 @@ pub struct GovDataset {
     pub telemetry: govhost_obs::Telemetry,
 }
 
-/// Landing pages per crawl/classify job. Small enough that a country
-/// with many landing pages splits into several stealable jobs; large
-/// enough that the per-job interning overhead stays negligible.
-const LANDING_CHUNK: usize = 8;
-
 /// Pages streamed per `crawl` span before a `classify` span processes
 /// them — bounds the number of in-flight page borrows without paying a
 /// span per page.
 const CRAWL_BATCH: usize = 64;
 
-/// Per-country context shared by that country's chunk jobs: vantage,
-/// landing slice, and the §3.3 seed material (built once per country).
+/// One contributing country's crawl/classify job: vantage, landing
+/// pages, and the §3.3 seed material.
 struct CountryCtx<'w> {
     code: CountryCode,
     vantage: CountryCode,
     landing: &'w [Url],
     seeds: SeedSets,
-}
-
-/// One `(country, landing-chunk)` job for the crawl/classify fan-out.
-struct ChunkJob {
-    /// Index into the prepared `Vec<CountryCtx>`.
-    ctx: usize,
-    /// Landing-page range of this chunk.
-    start: usize,
-    end: usize,
-}
-
-/// What one chunk job produces: a chunk-local interned, columnar view of
-/// every *unique* URL its crawls examined. Host ids are local to the
-/// chunk's own arena (`host_names` order); the merge remaps them.
-///
-/// The partial is a function of the *set* of pages the chunk examined
-/// and their first-visit order, not of how often each comes back: see
-/// [`stream_chunk`] for why a repeat page is skipped.
-struct ChunkPartial {
-    /// Chunk-local hostname arena, in first-seen order.
-    host_names: Vec<Hostname>,
-    /// §3.3 verdict per chunk-local host id (classification is a pure
-    /// function of the hostname, so computing it at intern time memoizes
-    /// it for every later URL on the same host).
-    verdicts: Vec<Option<ClassificationMethod>>,
-    /// Unique examined URLs in crawl order, host column chunk-local.
-    rows: UrlTable,
-    crawl_failures: u32,
-    failure_causes: FailureCauses,
 }
 
 /// The identity of one examined page within a build: the address of its
@@ -508,36 +478,50 @@ impl std::hash::Hash for PageKey {
     }
 }
 
-/// The §3.2–§3.3 streaming stage for one landing chunk: crawl each
-/// landing page breadth-first, stream batches of pages straight through
-/// classification into the chunk's interners. Pure in
-/// `(world, options, ctx, range)` — scheduling cannot change its output.
+/// The §3.2–§3.3 streaming stage for one country: crawl each landing
+/// page breadth-first, in landing order, and stream batches of pages
+/// straight through classification into the country's content half,
+/// stamped with `read`. Pure in `(world, options, ctx)` — scheduling
+/// cannot change its output.
 ///
-/// Each page is examined at most once per chunk, keyed by [`PageKey`].
-/// The crawls of one chunk keep rendering the same pages (every landing
-/// crawl of a country re-walks its shared sections), and a repeat can
-/// add nothing: on the first visit its own URL row and every resource
-/// row were interned with the bytes the same record lists, so a second
-/// examination would find every host and every row already present and
-/// change no row, no row order and no first-sighting byte count. The
-/// crawl itself still walks every page, so page counts, HAR entries and
-/// fetch failures are unchanged.
+/// Every examined URL row is interned once; the interner's length is the
+/// half's `examined` count. A row's first sighting on a government host
+/// appends it to `rows`, and the host joins `gov` at its first
+/// government row, so both run in first-sighting crawl order — the order
+/// the assembly's global merge first sees them in, which is what keeps
+/// replay exact.
+///
+/// Each page is examined at most once, keyed by [`PageKey`]. A country's
+/// landing crawls keep rendering the same pages (each re-walks its
+/// shared sections), and a repeat can add nothing: on the first visit
+/// its own URL row and every resource row were interned with the bytes
+/// the same record lists, so a second examination would find every host
+/// and every row already present and change no row, no row order and no
+/// first-sighting byte count. The crawl itself still walks every page,
+/// so page counts, HAR entries and fetch failures are unchanged.
 ///
 /// A landing page that cannot be fetched is a crawl-stage fault
 /// ([`PipelineError::Crawl`]): the site would contribute nothing, so the
-/// country's result is unusable. Deeper dead links stay non-fatal and
-/// are only counted.
-fn stream_chunk(
+/// country's result is unusable, and the earliest faulting landing page
+/// names it. Deeper dead links stay non-fatal and are only counted.
+fn stream_country(
     world: &World,
     options: &BuildOptions,
     ctx: &CountryCtx<'_>,
-    start: usize,
-    end: usize,
-) -> Result<ChunkPartial, PipelineError> {
+    read: ContentKey,
+) -> Result<ContentHalf, PipelineError> {
     let mut hosts = HostInterner::new();
+    // Per examined host: its §3.3 verdict (classification is a pure
+    // function of the hostname, so computing it at intern time memoizes
+    // it for every later URL on the host), and its id in `gov` once it
+    // has one.
     let mut verdicts: Vec<Option<ClassificationMethod>> = Vec::new();
-    let mut rows = UrlInterner::new();
-    let mut examined: DetHashSet<PageKey> = DetHashSet::default();
+    let mut gov_ids: Vec<Option<HostId>> = Vec::new();
+    let mut examined = UrlInterner::new();
+    let mut gov = HostInterner::new();
+    let mut gov_methods: Vec<ClassificationMethod> = Vec::new();
+    let mut rows = UrlTable::new();
+    let mut seen: DetHashSet<PageKey> = DetHashSet::default();
     let mut pages = 0u64;
     let mut crawl_failures = 0u32;
     let mut failure_causes = FailureCauses::default();
@@ -546,11 +530,24 @@ fn stream_chunk(
         let (hid, new_host) = hosts.intern(url.hostname());
         if new_host {
             verdicts.push(ctx.seeds.classify(url.hostname(), world.search()));
+            gov_ids.push(None);
         }
-        rows.intern(url.scheme(), hid, url.path(), bytes);
+        if !examined.intern(url.scheme(), hid, url.path(), bytes).1 {
+            return; // the first sighting holds the row
+        }
+        let Some(method) = verdicts[hid.index()] else {
+            return; // non-government URL, discarded
+        };
+        // Later rows of the host read its `gov` id here instead of
+        // hashing the hostname again.
+        let lid = *gov_ids[hid.index()].get_or_insert_with(|| {
+            gov_methods.push(method);
+            gov.intern(url.hostname()).0
+        });
+        rows.push(url.scheme(), lid, url.path(), bytes);
     };
 
-    for landing_url in &ctx.landing[start..end] {
+    for landing_url in ctx.landing {
         let mut session =
             options.crawler.session(world.corpus(), landing_url, Some(ctx.vantage));
         loop {
@@ -570,7 +567,7 @@ fn stream_chunk(
             }
             let _classify = govhost_obs::span!("classify");
             for visit in &batch {
-                if !examined.insert(PageKey { page: visit.page, scheme: visit.url.scheme() }) {
+                if !seen.insert(PageKey { page: visit.page, scheme: visit.url.scheme() }) {
                     continue; // every row this page lists is already interned
                 }
                 examine(visit.url, visit.page.html_bytes);
@@ -588,8 +585,16 @@ fn stream_chunk(
     }
     govhost_obs::counter_add("crawl.pages", &[("country", ctx.code.as_str())], pages);
 
-    let host_names: Vec<Hostname> = hosts.iter().map(|(_, name)| name.clone()).collect();
-    Ok(ChunkPartial { host_names, verdicts, rows: rows.into_table(), crawl_failures, failure_causes })
+    Ok(ContentHalf {
+        read,
+        landing: ctx.landing.len() as u32,
+        gov,
+        gov_methods,
+        rows,
+        examined: examined.len() as u64,
+        crawl_failures,
+        failure_causes,
+    })
 }
 
 /// What a country's content half read: the world's crawl-side content
@@ -658,11 +663,9 @@ struct InfraHalf {
 /// there, never cached).
 #[derive(Default)]
 struct CountryShards {
-    /// Whether crawl → classify ran for this country in this build;
-    /// `false` when its content half was reused and only identify ran.
-    content_fresh: bool,
-    /// The crawl/classify chunk-job shards, in chunk order.
-    crawl: Vec<govhost_obs::Telemetry>,
+    /// The crawl/classify job's shard; `None` when the country's content
+    /// half was reused and only identify ran.
+    crawl: Option<govhost_obs::Telemetry>,
     /// The identify-job shard.
     identify: govhost_obs::Telemetry,
 }
@@ -968,8 +971,7 @@ impl GovDataset {
                 std::mem::take(&mut cache.entries).into_iter().map(|e| (e.code, e)).collect();
             for code in &reused {
                 let entry = old.remove(code).expect("reused countries have a cached entry");
-                let shards = CountryShards { content_fresh: false, ..CountryShards::default() };
-                works.push(CountryWork { entry, shards });
+                works.push(CountryWork { entry, shards: CountryShards::default() });
             }
             Self::identify_countries(world, options, &mut works);
             // Splice: recomputed entries replace stale ones, everything
@@ -1129,20 +1131,19 @@ impl GovDataset {
         (dataset, report)
     }
 
-    /// Phases §3.2–§3.3 for a set of countries: the chunked
-    /// crawl/classify fan-out and the per-country merge into content
-    /// halves stamped with `key`. Only the countries in `only` are
-    /// crawled; the returned entries carry an empty infra half for
-    /// [`Self::identify_countries`] to fill.
+    /// Phases §3.2–§3.3 for a set of countries: the per-country
+    /// crawl/classify fan-out into content halves stamped with `key`.
+    /// Only the countries in `only` are crawled; the returned entries
+    /// carry an empty infra half for [`Self::identify_countries`] to
+    /// fill.
     fn crawl_countries(
         world: &World,
         options: &BuildOptions,
         only: &BTreeSet<CountryCode>,
         key: ContentKey,
     ) -> Result<(Vec<CountryWork>, Vec<QuarantineEntry>), BuildError> {
-        // Prep: per contributing country, the shared crawl/classify
-        // context; then the (country, landing-chunk) job list in fixed
-        // nested order.
+        // Prep: one crawl/classify job per contributing country, in
+        // fixed country order.
         let mut ctxs: Vec<CountryCtx<'_>> = Vec::new();
         for row in world.studied_countries() {
             let code = row.cc();
@@ -1160,150 +1161,57 @@ impl GovDataset {
             let seeds = SeedSets::new(seed_hosts, landing_certs);
             ctxs.push(CountryCtx { code, vantage: world.vantage(code).country, landing, seeds });
         }
-        let mut jobs: Vec<ChunkJob> = Vec::new();
-        for (ci, ctx) in ctxs.iter().enumerate() {
-            let mut start = 0;
-            while start < ctx.landing.len() {
-                let end = (start + LANDING_CHUNK).min(ctx.landing.len());
-                jobs.push(ChunkJob { ctx: ci, start, end });
-                start = end;
-            }
-        }
 
-        // Phase 1 (parallel, work-stealing): stream-crawl and classify
-        // every chunk. Each job collects its telemetry into a private
-        // shard that rides back with the partial; a faulted country's
-        // shards are dropped with its result, so the capture only ever
-        // describes work that contributed to the dataset.
+        // Phase 1 (parallel, work-stealing): one job per country streams
+        // its crawl through classification into its content half. Each
+        // job collects its telemetry into a private shard that rides back
+        // with the half; a faulted country's shard is dropped with its
+        // result, so the capture only ever describes work that
+        // contributed to the dataset.
         let results = govhost_par::try_parallel_map(
-            &jobs,
+            &ctxs,
             options.threads,
-            |job| {
-                format!("country {} landing {}..{}", ctxs[job.ctx].code, job.start, job.end)
-            },
-            |_, job| {
-                let ctx = &ctxs[job.ctx];
+            |ctx| format!("country {}", ctx.code),
+            |_, ctx| {
                 let (result, shard) =
-                    govhost_obs::collect(|| stream_chunk(world, options, ctx, job.start, job.end));
-                result.map(|partial| (partial, shard))
+                    govhost_obs::collect(|| stream_country(world, options, ctx, key));
+                result.map(|content| (content, shard))
             },
         );
 
-        // Group chunk results per country, in fixed job order. A country
-        // fails as a whole, named by its earliest faulting chunk — which
-        // holds the earliest faulting landing page, exactly the error the
-        // sequential per-country loop would have surfaced.
-        let mut chunks: Vec<Vec<(ChunkPartial, govhost_obs::Telemetry)>> =
-            (0..ctxs.len()).map(|_| Vec::new()).collect();
-        let mut faults: Vec<Option<PipelineError>> = (0..ctxs.len()).map(|_| None).collect();
-        for (job, result) in jobs.iter().zip(results) {
-            match result {
-                Ok(pair) => chunks[job.ctx].push(pair),
-                Err(e) => {
-                    if faults[job.ctx].is_none() {
-                        faults[job.ctx] = Some(e.error);
-                    }
-                }
-            }
-        }
-
-        // Merge (sequential, fixed country order): remap chunk-local host
-        // ids to country-local ids, dedup URLs cross-chunk (first
-        // sighting wins, in crawl order), and distil each country's
-        // government surface into its own entry. No global state is
-        // touched here — that is the assembly's job — so an entry is a
-        // pure function of the world and one country. This is the first
-        // half of the `analyze` stage; the assembly replay is the second.
+        // Entries and quarantines, in fixed country order, under the
+        // first half of the `analyze` stage (the assembly replay is the
+        // second). No global state is touched here — that is the
+        // assembly's job — so an entry is a pure function of the world
+        // and one country.
         let _analyze = govhost_obs::span!("analyze");
         let mut quarantined: Vec<QuarantineEntry> = Vec::new();
         let mut works: Vec<CountryWork> = Vec::with_capacity(ctxs.len());
-        for (ci, ctx) in ctxs.iter().enumerate() {
-            if let Some(error) = faults[ci].take() {
-                match options.policy {
+        for (ctx, result) in ctxs.iter().zip(results) {
+            let (content, crawl) = match result {
+                Ok(pair) => pair,
+                Err(e) => match options.policy {
                     FailurePolicy::Abort => {
-                        return Err(BuildError { country: ctx.code, error })
+                        return Err(BuildError { country: ctx.code, error: e.error })
                     }
                     FailurePolicy::Quarantine => {
                         quarantined.push(QuarantineEntry {
                             country: ctx.code,
-                            stage: error.stage(),
-                            cause: error.to_string(),
+                            stage: e.error.stage(),
+                            cause: e.error.to_string(),
                         });
                         continue;
                     }
-                }
-            }
-            let mut country_hosts = HostInterner::new();
-            let mut country_verdicts: Vec<Option<ClassificationMethod>> = Vec::new();
-            // Country-local host id → its id in `gov`, once it has one.
-            let mut gov_ids: Vec<Option<HostId>> = Vec::new();
-            let mut country_rows = UrlInterner::new();
-            let mut gov = HostInterner::new();
-            let mut gov_methods: Vec<ClassificationMethod> = Vec::new();
-            let mut rows = UrlTable::new();
-            let mut crawl_failures = 0u32;
-            let mut failure_causes = FailureCauses::default();
-            let country_chunks = std::mem::take(&mut chunks[ci]);
-            let mut chunk_shards = Vec::with_capacity(country_chunks.len());
-            for (chunk, shard) in country_chunks {
-                chunk_shards.push(shard);
-                crawl_failures += chunk.crawl_failures;
-                failure_causes.merge(chunk.failure_causes);
-                let map: Vec<HostId> = chunk
-                    .host_names
-                    .iter()
-                    .zip(&chunk.verdicts)
-                    .map(|(name, verdict)| {
-                        let (chid, new) = country_hosts.intern(name);
-                        if new {
-                            country_verdicts.push(*verdict);
-                            gov_ids.push(None);
-                        }
-                        chid
-                    })
-                    .collect();
-                for row in chunk.rows.iter() {
-                    let chid = map[row.host.index()];
-                    let (_, first_sighting) =
-                        country_rows.intern(row.scheme, chid, row.path, row.bytes);
-                    if !first_sighting {
-                        continue;
-                    }
-                    let Some(method) = country_verdicts[chid.index()] else {
-                        continue; // non-government URL, discarded
-                    };
-                    // Government hostnames intern into the entry's own
-                    // arena at their first government row, so the local
-                    // ids run in exactly the order the global merge will
-                    // first see each host — the invariant replay needs.
-                    // Later rows of the host read its id from `gov_ids`
-                    // instead of hashing the hostname again.
-                    let lid = *gov_ids[chid.index()].get_or_insert_with(|| {
-                        gov_methods.push(method);
-                        gov.intern(country_hosts.resolve(chid)).0
-                    });
-                    rows.push(row.scheme, lid, row.path, row.bytes);
-                }
-            }
-            let examined = country_rows.len() as u64;
+                },
+            };
             works.push(CountryWork {
                 entry: CountryEntry {
                     code: ctx.code,
-                    content: Arc::new(ContentHalf {
-                        read: key,
-                        landing: ctx.landing.len() as u32,
-                        gov,
-                        gov_methods,
-                        rows,
-                        examined,
-                        crawl_failures,
-                        failure_causes,
-                    }),
+                    content: Arc::new(content),
                     infra: InfraHalf::default(),
                 },
                 shards: CountryShards {
-                    content_fresh: true,
-                    crawl: chunk_shards,
+                    crawl: Some(crawl),
                     identify: govhost_obs::Telemetry::default(),
                 },
             });
@@ -1362,11 +1270,12 @@ impl GovDataset {
             let code = entry.code;
             let _country = govhost_obs::span_labeled("country", &[("country", code.as_str())]);
             let country_ctx = govhost_obs::context();
-            for s in shard.crawl {
-                govhost_obs::absorb(s, &country_ctx);
+            let crawled = shard.crawl.is_some();
+            if let Some(crawl) = shard.crawl {
+                govhost_obs::absorb(crawl, &country_ctx);
             }
             govhost_obs::absorb(shard.identify, &country_ctx);
-            if shard.content_fresh {
+            if crawled {
                 govhost_obs::counter_add(
                     "classify.urls_examined",
                     &[("country", code.as_str())],
@@ -1724,11 +1633,11 @@ mod tests {
         GovDataset::build(&world, &BuildOptions::default())
     }
 
-    /// The page key of `stream_chunk` includes the scheme: a page crawled
-    /// under `https://` and again under `http://` in one chunk is two
-    /// examinations with two URL rows. A landing page gains an `http://`
-    /// link to a page it already links under `https://`; both rows must
-    /// be exported, each with the page's bytes.
+    /// The page key of `stream_country` includes the scheme: a page
+    /// crawled under `https://` and again under `http://` in one country
+    /// is two examinations with two URL rows. A landing page gains an
+    /// `http://` link to a page it already links under `https://`; both
+    /// rows must be exported, each with the page's bytes.
     #[test]
     fn a_page_fetched_under_both_schemes_exports_both_rows() {
         let mut world = World::generate(&GenParams::tiny());

@@ -294,11 +294,6 @@ impl UrlInterner {
     pub fn table(&self) -> &UrlTable {
         &self.table
     }
-
-    /// Consume the interner, keeping only the columns.
-    pub fn into_table(self) -> UrlTable {
-        self.table
-    }
 }
 
 #[cfg(test)]

@@ -206,6 +206,14 @@ impl Default for PipelineConfig {
     }
 }
 
+/// The fewest tasks [`GeolocationPipeline::locate_all_reading`] hands a
+/// worker thread at once. Locating one task costs about 10 µs, and a
+/// two-thread fan-out about 66 µs to spawn and join (scale 0.3, seed 7,
+/// two-core x86-64 host), so a chunk below about 13 tasks costs more to
+/// hand off than to run inline; a tick rebuild's handful of fresh pairs
+/// runs inline.
+const MIN_CHUNK: usize = 16;
+
 /// The assembled pipeline, borrowing every substrate surface it needs.
 pub struct GeolocationPipeline<'a> {
     /// The AS/server registry (to find the server behind an IP).
@@ -381,35 +389,27 @@ impl<'a> GeolocationPipeline<'a> {
 
     /// Geolocate a batch and accumulate Table 4 statistics.
     pub fn locate_all(&self, tasks: &[GeoTask]) -> (Vec<GeoVerdict>, ValidationStats) {
-        self.locate_all_threaded(tasks, 1)
+        let (located, stats) = self.locate_all_reading(tasks, 1);
+        (located.into_iter().map(|(verdict, _)| verdict).collect(), stats)
     }
 
-    /// [`Self::locate_all`] fanned out over up to `threads` worker
-    /// threads.
+    /// [`Self::locate_all`] over [`Self::locate_reading`], fanned out over
+    /// up to `threads` worker threads: each verdict comes with the PTR
+    /// answer it read, if any.
     ///
     /// The pipeline holds only shared references to immutable substrate
     /// surfaces, so it is `Sync` by construction and each address can be
-    /// located independently. Tasks are split into contiguous chunks,
-    /// chunks are mapped in parallel, and verdicts are reassembled — and
-    /// the statistics folded — in input order, so the result is identical
-    /// for every thread count.
+    /// located independently. Tasks are split into contiguous chunks of
+    /// at least `MIN_CHUNK` tasks, chunks are mapped in parallel, and
+    /// verdicts are reassembled — and the statistics folded — in input
+    /// order, so the result is identical for every thread count. A batch
+    /// of at most `MIN_CHUNK` tasks is one chunk and runs inline.
     ///
     /// Each chunk collects its telemetry into a private shard that is
     /// grafted back at the caller's span position. The chunk partition
     /// itself depends on `threads`, so no per-chunk span is recorded —
     /// only the per-task data from [`Self::locate`], whose aggregation
     /// is partition-blind.
-    pub fn locate_all_threaded(
-        &self,
-        tasks: &[GeoTask],
-        threads: usize,
-    ) -> (Vec<GeoVerdict>, ValidationStats) {
-        let (located, stats) = self.locate_all_reading(tasks, threads);
-        (located.into_iter().map(|(verdict, _)| verdict).collect(), stats)
-    }
-
-    /// [`Self::locate_all_threaded`] over [`Self::locate_reading`]: each
-    /// verdict comes with the PTR answer it read, if any.
     pub fn locate_all_reading(
         &self,
         tasks: &[GeoTask],
@@ -418,7 +418,7 @@ impl<'a> GeolocationPipeline<'a> {
         let threads = threads.max(1);
         // A few chunks per worker evens out chunks of unequal cost
         // without paying per-address channel overhead.
-        let chunk_len = tasks.len().div_ceil(threads * 4).max(1);
+        let chunk_len = tasks.len().div_ceil(threads * 4).max(MIN_CHUNK);
         let chunks: Vec<&[GeoTask]> = tasks.chunks(chunk_len).collect();
         let ctx = govhost_obs::context();
         let per_chunk = govhost_par::parallel_map(
@@ -656,20 +656,25 @@ mod tests {
     #[test]
     fn threaded_batches_match_sequential() {
         let f = fixture();
-        let tasks: Vec<GeoTask> = (1..=6).map(task).collect();
         let p = f.pipeline();
-        let (seq_verdicts, seq_stats) = p.locate_all(&tasks);
-        for threads in [2, 3, 8] {
-            let (verdicts, stats) = p.locate_all_threaded(&tasks, threads);
-            assert_eq!(verdicts, seq_verdicts, "threads={threads}");
-            assert_eq!(stats, seq_stats, "threads={threads}");
+        let six: Vec<GeoTask> = (1..=6).map(task).collect();
+        // More tasks than one chunk holds, so the batch fans out.
+        let many: Vec<GeoTask> = (0..5).flat_map(|_| six.iter().copied()).collect();
+        for tasks in [&six[..3], &six[..], &many[..]] {
+            let (seq_verdicts, seq_stats) = p.locate_all(tasks);
+            for threads in [2, 3, 8] {
+                let (located, stats) = p.locate_all_reading(tasks, threads);
+                let verdicts: Vec<GeoVerdict> = located.into_iter().map(|(v, _)| v).collect();
+                assert_eq!(verdicts, seq_verdicts, "{} tasks, threads={threads}", tasks.len());
+                assert_eq!(stats, seq_stats, "{} tasks, threads={threads}", tasks.len());
+            }
         }
     }
 
     #[test]
     fn empty_batch_produces_empty_stats_without_nan_counts() {
         let f = fixture();
-        let (verdicts, stats) = f.pipeline().locate_all_threaded(&[], 4);
+        let (verdicts, stats) = f.pipeline().locate_all_reading(&[], 4);
         assert!(verdicts.is_empty());
         assert_eq!(stats, ValidationStats::default());
         assert_eq!(stats.unicast_total(), 0);

@@ -1,8 +1,9 @@
 //! Absolute byte pin of the build. Every other build pin compares two
 //! builds with each other — thread counts, incremental against full — so
 //! a change that alters the dataset the same way everywhere passes them
-//! all. This one compares a scale-0.3, seed-7, 2-thread build against
-//! FNV-1a 64 digests recorded in `results/build_digests_scale0.3.txt`:
+//! all. This one compares a scale-0.3, seed-7 build at 1, 2 and 4
+//! threads against the FNV-1a 64 digests recorded (from the 2-thread
+//! build) in `results/build_digests_scale0.3.txt`:
 //! the three `export_csv` files and the deterministic `metrics.json` and
 //! `trace.json` (the span tree with every nanosecond zeroed, so its shape,
 //! counts and attributes are pinned, not its timings).
@@ -40,22 +41,28 @@ fn render(files: &[(&str, &str)]) -> String {
 #[ignore = "scale-0.3 world: run in release via ci.sh"]
 fn scale_03_build_matches_the_recorded_digests() {
     let world = World::generate(&GenParams { seed: 7, scale: 0.3, ..GenParams::default() });
-    let options = BuildOptions { threads: 2, ..BuildOptions::default() };
-    let (dataset, _report) = GovDataset::try_build(&world, &options).expect("clean world builds");
-    let csv = export_csv(&dataset);
-    let metrics = metrics_json(&dataset.telemetry);
-    let trace = trace_json(&dataset.telemetry, TimeMode::Deterministic);
-    let got = render(&[
-        ("hosts.csv", &csv.hosts),
-        ("urls.csv", &csv.urls),
-        ("meta.csv", &csv.meta),
-        ("metrics.json", &metrics),
-        ("trace.json", &trace),
-    ]);
     let recorded: String = RECORDED
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .map(|l| format!("{l}\n"))
         .collect();
-    assert_eq!(got, recorded, "build bytes differ from the recorded digests:\n{got}");
+    for threads in [1, 2, 4] {
+        let options = BuildOptions { threads, ..BuildOptions::default() };
+        let (dataset, _report) =
+            GovDataset::try_build(&world, &options).expect("clean world builds");
+        let csv = export_csv(&dataset);
+        let metrics = metrics_json(&dataset.telemetry);
+        let trace = trace_json(&dataset.telemetry, TimeMode::Deterministic);
+        let got = render(&[
+            ("hosts.csv", &csv.hosts),
+            ("urls.csv", &csv.urls),
+            ("meta.csv", &csv.meta),
+            ("metrics.json", &metrics),
+            ("trace.json", &trace),
+        ]);
+        assert_eq!(
+            got, recorded,
+            "threads={threads}: build bytes differ from the recorded digests:\n{got}"
+        );
+    }
 }

@@ -72,7 +72,7 @@ fn parallel_build_is_bit_identical_at_scale() {
             assert_eq!(a.asn, b.asn, "threads={threads}");
             assert_eq!(a.category, b.category, "threads={threads}");
             // Geolocation verdict order: server_country and the anycast
-            // flag come straight out of locate_all_threaded.
+            // flag come straight out of locate_all_reading.
             assert_eq!(a.server_country, b.server_country, "threads={threads}");
             assert_eq!(a.anycast, b.anycast, "threads={threads}");
         }

@@ -190,6 +190,60 @@ fn quarantine_drops_poisoned_country_but_builds_the_rest() {
     assert!(ds.urls.len() > 1000, "the surviving countries still produce a dataset");
 }
 
+/// When two landing sites of one country fault, the country is named by
+/// its earliest faulting landing page, whatever the policy and the thread
+/// count. The later fault sits at landing index 8 or above, past the
+/// first eight landing pages, so a crawl that split a country's landing
+/// pages into groups and reported whichever group faulted last, or
+/// first in time, would name the wrong page.
+#[test]
+fn the_earliest_faulting_landing_page_names_the_country() {
+    let mut world = World::generate(&GenParams::tiny());
+    // A country with more than eight landing pages, a landing page `lo`
+    // below index 8 and one `hi` at index 8 or above, each the first
+    // landing page on its site, so poisoning the two sites makes `lo`
+    // the earliest faulting landing page.
+    let first_on_site = |landing: &[govhost::types::Url], i: usize| {
+        landing[..i].iter().all(|u| u.hostname() != landing[i].hostname())
+    };
+    let (country, lo, hi) = world
+        .studied_countries()
+        .iter()
+        .find_map(|row| {
+            let landing = world.landing(row.cc());
+            let hi = (8..landing.len()).find(|&i| first_on_site(landing, i))?;
+            let lo = (1..8).rev().find(|&i| first_on_site(landing, i))?;
+            Some((row.cc(), landing[lo].clone(), landing[hi].clone()))
+        })
+        .expect("some country has more than eight landing pages on distinct sites");
+    let foreign: CountryCode =
+        if country.as_str() == "US" { "DE" } else { "US" }.parse().unwrap();
+    for url in [&lo, &hi] {
+        world
+            .corpus_mut()
+            .site_mut(url.hostname())
+            .expect("landing site exists in the corpus")
+            .geo_restricted_to = Some(foreign);
+    }
+    let names_lo = |cause: &str| {
+        assert!(cause.contains(&format!("crawl of {lo} failed")), "{cause} names {lo}");
+        assert!(!cause.contains(&hi.to_string()), "{cause} does not name {hi}");
+    };
+    for threads in [1, 4] {
+        let abort = BuildOptions { threads, ..BuildOptions::default() };
+        let err = GovDataset::try_build(&world, &abort).expect_err("abort policy stops");
+        assert_eq!(err.country, country, "threads={threads}");
+        names_lo(&err.error.to_string());
+
+        let quarantine = BuildOptions { policy: FailurePolicy::Quarantine, ..abort };
+        let (_, report) =
+            GovDataset::try_build(&world, &quarantine).expect("quarantine absorbs the fault");
+        assert_eq!(report.quarantined.len(), 1, "threads={threads}");
+        assert_eq!(report.quarantined[0].country, country);
+        names_lo(&report.quarantined[0].cause);
+    }
+}
+
 /// Faults during an incremental rebuild obey the same policies as a full
 /// build: poisoning a country after a clean cached build and rebuilding
 /// with only that country dirty either aborts without touching the
