@@ -3,7 +3,7 @@
 //! latency thresholds.
 
 use govhost_core::dataset::BuildOptions;
-use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig};
+use govhost_geoloc::pipeline::{GeoTask, PipelineConfig};
 use govhost_geoloc::CountryThresholds;
 use govhost_harness::bench::{black_box, Bench};
 use govhost_types::CountryCode;
@@ -40,18 +40,7 @@ fn main() {
             },
         ),
     ] {
-        let pipeline = GeolocationPipeline {
-            registry: &world.registry,
-            geodb: &world.geodb,
-            anycast: &world.manycast,
-            fleet: &world.fleet,
-            model: &world.latency,
-            thresholds: &world.thresholds,
-            hoiho: &world.hoiho,
-            ipmap: &world.ipmap,
-            resolver: &world.resolver,
-            config,
-        };
+        let pipeline = world.geolocation(config);
         b.bench(&format!("ablation/geoloc_stages/{name}"), || {
             black_box(pipeline.locate_all(black_box(&tasks)));
         });

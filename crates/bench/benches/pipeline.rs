@@ -9,66 +9,17 @@
 //! `export_csv` output is byte-identical across every thread count —
 //! the determinism invariant the parallel build promises.
 
-use govhost_core::classify::SeedSets;
 use govhost_core::dataset::{BuildOptions, GovDataset};
 use govhost_core::export::export_csv;
 use govhost_core::hosting::HostingAnalysis;
 use govhost_core::metrics::BuildMetrics;
-use govhost_core::table::UrlInterner;
-use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig};
+use govhost_geoloc::pipeline::{GeoTask, PipelineConfig};
 use govhost_harness::bench::{black_box, Bench};
 use govhost_harness::mem;
-use govhost_types::{CountryCode, Hostname, Url};
-use govhost_web::cert::TlsCert;
+use govhost_types::CountryCode;
 use govhost_web::Crawler;
 use govhost_worldgen::{default_systems, run_year, GenParams, World};
 use std::time::Instant;
-
-/// The crawl→classify work of every studied country on one thread:
-/// stream pages out of a [`Crawler::session`], intern hostnames once,
-/// and dedup URL rows through the columnar [`UrlInterner`] — no
-/// materialized crawls, no owned-URL keys.
-fn interned_crawl_classify(world: &World) -> usize {
-    let crawler = Crawler::default();
-    let mut total_rows = 0usize;
-    for row in world.studied_countries() {
-        let code = row.cc();
-        let landing = world.landing(code);
-        if landing.is_empty() {
-            continue;
-        }
-        let seed_hosts: Vec<Hostname> = landing.iter().map(|u| u.hostname().clone()).collect();
-        let certs: Vec<&TlsCert> =
-            seed_hosts.iter().filter_map(|h| world.corpus().certificate(h)).collect();
-        let seeds = SeedSets::new(seed_hosts, certs);
-        let vantage = world.vantage(code).country;
-        let mut hosts = govhost_types::HostInterner::new();
-        let mut verdicts: Vec<Option<govhost_core::classify::ClassificationMethod>> = Vec::new();
-        let mut rows = UrlInterner::new();
-        for landing_url in landing {
-            let mut session = crawler.session(world.corpus(), landing_url, Some(vantage));
-            while let Some(visit) = session.next_page() {
-                let mut examine = |url: &Url, bytes: u64| {
-                    let (hid, new_host) = hosts.intern(url.hostname());
-                    if new_host {
-                        verdicts.push(seeds.classify(url.hostname(), world.search()));
-                    }
-                    rows.intern(url.scheme(), hid, url.path(), bytes);
-                };
-                examine(visit.url, visit.page.html_bytes);
-                for res in &visit.page.resources {
-                    examine(&res.url, res.bytes);
-                }
-            }
-        }
-        total_rows += rows
-            .table()
-            .iter()
-            .filter(|u| verdicts[u.host.index()].is_some())
-            .count();
-    }
-    total_rows
-}
 
 /// Drain a crawl session from every landing page of every studied
 /// country, on one thread and with nothing classified: the crawl alone.
@@ -233,15 +184,18 @@ fn main() {
         }
     }
 
-    // ---- Scale sweep: per-stage wall time and peak RSS at 0.3/1/3/10.
-    // Every point is a single measured pass (these builds take seconds
-    // to minutes; statistics come from the per-stage item counts). Peak
-    // RSS brackets each pass with a high-water-mark reset; when the
-    // kernel refuses the reset the readings degrade to process-lifetime
-    // peaks and are recorded anyway.
-    for (scale, label) in
-        [(0.3, "scale_0_3"), (1.0, "scale_1"), (3.0, "scale_3"), (10.0, "scale_10")]
-    {
+    // ---- Scale sweep: per-stage wall time and peak RSS at 0.3/1/3/10
+    // (only 0.3 in smoke mode). Every point is a single measured pass
+    // (these builds take seconds to minutes; statistics come from the
+    // per-stage item counts). Peak RSS brackets each pass with a
+    // high-water-mark reset; when the kernel refuses the reset the
+    // readings degrade to process-lifetime peaks and are recorded anyway.
+    let sweep: &[(f64, &str)] = if b.smoke() {
+        &[(0.3, "scale_0_3")]
+    } else {
+        &[(0.3, "scale_0_3"), (1.0, "scale_1"), (3.0, "scale_3"), (10.0, "scale_10")]
+    };
+    for &(scale, label) in sweep {
         let world = World::generate(&GenParams { scale, ..Default::default() });
         mem::reset_peak_rss();
         let start = Instant::now();
@@ -259,29 +213,6 @@ fn main() {
                 Some(stat.items),
             );
         }
-        drop(ds);
-
-        // At the top scale, also time the crawl→classify stream alone,
-        // single-threaded, with its own peak RSS.
-        if scale == 10.0 {
-            mem::reset_peak_rss();
-            let start = Instant::now();
-            let interned_rows = interned_crawl_classify(&world);
-            let interned_wall = start.elapsed();
-            let interned_rss = mem::peak_rss_bytes();
-            b.record(
-                &format!("pipeline/sweep/{label}/crawl_classify_interned"),
-                interned_wall,
-                Some(interned_rows as u64),
-            );
-            if let Some(rss) = interned_rss {
-                b.record_value(
-                    &format!("pipeline/sweep/{label}/crawl_classify_interned_peak_rss_bytes"),
-                    rss as f64,
-                    Some(interned_rows as u64),
-                );
-            }
-        }
     }
 
     let vantage: CountryCode = "AR".parse().unwrap();
@@ -292,18 +223,7 @@ fn main() {
         .take(200)
         .map(|s| GeoTask { ip: s.ip, serving_country: vantage })
         .collect();
-    let pipeline = GeolocationPipeline {
-        registry: &world.registry,
-        geodb: &world.geodb,
-        anycast: &world.manycast,
-        fleet: &world.fleet,
-        model: &world.latency,
-        thresholds: &world.thresholds,
-        hoiho: &world.hoiho,
-        ipmap: &world.ipmap,
-        resolver: &world.resolver,
-        config: PipelineConfig::default(),
-    };
+    let pipeline = world.geolocation(PipelineConfig::default());
     b.bench("pipeline/geolocate_200_addresses", || {
         black_box(pipeline.locate_all(black_box(&tasks)));
     });

@@ -51,12 +51,6 @@ impl FlowMatrix {
         out
     }
 
-    /// Total cross-border URLs leaving one government — the share
-    /// denominator for that source's rows in a filtered flow view.
-    pub fn outflow_total(&self, source: CountryCode) -> u64 {
-        self.flows.iter().filter(|((s, _), _)| *s == source).map(|(_, n)| n).sum()
-    }
-
     /// Fraction of a government's *cross-border* URLs going to `dest`.
     pub fn share_to(&self, source: CountryCode, dest: CountryCode) -> f64 {
         let total: u64 = self.outflows(source).iter().map(|(_, n)| n).sum();

@@ -87,9 +87,7 @@
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
 use crate::table::{UrlInterner, UrlRef, UrlTable};
-use govhost_geoloc::pipeline::{
-    GeoTask, GeoVerdict, GeolocationPipeline, PipelineConfig, PtrRead, ValidationStats,
-};
+use govhost_geoloc::pipeline::{GeoTask, GeoVerdict, PipelineConfig, PtrRead, ValidationStats};
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
@@ -1551,18 +1549,7 @@ fn geolocate(
     options: &BuildOptions,
     memo: Option<&GeoMemo>,
 ) -> (Geolocated, GeoMemo) {
-    let pipeline = GeolocationPipeline {
-        registry: &world.registry,
-        geodb: &world.geodb,
-        anycast: &world.manycast,
-        fleet: &world.fleet,
-        model: &world.latency,
-        thresholds: &world.thresholds,
-        hoiho: &world.hoiho,
-        ipmap: &world.ipmap,
-        resolver: &world.resolver,
-        config: options.geo,
-    };
+    let pipeline = world.geolocation(options.geo);
     let key = |t: &GeoTask| (t.ip, t.serving_country);
     let mut tasks: Vec<GeoTask> = hosts
         .iter()

@@ -4,16 +4,17 @@
 //! that artifact for the reproduction: the full [`GovDataset`] as three
 //! CSV documents (per-hostname infrastructure records, per-URL records,
 //! and a key-value metadata section carrying the build-level counters:
-//! crawl failures by cause, validation statistics, and the
-//! [`BuildReport`]), plus a loader that reconstructs dataset *and* report
-//! from them so the analyses can run without regenerating the world.
+//! crawl failures by cause, validation statistics, per-country landing
+//! counts, and the [`BuildReport`]), plus a loader that reconstructs
+//! dataset *and* report from them so the analyses can run without
+//! regenerating the world.
 //!
 //! The import side reads records with [`govhost_report::read_records`],
 //! a real RFC 4180 record reader — quoted fields may span lines, so an
 //! organisation name with an embedded newline survives the round trip.
 
 use crate::classify::ClassificationMethod;
-use crate::dataset::{BuildReport, GovDataset, HostRecord, QuarantineEntry};
+use crate::dataset::{BuildReport, CountryStats, GovDataset, HostRecord, QuarantineEntry};
 use crate::table::UrlTable;
 use govhost_geoloc::pipeline::ValidationStats;
 use govhost_report::{read_records, Csv};
@@ -31,9 +32,9 @@ pub struct DatasetCsv {
     /// One row per captured URL.
     pub urls: String,
     /// Key-first metadata rows: dataset counters ([`GovDataset::crawl_failures`],
-    /// validation statistics) and the [`BuildReport`]. May be empty for
-    /// documents written before the section existed; unknown keys are
-    /// ignored on import.
+    /// validation statistics, per-country landing counts) and the
+    /// [`BuildReport`]. May be empty for documents written before the
+    /// section existed; unknown keys are ignored on import.
     pub meta: String,
 }
 
@@ -133,6 +134,12 @@ pub fn export_csv_full(dataset: &GovDataset, report: Option<&BuildReport>) -> Da
     meta.row(std::iter::once("validation_anycast".to_string())
         .chain(v.anycast.iter().map(|n| n.to_string())));
     meta.row(["validation_conflicts".to_string(), v.conflicts.to_string()]);
+    let mut landing: Vec<(CountryCode, u32)> =
+        dataset.per_country.iter().map(|(cc, s)| (*cc, s.landing)).collect();
+    landing.sort_unstable();
+    for (cc, n) in landing {
+        meta.row(["landing".to_string(), cc.to_string(), n.to_string()]);
+    }
     if let Some(report) = report {
         let c = report.crawl_failures;
         meta.row([
@@ -186,9 +193,9 @@ pub fn import_csv(csv: &DatasetCsv) -> Result<GovDataset, ImportError> {
 /// Reconstruct a dataset and its [`BuildReport`] from the CSV documents
 /// produced by [`export_csv_full`]. Per-country aggregates are recomputed
 /// from the rows; geolocation verdicts (anycast flags, exclusions) are
-/// carried in the host rows; crawl-failure counts and validation
-/// statistics come from the metadata section (defaulting to zero when the
-/// section is absent).
+/// carried in the host rows; crawl-failure counts, validation statistics
+/// and per-country landing counts come from the metadata section
+/// (defaulting to zero when the section is absent).
 pub fn import_csv_full(csv: &DatasetCsv) -> Result<(GovDataset, BuildReport), ImportError> {
     let mut hosts: Vec<HostRecord> = Vec::new();
     let mut host_ids = HostInterner::new();
@@ -255,7 +262,7 @@ pub fn import_csv_full(csv: &DatasetCsv) -> Result<(GovDataset, BuildReport), Im
 
     let mut urls = UrlTable::new();
     let mut method_counts = [0u64; 3];
-    let mut per_country: HashMap<CountryCode, crate::dataset::CountryStats> = HashMap::new();
+    let mut per_country: HashMap<CountryCode, CountryStats> = HashMap::new();
     for (idx, f) in read_records(&csv.urls).iter().enumerate().skip(1) {
         let row = idx + 1;
         if f.len() != 3 {
@@ -293,7 +300,7 @@ pub fn import_csv_full(csv: &DatasetCsv) -> Result<(GovDataset, BuildReport), Im
         per_country.entry(h.country).or_default().hostnames += 1;
     }
 
-    let (crawl_failures, validation, report) = parse_meta(&csv.meta)?;
+    let (crawl_failures, validation, report) = parse_meta(&csv.meta, &mut per_country)?;
 
     let dataset = GovDataset {
         hosts,
@@ -324,11 +331,15 @@ fn meta_usize(value: u64, row: usize, name: &str) -> Result<usize, ImportError> 
         .map_err(|_| import_err(row, format!("{name} out of range for usize: {value}")))
 }
 
-/// Parse the key-first metadata rows. Unknown keys are ignored (forward
+/// Parse the key-first metadata rows, setting each country's landing
+/// count in `per_country`. Unknown keys are ignored (forward
 /// compatibility); an empty document yields all-zero counters. Every
 /// narrowing conversion is checked — a value too large for its counter
 /// is an [`ImportError`] naming the field, never a silent wrap.
-fn parse_meta(meta: &str) -> Result<(u32, ValidationStats, BuildReport), ImportError> {
+fn parse_meta(
+    meta: &str,
+    per_country: &mut HashMap<CountryCode, CountryStats>,
+) -> Result<(u32, ValidationStats, BuildReport), ImportError> {
     let mut crawl_failures = 0u32;
     let mut validation = ValidationStats::default();
     let mut report = BuildReport::default();
@@ -342,6 +353,10 @@ fn parse_meta(meta: &str) -> Result<(u32, ValidationStats, BuildReport), ImportE
         let num = |i: usize| -> Result<u64, ImportError> {
             let s = field(i)?;
             s.parse().map_err(|_| import_err(row, format!("bad metadata number {s:?}")))
+        };
+        let country = |i: usize| -> Result<CountryCode, ImportError> {
+            let cc = field(i)?;
+            cc.parse().map_err(|_| import_err(row, format!("bad country {cc:?}")))
         };
         match field(0)? {
             "crawl_failures" => crawl_failures = meta_u32(num(1)?, row, "crawl_failures")?,
@@ -369,15 +384,16 @@ fn parse_meta(meta: &str) -> Result<(u32, ValidationStats, BuildReport), ImportE
             "resolution_failures" => report.resolution_failures = num(1)?,
             "geo_excluded" => report.geo_excluded = meta_usize(num(1)?, row, "geo_excluded")?,
             "geo_conflicts" => report.geo_conflicts = meta_usize(num(1)?, row, "geo_conflicts")?,
+            "landing" => {
+                per_country.entry(country(1)?).or_default().landing =
+                    meta_u32(num(2)?, row, "landing")?;
+            }
             "quarantined" => {
-                let cc = field(1)?;
-                let country: CountryCode =
-                    cc.parse().map_err(|_| import_err(row, format!("bad country {cc:?}")))?;
                 let stage_name = field(2)?;
                 let stage = PipelineStage::parse(stage_name)
                     .ok_or_else(|| import_err(row, format!("bad stage {stage_name:?}")))?;
                 report.quarantined.push(QuarantineEntry {
-                    country,
+                    country: country(1)?,
                     stage,
                     cause: field(3)?.to_string(),
                 });
@@ -429,6 +445,16 @@ mod tests {
         assert_eq!(loaded.crawl_failures, original.crawl_failures);
         assert_eq!(loaded.validation, original.validation);
         assert_eq!(loaded_report, report);
+        // Per-country aggregates: landing counts travel in the metadata
+        // section, the rest is recomputed from the rows.
+        assert_eq!(loaded.per_country.len(), original.per_country.len());
+        for (cc, a) in &original.per_country {
+            let b = &loaded.per_country[cc];
+            assert_eq!(a.landing, b.landing, "{cc} landing");
+            assert_eq!(a.urls, b.urls, "{cc} urls");
+            assert_eq!(a.hostnames, b.hostnames, "{cc} hostnames");
+            assert_eq!(a.bytes, b.bytes, "{cc} bytes");
+        }
     }
 
     #[test]

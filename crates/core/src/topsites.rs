@@ -9,7 +9,7 @@
 
 use crate::dataset::{GovDataset, HostVolume};
 use crate::location::DomesticSplit;
-use govhost_geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig};
+use govhost_geoloc::pipeline::{GeoTask, PipelineConfig};
 use govhost_types::{CountryCode, Hostname, ProviderCategory, Region, TopsiteCategory};
 use govhost_web::crawler::Crawler;
 use govhost_worldgen::World;
@@ -91,18 +91,7 @@ impl TopsiteAnalysis {
         let mut top_whois = DomesticSplit::default();
         let mut top_geo = DomesticSplit::default();
         let whois = govhost_netsim::whois::WhoisService::new(&world.registry);
-        let geo = GeolocationPipeline {
-            registry: &world.registry,
-            geodb: &world.geodb,
-            anycast: &world.manycast,
-            fleet: &world.fleet,
-            model: &world.latency,
-            thresholds: &world.thresholds,
-            hoiho: &world.hoiho,
-            ipmap: &world.ipmap,
-            resolver: &world.resolver,
-            config: PipelineConfig::default(),
-        };
+        let geo = world.geolocation(PipelineConfig::default());
 
         // Footprint pass for the global/foreign distinction: regions of
         // the client countries each AS serves in the topsite corpus plus

@@ -11,7 +11,7 @@
 //!   split-horizon / CDN-style mapping where the A records returned depend
 //!   on the querying country ([`zone`]),
 //! - an authoritative server operating on wire bytes ([`server`]),
-//! - an iterative resolver that finds the right zone, chases CNAME chains
+//! - a catalog resolver that finds the right zone, chases CNAME chains
 //!   across zones, and reports the full chain ([`resolver`]) — the chain is
 //!   what the topsites self-hosting heuristic (paper App. D) inspects,
 //! - reverse-zone helpers (`in-addr.arpa`) for PTR lookups feeding the
@@ -21,7 +21,6 @@
 //! wire-format code is exercised by every end-to-end experiment, not just
 //! by its own unit tests.
 
-pub mod iterative;
 pub mod name;
 pub mod resolver;
 pub mod reverse;
@@ -31,7 +30,6 @@ pub mod wire;
 pub mod zone;
 pub mod zonefile;
 
-pub use iterative::{DelegatingServer, IterativeResolver};
 pub use name::DnsName;
 pub use resolver::{PtrLookup, ResolutionError, ResolvedAnswer, Resolver};
 pub use reverse::reverse_name;

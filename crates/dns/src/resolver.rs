@@ -1,4 +1,4 @@
-//! The iterative resolver.
+//! The catalog resolver.
 //!
 //! Holds a catalog of authoritative servers (one per zone) and resolves a
 //! name by repeatedly querying the server whose zone most specifically

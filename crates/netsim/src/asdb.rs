@@ -36,15 +36,6 @@ pub struct AsRecord {
     pub footprint: Vec<CountryCode>,
 }
 
-impl AsRecord {
-    /// Whether the AS operates servers across more than one continent.
-    /// The world generator sets `footprint` accordingly; this helper is for
-    /// tests and reporting.
-    pub fn footprint_size(&self) -> usize {
-        self.footprint.len()
-    }
-}
-
 /// Identifier of a server inside the registry (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
@@ -156,11 +147,6 @@ impl AsRegistry {
     /// Look up an AS record.
     pub fn as_record(&self, asn: Asn) -> Option<&AsRecord> {
         self.records.get(&asn)
-    }
-
-    /// All AS records (iteration order unspecified).
-    pub fn as_records(&self) -> impl Iterator<Item = &AsRecord> {
-        self.records.values()
     }
 
     /// Number of registered ASes.

@@ -31,7 +31,19 @@ impl Csv {
                 self.out.push(',');
             }
             first = false;
-            self.out.push_str(&escape(field.as_ref()));
+            let field = field.as_ref();
+            if field.contains([',', '"', '\n', '\r']) {
+                self.out.push('"');
+                for c in field.chars() {
+                    if c == '"' {
+                        self.out.push('"');
+                    }
+                    self.out.push(c);
+                }
+                self.out.push('"');
+            } else {
+                self.out.push_str(field);
+            }
         }
         self.out.push('\n');
         self
@@ -45,14 +57,6 @@ impl Csv {
     /// Peek at the document.
     pub fn as_str(&self) -> &str {
         &self.out
-    }
-}
-
-fn escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
     }
 }
 

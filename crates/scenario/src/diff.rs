@@ -74,18 +74,6 @@ pub struct DiffReport {
     pub countries: Vec<CountryDiff>,
 }
 
-impl DiffReport {
-    /// The comparison row of `country` named `label`, if compared.
-    pub fn country_row(&self, country: CountryCode, label: &str) -> Option<&MetricRow> {
-        self.countries
-            .iter()
-            .find(|c| c.country == country)?
-            .rows
-            .iter()
-            .find(|r| r.label == label)
-    }
-}
-
 /// Relative-difference dead band (percent) inside which a row is a tie.
 const TIE_BAND_PCT: f64 = 1.0;
 

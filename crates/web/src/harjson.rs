@@ -8,7 +8,7 @@
 //! emitted by hand — the structure is small and fixed, and the workspace
 //! deliberately avoids a serialization stack.
 
-use crate::har::{HarEntry, HarLog};
+use crate::har::HarLog;
 
 /// Serialize a crawl log as HAR 1.2 JSON.
 pub fn to_har_json(log: &HarLog) -> String {
@@ -95,18 +95,10 @@ fn extract_num(chunk: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Convenience: export straight from entries.
-pub fn entries_to_har_json(entries: &[HarEntry]) -> String {
-    let mut log = HarLog::new();
-    for e in entries {
-        log.push(e.clone());
-    }
-    to_har_json(&log)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::har::HarEntry;
     use crate::resource::ContentType;
 
     fn sample_log() -> HarLog {

@@ -36,6 +36,7 @@ use crate::countries::{CountryRow, COUNTRIES};
 use crate::params::GenParams;
 use crate::truth::GroundTruth;
 use govhost_dns::Resolver;
+use govhost_geoloc::pipeline::{GeolocationPipeline, PipelineConfig};
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
@@ -166,6 +167,23 @@ impl World {
     /// lists) currently hold.
     pub fn content_version(&self) -> ContentVersion {
         self.content_version
+    }
+
+    /// The §3.5 geolocation pipeline over this world's surfaces, run
+    /// with `config`.
+    pub fn geolocation(&self, config: PipelineConfig) -> GeolocationPipeline<'_> {
+        GeolocationPipeline {
+            registry: &self.registry,
+            geodb: &self.geodb,
+            anycast: &self.manycast,
+            fleet: &self.fleet,
+            model: &self.latency,
+            thresholds: &self.thresholds,
+            hoiho: &self.hoiho,
+            ipmap: &self.ipmap,
+            resolver: &self.resolver,
+            config,
+        }
     }
 }
 

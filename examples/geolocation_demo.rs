@@ -6,24 +6,12 @@
 //! cargo run --release --example geolocation_demo
 //! ```
 
-use govhost::geoloc::pipeline::{GeoTask, GeolocationPipeline, PipelineConfig};
+use govhost::geoloc::pipeline::{GeoTask, PipelineConfig};
 use govhost::prelude::*;
 
 fn main() {
     let world = World::generate(&GenParams::tiny());
     let base = PipelineConfig::default();
-    let pipeline = |config: PipelineConfig| GeolocationPipeline {
-        registry: &world.registry,
-        geodb: &world.geodb,
-        anycast: &world.manycast,
-        fleet: &world.fleet,
-        model: &world.latency,
-        thresholds: &world.thresholds,
-        hoiho: &world.hoiho,
-        ipmap: &world.ipmap,
-        resolver: &world.resolver,
-        config,
-    };
 
     // Pick a few interesting servers: one responsive unicast, one
     // ICMP-dead with a PTR record, one anycast.
@@ -55,7 +43,7 @@ fn main() {
         let db = world.geodb.lookup(*ip);
         println!("  step 1 geo database : {:?}", db.map(|e| e.country.to_string()));
         println!("  step 2 anycast flag : {}", world.manycast.is_anycast(*ip));
-        let verdict = pipeline(base).locate(task);
+        let verdict = world.geolocation(base).locate(task);
         println!(
             "  full pipeline       : location {:?}, method {:?}, excluded {}",
             verdict.location.map(|c| c.to_string()),
@@ -65,7 +53,7 @@ fn main() {
         // Ablation: no active probing.
         let mut no_ap = base;
         no_ap.use_active_probing = false;
-        let v = pipeline(no_ap).locate(task);
+        let v = world.geolocation(no_ap).locate(task);
         println!(
             "  without probing     : location {:?}, method {:?}, excluded {}",
             v.location.map(|c| c.to_string()),
@@ -80,7 +68,7 @@ fn main() {
             use_single_radius: false,
             ..base
         };
-        let v = pipeline(blind).locate(task);
+        let v = world.geolocation(blind).locate(task);
         println!(
             "  database only       : location {:?}, excluded {} (unvalidated claims are excluded — the paper's conservative policy)",
             v.location.map(|c| c.to_string()),
@@ -104,7 +92,7 @@ fn main() {
         ("no IPmap", PipelineConfig { use_ipmap: false, ..base }),
         ("no single-radius", PipelineConfig { use_single_radius: false, ..base }),
     ] {
-        let (_, stats) = pipeline(config).locate_all(&tasks);
+        let (_, stats) = world.geolocation(config).locate_all(&tasks);
         println!("  {name:<18}: confirmation rate {:.1}%", stats.confirmation_rate() * 100.0);
     }
 }

@@ -93,38 +93,6 @@ fn generated_hostnames_survive_zone_file_round_trip() {
 }
 
 #[test]
-fn iterative_resolver_agrees_with_catalog_resolver_on_a_hierarchy() {
-    // Build the same data both ways and compare resolutions.
-    use govhost::dns::{
-        AuthoritativeServer, DelegatingServer, DnsName, IterativeResolver, RData, Resolver, Zone,
-    };
-    let n = |s: &str| -> DnsName { s.parse().unwrap() };
-
-    let mut gov_zone = Zone::new(n("tesoro.gob.ar"));
-    gov_zone.add(n("www.tesoro.gob.ar"), RData::A("11.5.0.9".parse().unwrap()));
-
-    // Catalog resolver.
-    let mut catalog = Resolver::new();
-    catalog.add_server(AuthoritativeServer::new(gov_zone.clone()));
-
-    // Full delegation tree.
-    let mut iterative = IterativeResolver::new();
-    let mut root = DelegatingServer::new(Zone::new(DnsName::root()));
-    root.delegate(n("ar"), n("ns.nic.ar"), "10.0.0.2".parse().unwrap());
-    iterative.add_server("10.0.0.1".parse().unwrap(), root);
-    let mut ar_tld = DelegatingServer::new(Zone::new(n("ar")));
-    ar_tld.delegate(n("tesoro.gob.ar"), n("ns1.tesoro.gob.ar"), "10.0.0.3".parse().unwrap());
-    iterative.add_server("10.0.0.2".parse().unwrap(), ar_tld);
-    iterative.add_server("10.0.0.3".parse().unwrap(), DelegatingServer::new(gov_zone));
-
-    let name = n("www.tesoro.gob.ar");
-    let a = catalog.resolve(&name, None).expect("catalog resolves");
-    let b = iterative.resolve(&name, None).expect("iterative resolves");
-    assert_eq!(a.addresses, b.addresses);
-    assert_eq!(a.chain, b.chain);
-}
-
-#[test]
 fn affordability_burden_double_penalty_holds_end_to_end() {
     let (_world, dataset) = build();
     let afford = AffordabilityAnalysis::compute(&dataset);
