@@ -55,18 +55,28 @@ cargo test -q --offline -p govhost-core --test prop_table
 
 # Longitudinal determinism: same-seed ticks are bit-identical, the
 # evolved timeline does not depend on the build thread count, and the
-# incremental dirty-set rebuild exports the same bytes as a full build.
-# The scale-0.3 pins are #[ignore]d in the debug pass and run here in
-# release. The property suite complements them: over arbitrary seeds,
-# tick counts and over-approximated dirty sets, the incremental report
-# and export bytes (meta included) equal a full build's, also when web
-# content is mutated between ticks. Tick and shock rebuilds must re-run
-# only §3.4 identify: evolve and scenario gate on zero crawled pages,
-# and the worldgen content-version laws check that no tick or shock
-# touches what a crawl reads or any surface a world fork shares. Every measure folds over the per-host
-# URL/byte rollup: prop_host_fold checks each analysis and
-# BuildMetrics bit for bit against the per-URL folds, on arbitrary
-# imported datasets and on every year of a tiny evolve.
+# incremental rebuild exports the same bytes as a full build. The tick
+# and shock event logs must equal the digests recorded in
+# results/event_digests_scale0.05.txt. The scale-0.3 pins are
+# #[ignore]d in the debug pass and run here in release. The dirty set is
+# a hint: a rebuild re-identifies only the hosts of the dirty countries
+# whose recorded DNS reads changed, and evolve gates each tick
+# rebuild's identify count on the hosts the year re-pointed plus their
+# CNAME dependents. (The debug workspace pass runs evolve and scenario
+# with the assertion that no replayed country has a stale read.) The
+# property suite complements them: over arbitrary seeds, tick counts
+# and over-approximated dirty sets, the incremental report and export
+# bytes (meta included) equal a full build's, also when web content,
+# reverse DNS or forward DNS (re-points, CNAMEs, shared zones) is
+# mutated between rebuilds, and a forward-DNS mutation re-identifies
+# exactly the hosts whose alias chain moved. Tick and shock rebuilds
+# must re-run only §3.4 identify: evolve and scenario gate on zero
+# crawled pages, and the worldgen content-version laws check that no
+# tick or shock touches what a crawl reads or any surface a world fork
+# shares. Every measure folds over the per-host URL/byte rollup:
+# prop_host_fold checks each analysis and BuildMetrics bit for bit
+# against the per-URL folds, on arbitrary imported datasets and on
+# every year of a tiny evolve.
 echo "==> evolve suites"
 cargo test -q --offline --release --test evolve -- --include-ignored
 cargo test -q --offline --release --test scenario

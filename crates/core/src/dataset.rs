@@ -65,13 +65,15 @@
 //! count, crawl failures) reads only the world's crawl-side content, and
 //! records the [`govhost_worldgen::ContentVersion`] and [`Crawler`] it
 //! was computed with. The *infra half* (§3.4: identification and
-//! resolution failures) reads DNS, the registry, PeeringDB and search.
-//! A recomputed country whose content half still matches the world's
-//! content version and the build's crawler re-runs identify alone.
-//! Ticks and shocks only rewrite DNS and ground truth, so their
-//! rebuilds crawl nothing. Validity is decided by the world itself:
-//! the corpus and search index can only be written through accessors
-//! that stamp a new version.
+//! resolution failures) reads DNS, the registry, PeeringDB and search,
+//! and records what each host's identification read: the zone every
+//! query of its resolution went to, and the three surfaces. A
+//! recomputed country whose content half still matches the world's
+//! content version and the build's crawler keeps it, and re-identifies
+//! only the hosts whose reads changed. Ticks and shocks only rewrite DNS
+//! and ground truth, so their rebuilds crawl nothing. Validity is
+//! decided by the world itself: the corpus and search index can only be
+//! written through accessors that stamp a new version.
 //!
 //! ## Memoized verdicts
 //!
@@ -89,9 +91,12 @@ use crate::infra::{InfraIdentifier, InfraRecord};
 use crate::table::{UrlInterner, UrlRef, UrlTable};
 use govhost_geoloc::pipeline::{GeoTask, GeoVerdict, PipelineConfig, PtrRead, ValidationStats};
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
+use govhost_dns::{DnsName, ResolutionRead};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
+use govhost_netsim::peeringdb::PeeringDb;
 use govhost_netsim::probes::ProbeFleet;
+use govhost_netsim::search::SearchIndex;
 use govhost_types::{
     Asn, CountryCode, HostId, HostInterner, Hostname, PipelineError, PipelineStage,
     ProviderCategory, Region, Url,
@@ -252,7 +257,9 @@ pub struct StageTimings {
     /// §3.3 classification; items = unique URLs examined (by re-crawled
     /// countries only, in an incremental rebuild).
     pub classify: StageStat,
-    /// §3.4 resolution + WHOIS; items = hostnames identified.
+    /// §3.4 resolution + WHOIS; items = hostnames resolved and
+    /// identified (an incremental rebuild keeps every cached record
+    /// whose read set still holds and does not count it).
     pub identify: StageStat,
     /// §3.5 geolocation; items = unique (address, country) tasks
     /// located in this build (an incremental rebuild replays the
@@ -607,16 +614,15 @@ type ContentKey = (ContentVersion, Crawler);
 /// [`GovDataset::rebuild_incremental`] exact.
 ///
 /// The entry is split by what each half reads, so a rebuild can redo
-/// one half without the other. The content half is never written after
-/// [`GovDataset::crawl_countries`] creates it — a rebuild either keeps
-/// it whole or replaces it, and only the infra half is spliced in place —
-/// so it sits behind an `Arc`: cloning a [`BuildCache`] (every what-if
-/// scenario forks the baseline's) copies pointers plus the infra halves.
+/// one half without the other. Neither half is written after it is
+/// made — a rebuild keeps a half whole or replaces it — so both sit
+/// behind an `Arc`: cloning a [`BuildCache`] (every what-if scenario
+/// forks the baseline's) copies pointers.
 #[derive(Debug, Clone)]
 struct CountryEntry {
     code: CountryCode,
     content: Arc<ContentHalf>,
-    infra: InfraHalf,
+    infra: Arc<InfraHalf>,
 }
 
 /// The §3.2–§3.3 half of a [`CountryEntry`]: what crawling and
@@ -646,15 +652,65 @@ struct ContentHalf {
 }
 
 /// The §3.4 half of a [`CountryEntry`]: identification of every
-/// hostname in the content half's `gov` arena. It reads DNS, the
-/// registry, PeeringDB and the search index. Ticks and shocks rewrite
-/// DNS, so every recomputed country re-runs it.
-#[derive(Debug, Clone, Default)]
+/// hostname in the content half's `gov` arena, with what each one read —
+/// the zones its resolution queried, and the registry, PeeringDB and
+/// search index shared by all of them. A record stays valid for as long
+/// as those reads hold ([`InfraHalf::surfaces_hold`] and
+/// [`ResolutionRead::holds`]), so a rebuild re-identifies only the hosts
+/// whose reads no longer do.
+#[derive(Debug, Default)]
 struct InfraHalf {
+    /// The non-DNS surfaces every record read; `None` until the
+    /// country's hosts are first identified.
+    surfaces: Option<IdentifySurfaces>,
     /// §3.4 identification per hostname, aligned with the content
     /// half's `gov`.
-    identify: Vec<Option<InfraRecord>>,
+    hosts: Vec<Identified>,
     resolution_failures: u64,
+}
+
+/// The §3.4 identification of one hostname, and the zones it read.
+#[derive(Debug, Clone)]
+struct Identified {
+    /// `None` when resolution failed or WHOIS has no record.
+    record: Option<InfraRecord>,
+    /// Whether resolution failed (a fault the [`BuildReport`] counts).
+    unresolved: bool,
+    read: ResolutionRead,
+}
+
+impl InfraHalf {
+    /// Whether the records were made from `world`'s own registry,
+    /// PeeringDB and search index.
+    fn surfaces_hold(&self, world: &World) -> bool {
+        self.surfaces.as_ref().is_some_and(|s| s.are_of(world))
+    }
+}
+
+/// Strong clones of the surfaces §3.4 identification reads apart from
+/// DNS, compared by pointer the way [`GeoSurfaces`] are.
+#[derive(Debug)]
+struct IdentifySurfaces {
+    registry: Arc<AsRegistry>,
+    peeringdb: Arc<PeeringDb>,
+    search: Arc<SearchIndex>,
+}
+
+impl IdentifySurfaces {
+    fn of(world: &World) -> IdentifySurfaces {
+        IdentifySurfaces {
+            registry: Arc::clone(&world.registry),
+            peeringdb: Arc::clone(&world.peeringdb),
+            search: Arc::clone(world.shared_search()),
+        }
+    }
+
+    /// Whether these are the world's surfaces, each the same allocation.
+    fn are_of(&self, world: &World) -> bool {
+        Arc::ptr_eq(&self.registry, &world.registry)
+            && Arc::ptr_eq(&self.peeringdb, &world.peeringdb)
+            && Arc::ptr_eq(&self.search, world.shared_search())
+    }
 }
 
 /// The telemetry a recomputed country carries into assembly (consumed
@@ -666,6 +722,8 @@ struct CountryShards {
     crawl: Option<govhost_obs::Telemetry>,
     /// The identify-job shard.
     identify: govhost_obs::Telemetry,
+    /// Resolution failures among the hosts the identify job resolved.
+    resolution_failures: u64,
 }
 
 /// A recomputed [`CountryEntry`] plus its telemetry shards.
@@ -760,12 +818,13 @@ struct GeoMemo {
 /// produced it. Each entry has two halves: a content half (the §3.2–§3.3
 /// crawl and classification, stamped with the world's
 /// [`ContentVersion`] and the [`Crawler`] it ran with) and an infra half
-/// (the §3.4 identification). The cache is only meaningful against the
-/// same world lineage it was built from: after a tick, the entries of
-/// countries in the tick's dirty set are stale and must be recomputed —
-/// though only their infra half, as long as the world's content version
-/// still matches. It also keeps the build's §3.5 verdicts, which the next
-/// rebuild reuses while the surfaces they read are unchanged.
+/// (the §3.4 identification, with what each record read). The cache is
+/// only meaningful against the same world lineage it was built from:
+/// after a tick, the entries of countries in the tick's dirty set are
+/// checked — only the records whose reads changed are recomputed, as
+/// long as the world's content version still matches. It also keeps the
+/// build's §3.5 verdicts, which the next rebuild reuses while the
+/// surfaces they read are unchanged.
 #[derive(Debug, Default, Clone)]
 pub struct BuildCache {
     entries: Vec<CountryEntry>,
@@ -781,18 +840,22 @@ impl BuildCache {
     }
 }
 
-/// The §3.4 stage for one country: resolve + WHOIS every distinct
-/// government hostname from the domestic vantage, in first-occurrence
-/// order. Resolution faults are absorbed per-host (the record stays,
-/// unresolved) and counted. Returns the infra half and the job's
-/// telemetry shard.
+/// The §3.4 stage for one country: resolve + WHOIS, from the domestic
+/// vantage and in first-occurrence order, every distinct government
+/// hostname whose record in `previous` no longer holds (all of them when
+/// `previous` is empty), and keep the others. Resolution faults are
+/// absorbed per-host (the record stays, unresolved) and counted. Returns
+/// the new infra half, the resolution failures among the hosts it
+/// resolved and the job's telemetry shard; the `identify.hosts` counter
+/// counts the hosts resolved.
 fn identify_country(
     world: &World,
     code: CountryCode,
     vantage: CountryCode,
     gov: &HostInterner,
-) -> (InfraHalf, govhost_obs::Telemetry) {
-    govhost_obs::collect(|| {
+    previous: &InfraHalf,
+) -> (InfraHalf, u64, govhost_obs::Telemetry) {
+    let ((infra, fresh_failures), shard) = govhost_obs::collect(|| {
         let _identify = govhost_obs::span!("identify");
         let mut identifier = InfraIdentifier::new(
             &world.resolver,
@@ -800,35 +863,58 @@ fn identify_country(
             &world.peeringdb,
             world.search(),
         );
-        let mut identify: Vec<Option<InfraRecord>> = Vec::with_capacity(gov.len());
-        let mut resolution_failures = 0u64;
-        for (_, host) in gov.iter() {
+        let mut hosts: Vec<Identified> = Vec::with_capacity(gov.len());
+        let (mut resolved, mut fresh_failures) = (0u64, 0u64);
+        let surfaces_hold = previous.surfaces_hold(world);
+        for (lid, host) in gov.iter() {
+            if surfaces_hold {
+                let kept = &previous.hosts[lid.index()];
+                if kept.read.holds(&world.resolver, &DnsName::from(host)) {
+                    hosts.push(kept.clone());
+                    continue;
+                }
+            }
             // A resolution fault (NXDOMAIN, broken zone) keeps the host
             // record — unresolved — and is counted for the BuildReport,
             // instead of being silently conflated with "no record".
-            let record = match identifier.identify(host, vantage) {
-                Ok(record) => record,
-                Err(_) => {
-                    resolution_failures += 1;
-                    None
-                }
-            };
-            identify.push(record);
+            let (result, read) = identifier.identify_reading(host, vantage);
+            let unresolved = result.is_err();
+            resolved += 1;
+            fresh_failures += u64::from(unresolved);
+            hosts.push(Identified { record: result.unwrap_or(None), unresolved, read });
         }
-        govhost_obs::counter_add(
-            "identify.hosts",
-            &[("country", code.as_str())],
-            gov.len() as u64,
-        );
-        if resolution_failures > 0 {
+        govhost_obs::counter_add("identify.hosts", &[("country", code.as_str())], resolved);
+        if fresh_failures > 0 {
             govhost_obs::counter_add(
                 "identify.resolution_failures",
                 &[("country", code.as_str())],
-                resolution_failures,
+                fresh_failures,
             );
         }
-        InfraHalf { identify, resolution_failures }
-    })
+        let resolution_failures = hosts.iter().filter(|h| h.unresolved).count() as u64;
+        let surfaces = Some(IdentifySurfaces::of(world));
+        (InfraHalf { surfaces, hosts, resolution_failures }, fresh_failures)
+    });
+    (infra, fresh_failures, shard)
+}
+
+/// The first host of `entry` whose §3.4 record is no longer what
+/// identifying it against `world` would give, if any: the surfaces it
+/// read were replaced, or a query of its resolution now goes to another
+/// zone.
+#[cfg(debug_assertions)]
+fn stale_host<'e>(world: &World, entry: &'e CountryEntry) -> Option<&'e Hostname> {
+    let infra = &entry.infra;
+    let surfaces_hold = infra.surfaces_hold(world);
+    entry
+        .content
+        .gov
+        .iter()
+        .find(|(lid, host)| {
+            !(surfaces_hold
+                && infra.hosts[lid.index()].read.holds(&world.resolver, &DnsName::from(*host)))
+        })
+        .map(|(_, host)| host)
 }
 
 impl GovDataset {
@@ -888,21 +974,30 @@ impl GovDataset {
         Ok((dataset, report, cache))
     }
 
-    /// Rebuild after a world mutation, recomputing only `dirty` countries.
+    /// Rebuild after a world mutation, checking only `dirty` countries.
     ///
     /// `cache` must come from [`Self::build_cached`] (or a previous
     /// incremental rebuild) against the same world lineage, and `dirty`
-    /// must cover every country whose observable surfaces changed since —
-    /// a tick's `TickReport::dirty` is exactly that set. Clean countries
-    /// are *replayed* from their cached entries. A dirty country whose
+    /// must name every country whose observable surfaces changed since;
+    /// naming more costs a check, not a recomputation. A tick's
+    /// `TickReport::dirty` is that set. Countries outside `dirty` are
+    /// *replayed* from their cached entries. A dirty country whose
     /// cached content half was computed from the world's current
     /// [`World::content_version`] with the same [`BuildOptions::crawler`]
-    /// re-runs only §3.4 identify, spliced into its cached entry in
-    /// place; a dirty country with a stale or missing content half (and
-    /// any contributing country the cache has no record of) re-runs the
+    /// keeps it, and re-runs §3.4 identify only for the hosts whose
+    /// cached record no longer holds: each record keeps the zone every
+    /// query of its resolution went to and the registry, PeeringDB and
+    /// search index it read, and holds while those are unchanged. A
+    /// dirty country with a stale or missing content half (and any
+    /// contributing country the cache has no record of) re-runs the
     /// full per-country fan-out (crawl → classify → identify). Ticks and
     /// shocks rewrite DNS and ground truth only, so their rebuilds never
-    /// crawl. The global merge and §5.1 category assignment run in full.
+    /// crawl, and re-identify only the hosts they re-pointed and those
+    /// whose CNAME chains run through them. With `debug_assertions` on,
+    /// every rebuild also checks that no replayed country has a record
+    /// that no longer holds, and panics naming it if one does: the
+    /// dirty set missed a country. The global merge and §5.1 category
+    /// assignment run in full.
     /// §3.5 geolocation reuses the cached verdict of every (address,
     /// serving country) pair the previous build located, as long as the
     /// geolocation surfaces are the world's own (the same `Arc`s), the
@@ -916,7 +1011,8 @@ impl GovDataset {
     ///
     /// Telemetry is the one documented divergence: spans and counters are
     /// only emitted for the work that actually ran. A recomputed country
-    /// gets a `country` span with its identify spans and counters; only
+    /// gets a `country` span with its identify spans and counters
+    /// (`identify.hosts` counts the hosts it re-identified); only
     /// a country that was also re-crawled adds crawl and classify ones;
     /// only a pair located afresh adds a `locate` span and `geoloc.*`
     /// counts.
@@ -972,6 +1068,7 @@ impl GovDataset {
                 works.push(CountryWork { entry, shards: CountryShards::default() });
             }
             Self::identify_countries(world, options, &mut works);
+            let resolved_failures: u64 = works.iter().map(|w| w.shards.resolution_failures).sum();
             // Splice: recomputed entries replace stale ones, everything
             // else replays from cache, in fixed studied-country order.
             let mut fresh: HashMap<CountryCode, CountryWork> =
@@ -991,6 +1088,13 @@ impl GovDataset {
                         quarantined.push(q.clone());
                     }
                 } else if let Some(entry) = old.remove(&code) {
+                    // A replayed country's records must all still hold:
+                    // one that does not means the dirty set missed a
+                    // country whose DNS changed.
+                    #[cfg(debug_assertions)]
+                    if let Some(host) = stale_host(world, &entry) {
+                        panic!("{code} is not dirty, but the §3.4 reads of {host} changed");
+                    }
                     entries.push(entry);
                     shards.push(None);
                 } else if let Some(q) = cache.quarantined.iter().find(|q| q.country == code) {
@@ -1002,15 +1106,15 @@ impl GovDataset {
             cache.entries = entries;
             cache.quarantined = quarantined.clone();
             cache.geo = Some(Arc::new(memo));
-            Ok((asm, quarantined, recompute, crawl))
+            Ok((asm, quarantined, recompute, crawl, resolved_failures))
         });
-        let (asm, quarantined, recompute, crawled) = result?;
+        let (asm, quarantined, recompute, crawled, resolved_failures) = result?;
         let fresh = cache
             .entries
             .iter()
             .filter(|e| recompute.contains(&e.code))
             .map(|e| (e, crawled.contains(&e.code)));
-        Ok(Self::finish_checked(asm, quarantined, fresh, telemetry))
+        Ok(Self::finish_checked(asm, quarantined, fresh, resolved_failures, telemetry))
     }
 
     /// The post-assembly half of every build: derive the report from the
@@ -1020,9 +1124,11 @@ impl GovDataset {
     /// Only recomputed countries (`fresh`, each flagged with whether it
     /// was also re-crawled) emit telemetry — replayed ones did no
     /// measurement work. So the crawl-failure counters are checked
-    /// against sums over the re-crawled entries, and the
-    /// resolution-failure and `analyze.hosts` counters against sums over
-    /// every recomputed entry and the host records it owns. Geolocation
+    /// against sums over the re-crawled entries, the resolution-failure
+    /// counter against the failures among the hosts the identify jobs
+    /// re-resolved (`resolved_failures`; a kept record is not resolved
+    /// again), and `analyze.hosts` against the host records every
+    /// recomputed entry owns. Geolocation
     /// counts only the pairs it located afresh, so its counters are
     /// checked against that fresh share of the [`ValidationStats`], and
     /// the fresh and replayed shares must add up to the whole. For a
@@ -1032,6 +1138,7 @@ impl GovDataset {
         asm: Assembled,
         quarantined: Vec<QuarantineEntry>,
         fresh: impl Iterator<Item = (&'a CountryEntry, bool)>,
+        resolved_failures: u64,
         telemetry: govhost_obs::Telemetry,
     ) -> (GovDataset, BuildReport) {
         let report = BuildReport {
@@ -1049,14 +1156,12 @@ impl GovDataset {
         // exporting numbers that disagree with the dataset.
         let mut fresh_causes = FailureCauses::default();
         let mut fresh_crawl_failures = 0u32;
-        let mut fresh_resolution_failures = 0u64;
         let mut fresh_codes: HashSet<CountryCode> = HashSet::new();
         for (entry, crawled) in fresh {
             if crawled {
                 fresh_causes.merge(entry.content.failure_causes);
                 fresh_crawl_failures += entry.content.crawl_failures;
             }
-            fresh_resolution_failures += entry.infra.resolution_failures;
             fresh_codes.insert(entry.code);
         }
         let r = &telemetry.registry;
@@ -1078,8 +1183,8 @@ impl GovDataset {
         );
         assert_eq!(
             r.counter_total("identify.resolution_failures"),
-            fresh_resolution_failures,
-            "registry resolution-failure counter must match the per-country merge"
+            resolved_failures,
+            "registry resolution-failure counter must match the identify jobs' counts"
         );
         let geo = &asm.geo;
         assert_eq!(
@@ -1206,39 +1311,42 @@ impl GovDataset {
                 entry: CountryEntry {
                     code: ctx.code,
                     content: Arc::new(content),
-                    infra: InfraHalf::default(),
+                    infra: Arc::default(),
                 },
-                shards: CountryShards {
-                    crawl: Some(crawl),
-                    identify: govhost_obs::Telemetry::default(),
-                },
+                shards: CountryShards { crawl: Some(crawl), ..CountryShards::default() },
             });
         }
         Ok((works, quarantined))
     }
 
     /// Phase §3.4 (parallel): identification, one job per recomputed
-    /// country, whether its content half is fresh or reused. Every
-    /// country identifies every distinct government hostname it
-    /// surfaced from its own vantage, and the records are spliced into
-    /// the entry's infra half in place, aligned with its `gov` arena.
+    /// country, whether its content half is fresh or reused. A country
+    /// with a fresh content half identifies every distinct government
+    /// hostname it surfaced, from its own vantage; one with a reused
+    /// content half re-identifies only the hosts whose cached record no
+    /// longer holds, and keeps the rest. The new infra half replaces the
+    /// entry's, aligned with its `gov` arena.
     fn identify_countries(world: &World, options: &BuildOptions, works: &mut [CountryWork]) {
-        let jobs: Vec<(CountryCode, CountryCode, &HostInterner)> = works
+        let jobs: Vec<(CountryCode, CountryCode, &ContentHalf, &InfraHalf)> = works
             .iter()
             .map(|w| {
                 let code = w.entry.code;
-                (code, world.vantage(code).country, &w.entry.content.gov)
+                (code, world.vantage(code).country, &*w.entry.content, &*w.entry.infra)
             })
             .collect();
-        let identified: Vec<(InfraHalf, govhost_obs::Telemetry)> = govhost_par::parallel_map(
-            &jobs,
-            options.threads,
-            |(code, _, _)| format!("identify {code}"),
-            |_, (code, vantage, gov)| identify_country(world, *code, *vantage, gov),
-        );
-        for (work, (infra, shard)) in works.iter_mut().zip(identified) {
-            work.entry.infra = infra;
+        let identified: Vec<(InfraHalf, u64, govhost_obs::Telemetry)> =
+            govhost_par::parallel_map(
+                &jobs,
+                options.threads,
+                |(code, _, _, _)| format!("identify {code}"),
+                |_, (code, vantage, content, previous)| {
+                    identify_country(world, *code, *vantage, &content.gov, previous)
+                },
+            );
+        for (work, (infra, failures, shard)) in works.iter_mut().zip(identified) {
+            work.entry.infra = Arc::new(infra);
             work.shards.identify = shard;
+            work.shards.resolution_failures = failures;
         }
     }
 
@@ -1354,12 +1462,12 @@ impl GovDataset {
             // Fill infrastructure into the host records this country
             // owns (the first surfacing country, same as the sequential
             // pipeline).
-            for (lid, record) in infra.identify.iter().enumerate() {
+            for (lid, identified) in infra.hosts.iter().enumerate() {
                 let host = &mut hosts[gids[lid].index()];
                 if host.country != code {
                     continue;
                 }
-                if let Some(infra) = record {
+                if let Some(infra) = &identified.record {
                     host.ip = Some(infra.ip);
                     host.asn = Some(infra.asn);
                     host.org = Some(infra.org.clone());

@@ -5,8 +5,11 @@
 //! ([`govhost_worldgen::tick`]) and rebuilds the dataset after each via
 //! [`GovDataset::rebuild_incremental`] — the revisit-study design: the
 //! same corpus re-measured as its hosting drifts. Ticks leave the corpus
-//! alone, so each rebuild re-runs §3.4 identify for the dirty countries
-//! and reuses their cached crawl. Each year is measured by
+//! alone, so each rebuild reuses the dirty countries' cached crawl and
+//! re-runs §3.4 identify only for the hosts whose recorded DNS reads
+//! changed — those the year's events re-pointed and their CNAME
+//! dependents — and the tick itself walks the world's host index, so a
+//! year costs what its events cost. Each year is measured by
 //! [`BuildMetrics::measure`], the same reduction the what-if engine
 //! diffs, and the per-year [`YearMetrics`] assemble into a [`Timeline`],
 //! which `govhost-serve` exposes through the `/hhi/history`,

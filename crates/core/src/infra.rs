@@ -9,7 +9,7 @@
 //! name (the route that catches SOEs like YPF).
 
 use crate::classify::GOV_TLD_TOKENS;
-use govhost_dns::{ResolutionError, Resolver};
+use govhost_dns::{DnsName, ResolutionError, ResolutionRead, Resolver};
 use govhost_netsim::peeringdb::PeeringDb;
 use govhost_netsim::search::SearchIndex;
 use govhost_netsim::whois::{WhoisRecord, WhoisService};
@@ -89,9 +89,23 @@ impl<'a> InfraIdentifier<'a> {
         host: &Hostname,
         vantage: CountryCode,
     ) -> Result<Option<InfraRecord>, ResolutionError> {
-        let answer = self.resolver.resolve_host(host, Some(vantage))?;
-        let ip = answer.addresses[0];
-        Ok(self.identify_ip(ip))
+        self.identify_reading(host, vantage).0
+    }
+
+    /// [`Self::identify`], also returning the zones its resolution read.
+    ///
+    /// Past resolution, the record is a function of the address and of
+    /// the registry, PeeringDB and search index this identifier borrows.
+    /// So while the read [holds](ResolutionRead::holds) and those three
+    /// surfaces are unchanged, identifying the host again from the same
+    /// vantage gives the same result.
+    pub fn identify_reading(
+        &mut self,
+        host: &Hostname,
+        vantage: CountryCode,
+    ) -> (Result<Option<InfraRecord>, ResolutionError>, ResolutionRead) {
+        let (answer, read) = self.resolver.resolve_reading(&DnsName::from(host), Some(vantage));
+        (answer.map(|answer| self.identify_ip(answer.addresses[0])), read)
     }
 
     /// Identify an already-known address.

@@ -7,14 +7,21 @@
 //! must force a re-crawl where a tick alone re-runs only §3.4 identify.
 //! A third rewrites reverse DNS between ticks and rebuilds with an empty
 //! dirty set: the §3.5 verdicts the cache keeps must follow the PTR
-//! answers they read, not the dirty set. On the in-repo harness.
+//! answers they read, not the dirty set. A fourth mutates forward DNS —
+//! re-points a host, aliases one government host to another, replaces a
+//! zone several hosts resolve through — and checks that a rebuild
+//! re-identifies exactly the hosts whose resolution chain now reaches a
+//! different zone, counted here from the chains themselves, however
+//! many clean countries the dirty set also names. On the in-repo
+//! harness.
 
 use govhost_core::export::export_csv_full;
 use govhost_dns::reverse::{build_reverse_zone, reverse_name};
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Zone};
-use govhost_core::{BuildCache, BuildOptions, FailurePolicy, GovDataset};
-use govhost_harness::{gens, prop_assert_eq, Config, Gen};
-use govhost_types::CountryCode;
+use govhost_core::{BuildCache, BuildOptions, BuildReport, FailurePolicy, GovDataset};
+use govhost_core::export::DatasetCsv;
+use govhost_harness::{gens, prop_assert, prop_assert_eq, Config, Gen};
+use govhost_types::{CountryCode, Hostname};
 use govhost_worldgen::{default_systems, run_year, GenParams, World};
 use std::collections::BTreeSet;
 
@@ -37,6 +44,36 @@ fn arb_case() -> Gen<(u64, u64, u64, u64)> {
     )
 }
 
+/// A from-scratch build of `world`: the dataset, its report and its
+/// export files.
+fn full_build(
+    world: &World,
+    options: &BuildOptions,
+) -> Result<(GovDataset, BuildReport, DatasetCsv), String> {
+    let (full, report) = GovDataset::try_build(world, options).map_err(|e| e.to_string())?;
+    let csv = export_csv_full(&full, Some(&report));
+    Ok((full, report, csv))
+}
+
+/// Rebuild over `dirty`, compare the report and every export file with
+/// `full`'s, and return the rebuild's `identify.items`.
+fn rebuild_matches(
+    world: &World,
+    options: &BuildOptions,
+    cache: &mut BuildCache,
+    dirty: &BTreeSet<CountryCode>,
+    (full_report, full_csv): (&BuildReport, &DatasetCsv),
+) -> Result<u64, String> {
+    let (incremental, inc_report) =
+        GovDataset::rebuild_incremental(world, options, cache, dirty).map_err(|e| e.to_string())?;
+    let inc_csv = export_csv_full(&incremental, Some(&inc_report));
+    prop_assert_eq!(&inc_report, full_report);
+    prop_assert_eq!(&inc_csv.hosts, &full_csv.hosts);
+    prop_assert_eq!(&inc_csv.urls, &full_csv.urls);
+    prop_assert_eq!(&inc_csv.meta, &full_csv.meta);
+    Ok(incremental.timings.identify.items)
+}
+
 /// Rebuild over `dirty`, then compare the report and every export file
 /// with a from-scratch build of the same world.
 fn check_rebuild(
@@ -45,16 +82,8 @@ fn check_rebuild(
     cache: &mut BuildCache,
     dirty: &BTreeSet<CountryCode>,
 ) -> Result<(), String> {
-    let (incremental, inc_report) =
-        GovDataset::rebuild_incremental(world, options, cache, dirty).map_err(|e| e.to_string())?;
-    let (full, full_report) = GovDataset::try_build(world, options).map_err(|e| e.to_string())?;
-    let inc_csv = export_csv_full(&incremental, Some(&inc_report));
-    let full_csv = export_csv_full(&full, Some(&full_report));
-    prop_assert_eq!(inc_report, full_report);
-    prop_assert_eq!(inc_csv.hosts, full_csv.hosts);
-    prop_assert_eq!(inc_csv.urls, full_csv.urls);
-    prop_assert_eq!(inc_csv.meta, full_csv.meta);
-    Ok(())
+    let (_, report, csv) = full_build(world, options)?;
+    rebuild_matches(world, options, cache, dirty, (&report, &csv)).map(|_| ())
 }
 
 #[test]
@@ -196,6 +225,160 @@ fn incremental_rebuild_matches_full_after_reverse_dns_rewrites() {
                 // is empty; only the PTR answers behind some verdicts did.
                 rewrite_reverse_dns(&mut world, rewrite_bits.rotate_left(13 * year));
                 check_rebuild(&world, &options, &mut cache, &BTreeSet::new())?;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The names a host's resolution from `vantage` queries — its alias
+/// chain — each with the apex of the zone it goes to.
+fn chain_zones(
+    world: &World,
+    host: &Hostname,
+    vantage: CountryCode,
+) -> Result<Vec<(DnsName, DnsName)>, String> {
+    let answer = world
+        .resolver
+        .resolve(&DnsName::from(host), Some(vantage))
+        .map_err(|e| format!("{host} does not resolve: {e}"))?;
+    answer
+        .chain
+        .into_iter()
+        .map(|name| {
+            let zone = world.resolver.zone_for(&name).ok_or(format!("no zone serves {name}"))?;
+            let apex = zone.zone().origin().clone();
+            Ok((name, apex))
+        })
+        .collect()
+}
+
+/// An SOA-stamped zone at `apex` holding `records`.
+fn zone_with(apex: &DnsName, records: impl IntoIterator<Item = (DnsName, RData)>) -> Zone {
+    let mut zone = Zone::new(apex.clone());
+    if let (Ok(mname), Ok(rname)) = (apex.child("ns1"), apex.child("hostmaster")) {
+        zone.add(apex.clone(), RData::Soa { mname, rname, serial: 2_024_110_499 });
+    }
+    for (name, rdata) in records {
+        zone.add(name, rdata);
+    }
+    zone
+}
+
+/// One forward-DNS mutation, picked by `bits` over the dataset's hosts
+/// (each with its resolution chain): re-point a host that
+/// has a zone of its own at another address; alias one such host to
+/// another with a CNAME (never to a host whose chain already runs
+/// through it, so no loop forms); or replace a zone that the chains of
+/// several hosts run through, answering each of their names in it with
+/// a new address. Returns the apex of the zone it replaced.
+fn mutate_forward_dns(
+    world: &mut World,
+    hosts: &[(Hostname, Vec<(DnsName, DnsName)>)],
+    bits: u64,
+) -> DnsName {
+    let own: Vec<&(Hostname, Vec<(DnsName, DnsName)>)> =
+        hosts.iter().filter(|(_, chain)| chain[0].0 == chain[0].1).collect();
+    let servers = world.registry.servers();
+    let address = |k: u64| servers[(k % servers.len() as u64) as usize].ip;
+    // Zones the chains of two or more hosts run through, in apex order.
+    let mut users: std::collections::BTreeMap<&DnsName, usize> = Default::default();
+    for (_, chain) in hosts {
+        let apexes: BTreeSet<&DnsName> = chain.iter().map(|(_, apex)| apex).collect();
+        for apex in apexes {
+            *users.entry(apex).or_default() += 1;
+        }
+    }
+    let shared: Vec<DnsName> =
+        users.into_iter().filter(|(_, n)| *n >= 2).map(|(apex, _)| apex.clone()).collect();
+    let pick = |n: usize, salt: u32| (bits.rotate_left(salt) >> 2) as usize % n;
+    let zone = match bits % 3 {
+        1 if own.len() >= 2 => {
+            let (alias, _) = own[pick(own.len(), 7)];
+            let alias = DnsName::from(alias);
+            let targets: Vec<&Hostname> = hosts
+                .iter()
+                .filter(|(_, chain)| chain.iter().all(|(_, apex)| *apex != alias))
+                .map(|(host, _)| host)
+                .collect();
+            let target = DnsName::from(targets[pick(targets.len(), 23)]);
+            zone_with(&alias, [(alias.clone(), RData::Cname(target))])
+        }
+        2 if !shared.is_empty() => {
+            let apex = &shared[pick(shared.len(), 11)];
+            let names: BTreeSet<&DnsName> = hosts
+                .iter()
+                .flat_map(|(_, chain)| chain.iter())
+                .filter(|(_, covering)| covering == apex)
+                .map(|(name, _)| name)
+                .collect();
+            let records = names
+                .into_iter()
+                .enumerate()
+                .map(|(i, name)| (name.clone(), RData::A(address(bits >> 20 ^ i as u64))));
+            zone_with(apex, records)
+        }
+        _ => {
+            let (host, _) = own[pick(own.len(), 3)];
+            let apex = DnsName::from(host);
+            zone_with(&apex, [(apex.clone(), RData::A(address(bits >> 24)))])
+        }
+    };
+    let apex = zone.origin().clone();
+    world.resolver.add_server(AuthoritativeServer::new(zone));
+    apex
+}
+
+#[test]
+fn forward_dns_mutations_reidentify_exactly_the_hosts_whose_chain_moved() {
+    cfg("forward_dns_mutations_reidentify_exactly_the_hosts_whose_chain_moved").run(
+        &arb_case(),
+        |&(seed, steps, bits, threads)| {
+            let params = GenParams { seed, ..GenParams::tiny() };
+            let options = BuildOptions { threads: threads as usize, ..BuildOptions::default() };
+            let mut world = World::generate(&params);
+            let (mut dataset, _, mut cache) = GovDataset::build_cached(&world, &options)
+                .map_err(|e| e.to_string())?;
+            for step in 1..=steps as u32 {
+                let bits = bits.rotate_left(19 * step);
+                // Every dataset host belongs to one country's arena, so
+                // each host is identified at most once per rebuild.
+                let mut hosts = Vec::with_capacity(dataset.hosts.len());
+                for h in &dataset.hosts {
+                    let vantage = world.vantage(h.country).country;
+                    let chain = chain_zones(&world, &h.hostname, vantage)?;
+                    hosts.push((h.hostname.clone(), chain, h.country));
+                }
+                let chains: Vec<(Hostname, Vec<(DnsName, DnsName)>)> =
+                    hosts.iter().map(|(h, chain, _)| (h.clone(), chain.clone())).collect();
+                let replaced = mutate_forward_dns(&mut world, &chains, bits);
+                // The hosts whose chain ran through the replaced zone, and
+                // their countries: the covering dirty set.
+                let moved: Vec<CountryCode> = hosts
+                    .iter()
+                    .filter(|(_, chain, _)| chain.iter().any(|(_, apex)| *apex == replaced))
+                    .map(|(_, _, country)| *country)
+                    .collect();
+                let dirty: BTreeSet<CountryCode> = moved.iter().copied().collect();
+                let mut padded = dirty.clone();
+                for (i, row) in world.studied_countries().iter().enumerate() {
+                    if bits >> (i % 64) & 1 != 0 {
+                        padded.insert(row.cc());
+                    }
+                }
+                let (full, report, csv) = full_build(&world, &options)?;
+                let mut padded_cache = cache.clone();
+                let items = rebuild_matches(&world, &options, &mut cache, &dirty, (&report, &csv))?;
+                prop_assert_eq!(items, moved.len() as u64);
+                let padded_items = rebuild_matches(
+                    &world,
+                    &options,
+                    &mut padded_cache,
+                    &padded,
+                    (&report, &csv),
+                )?;
+                prop_assert!(padded_items == items, "padding re-identified {padded_items} > {items}");
+                dataset = full;
             }
             Ok(())
         },

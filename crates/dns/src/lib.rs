@@ -31,7 +31,7 @@ pub mod zone;
 pub mod zonefile;
 
 pub use name::DnsName;
-pub use resolver::{PtrLookup, ResolutionError, ResolvedAnswer, Resolver};
+pub use resolver::{PtrLookup, ResolutionError, ResolutionRead, ResolvedAnswer, Resolver};
 pub use reverse::reverse_name;
 pub use rr::{RData, Record, RecordType};
 pub use server::AuthoritativeServer;

@@ -1,6 +1,7 @@
 //! DNS domain names.
 
 use govhost_types::{Hostname, ParseError};
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -80,15 +81,12 @@ impl DnsName {
         }
     }
 
-    /// Drop the leftmost label in place, making this its parent; `false`
-    /// (and no change) for the root. Unlike [`DnsName::parent`] it copies
-    /// no label.
-    pub(crate) fn pop_front_label(&mut self) -> bool {
-        if self.is_root() {
-            return false;
-        }
-        self.labels.remove(0);
-        true
+    /// Construct from labels the caller already knows to be lowercase and
+    /// within the RFC 1035 limits, without re-checking or copying them.
+    pub(crate) fn from_valid_labels(labels: Vec<Vec<u8>>) -> Self {
+        let name = Self { labels };
+        debug_assert_eq!(Self::from_labels(name.labels.clone()).as_ref(), Ok(&name));
+        name
     }
 
     /// Prepend a label, if limits allow.
@@ -102,6 +100,16 @@ impl DnsName {
     /// Encoded wire length in bytes (sum of labels + length bytes + root).
     pub fn wire_len(&self) -> usize {
         self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+    }
+}
+
+/// A name borrows as its label slice, so a map keyed by `DnsName` can be
+/// probed with any label suffix (`&name.labels()[i..]`) without building
+/// the parent name. The derived `Hash`, `Eq` and `Ord` all delegate to
+/// the `Vec` of labels, which hashes and compares exactly as its slice.
+impl Borrow<[Vec<u8>]> for DnsName {
+    fn borrow(&self) -> &[Vec<u8>] {
+        &self.labels
     }
 }
 
@@ -198,6 +206,16 @@ mod tests {
     fn from_hostname() {
         let h: Hostname = "portal.gub.uy".parse().unwrap();
         assert_eq!(DnsName::from(&h), n("portal.gub.uy"));
+    }
+
+    #[test]
+    fn a_map_keyed_by_name_answers_label_suffixes() {
+        let mut map = std::collections::HashMap::new();
+        map.insert(n("gov.br"), 1);
+        let name = n("www.gov.br");
+        assert_eq!(map.get(&name.labels()[1..]), Some(&1));
+        assert_eq!(map.get(name.labels()), None);
+        assert_eq!(map.get(&name.labels()[2..]), None);
     }
 
     #[test]

@@ -19,16 +19,15 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// A PTR lookup plus the zone that settled it (see
+/// A PTR lookup plus the zones it read (see
 /// [`Resolver::resolve_ptr_sourced`]).
 #[derive(Debug)]
 pub struct PtrLookup {
     /// The PTR name, as [`Resolver::resolve_ptr`] returns it.
     pub answer: Result<DnsName, ResolutionError>,
-    /// The zone whose one response settled the lookup, when it needed no
-    /// second query (no CNAME out of the zone). `None` when it did, or
-    /// when no zone covered the reverse name.
-    pub sole_zone: Option<Arc<AuthoritativeServer>>,
+    /// The zones the lookup of the address's reverse name
+    /// ([`reverse_name`](crate::reverse::reverse_name)) read.
+    pub read: ResolutionRead,
 }
 
 /// Why a resolution failed.
@@ -99,6 +98,66 @@ impl ResolvedAnswer {
     }
 }
 
+/// The `A` answer of a resolution, or `NoAddresses` when it has none.
+fn addresses_of(
+    (chain, rdatas): (Vec<DnsName>, Vec<RData>),
+) -> Result<ResolvedAnswer, ResolutionError> {
+    let addresses: Vec<Ipv4Addr> = rdatas
+        .into_iter()
+        .filter_map(|rd| match rd {
+            RData::A(ip) => Some(ip),
+            _ => None,
+        })
+        .collect();
+    if addresses.is_empty() {
+        Err(ResolutionError::NoAddresses(chain.last().expect("nonempty").clone()))
+    } else {
+        Ok(ResolvedAnswer { chain, addresses })
+    }
+}
+
+/// What one resolution read: the zone [`Resolver::zone_for`] sent each
+/// of its queries to (`None`: no zone covered the name, and the
+/// resolution stopped there), in order — first the query for the
+/// resolved name itself, then one per CNAME hop, with the alias target
+/// it asked. The resolved name is not kept; [`ResolutionRead::holds`]
+/// takes it.
+///
+/// Zones are immutable once registered, and [`Resolver::add_server`]
+/// replaces one with a new allocation, so a resolution from the same
+/// vantage whose every query still goes to the same zone gets the same
+/// answer. Holding the `Arc`s keeps their allocations from being reused.
+#[derive(Debug, Clone, Default)]
+pub struct ResolutionRead {
+    first: Option<Arc<AuthoritativeServer>>,
+    aliases: Vec<(DnsName, Option<Arc<AuthoritativeServer>>)>,
+}
+
+impl ResolutionRead {
+    /// Note query number `hop` (0 for the resolved name itself): `name`
+    /// was asked of `zone`.
+    fn record(&mut self, hop: u16, name: &DnsName, zone: Option<&Arc<AuthoritativeServer>>) {
+        if hop == 0 {
+            self.first = zone.cloned();
+        } else {
+            self.aliases.push((name.clone(), zone.cloned()));
+        }
+    }
+
+    /// Whether `resolver` still sends every query of this resolution of
+    /// `name` to the zone it went to, and so gives the same answer. Reads
+    /// the catalog only; no query is sent.
+    pub fn holds(&self, resolver: &Resolver, name: &DnsName) -> bool {
+        let same = |name: &DnsName, zone: &Option<Arc<AuthoritativeServer>>| {
+            match (resolver.zone_for(name), zone) {
+                (Some(now), Some(then)) => Arc::ptr_eq(now, then),
+                (now, then) => now.is_none() && then.is_none(),
+            }
+        };
+        same(name, &self.first) && self.aliases.iter().all(|(alias, zone)| same(alias, zone))
+    }
+}
+
 /// The resolver's catalog of authoritative servers.
 ///
 /// Each server sits behind an [`Arc`], so a clone copies the catalog
@@ -125,17 +184,12 @@ impl Resolver {
         self.zones.len()
     }
 
-    /// The most specific registered zone covering `name`.
-    fn server_for(&self, name: &DnsName) -> Option<&Arc<AuthoritativeServer>> {
-        let mut candidate = name.clone();
-        loop {
-            if let Some(s) = self.zones.get(&candidate) {
-                return Some(s);
-            }
-            if !candidate.pop_front_label() {
-                return None;
-            }
-        }
+    /// The zone a query for `name` is sent to: the most specific
+    /// registered zone covering it. Probes the catalog once per label
+    /// suffix, without building any parent name.
+    pub fn zone_for(&self, name: &DnsName) -> Option<&Arc<AuthoritativeServer>> {
+        let labels = name.labels();
+        (0..=labels.len()).find_map(|i| self.zones.get(&labels[i..]))
     }
 
     /// Resolve `name` to addresses as seen from `vantage`, following CNAME
@@ -145,20 +199,7 @@ impl Resolver {
         name: &DnsName,
         vantage: Option<CountryCode>,
     ) -> Result<ResolvedAnswer, ResolutionError> {
-        self.resolve_rtype(name, RecordType::A, vantage).and_then(|(chain, rdatas)| {
-            let addresses: Vec<Ipv4Addr> = rdatas
-                .into_iter()
-                .filter_map(|rd| match rd {
-                    RData::A(ip) => Some(ip),
-                    _ => None,
-                })
-                .collect();
-            if addresses.is_empty() {
-                Err(ResolutionError::NoAddresses(chain.last().expect("nonempty").clone()))
-            } else {
-                Ok(ResolvedAnswer { chain, addresses })
-            }
-        })
+        self.resolve_rtype(name, RecordType::A, vantage).and_then(addresses_of)
     }
 
     /// Resolve a hostname (convenience wrapper).
@@ -168,6 +209,22 @@ impl Resolver {
         vantage: Option<CountryCode>,
     ) -> Result<ResolvedAnswer, ResolutionError> {
         self.resolve(&DnsName::from(host), vantage)
+    }
+
+    /// [`Resolver::resolve`], also returning the zone each of its queries
+    /// went to (see [`ResolutionRead`]).
+    pub fn resolve_reading(
+        &self,
+        name: &DnsName,
+        vantage: Option<CountryCode>,
+    ) -> (Result<ResolvedAnswer, ResolutionError>, ResolutionRead) {
+        let mut read = ResolutionRead::default();
+        let result = self
+            .resolve_rtype_traced(name, RecordType::A, vantage, |hop, asked, zone| {
+                read.record(hop, asked, zone);
+            })
+            .and_then(addresses_of);
+        (result, read)
     }
 
     /// The authoritative NS set of `name`: the nameserver target names
@@ -200,19 +257,16 @@ impl Resolver {
         self.resolve_ptr_sourced(ip).answer
     }
 
-    /// [`Resolver::resolve_ptr`], also returning the zone that settled
-    /// the lookup alone, if one did.
-    ///
-    /// Zones are immutable once registered ([`Resolver::add_server`]
-    /// replaces a zone with a new allocation), so while
-    /// [`Resolver::is_ptr_zone`] holds for that zone — a caller keeping
-    /// the returned `Arc` keeps its allocation from being reused — the
+    /// [`Resolver::resolve_ptr`], also returning the zones it read: while
+    /// that read [holds](ResolutionRead::holds) for the reverse name, the
     /// same lookup gets the same answer.
     pub fn resolve_ptr_sourced(&self, ip: Ipv4Addr) -> PtrLookup {
         let name = crate::reverse::reverse_name(ip);
-        let mut sole_zone = None;
+        let mut read = ResolutionRead::default();
         let answer = self
-            .resolve_rtype_traced(&name, RecordType::Ptr, None, &mut sole_zone)
+            .resolve_rtype_traced(&name, RecordType::Ptr, None, |hop, asked, zone| {
+                read.record(hop, asked, zone);
+            })
             .and_then(|(_, rdatas)| {
                 rdatas
                     .into_iter()
@@ -222,15 +276,7 @@ impl Resolver {
                     })
                     .ok_or(ResolutionError::NoAddresses(name))
             });
-        PtrLookup { answer, sole_zone }
-    }
-
-    /// Whether `zone` is the zone a PTR lookup for `ip` queries first:
-    /// the most specific registered zone covering its reverse name. Reads
-    /// the catalog only; no query is sent.
-    pub fn is_ptr_zone(&self, ip: Ipv4Addr, zone: &Arc<AuthoritativeServer>) -> bool {
-        self.server_for(&crate::reverse::reverse_name(ip))
-            .is_some_and(|first| Arc::ptr_eq(first, zone))
+        PtrLookup { answer, read }
     }
 
     /// Shared machinery: returns the alias chain and the terminal records.
@@ -245,20 +291,21 @@ impl Resolver {
         rtype: RecordType,
         vantage: Option<CountryCode>,
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
-        self.resolve_rtype_traced(name, rtype, vantage, &mut None)
+        self.resolve_rtype_traced(name, rtype, vantage, |_, _, _| {})
     }
 
-    /// [`Resolver::resolve_rtype`] that leaves in `sole_zone` the zone of
-    /// the first query when no second query followed.
+    /// [`Resolver::resolve_rtype`] that reports each query to `hop`
+    /// before sending it: its index, the name asked and the zone it goes
+    /// to.
     fn resolve_rtype_traced(
         &self,
         name: &DnsName,
         rtype: RecordType,
         vantage: Option<CountryCode>,
-        sole_zone: &mut Option<Arc<AuthoritativeServer>>,
+        hop: impl FnMut(u16, &DnsName, Option<&Arc<AuthoritativeServer>>),
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
         let _span = govhost_obs::span!("dns_resolve");
-        let result = self.resolve_rtype_inner(name, rtype, vantage, sole_zone);
+        let result = self.resolve_rtype_inner(name, rtype, vantage, hop);
         if let Err(e) = &result {
             govhost_obs::counter_add("dns.failures", &[("kind", e.kind())], 1);
         }
@@ -270,13 +317,13 @@ impl Resolver {
         name: &DnsName,
         rtype: RecordType,
         vantage: Option<CountryCode>,
-        sole_zone: &mut Option<Arc<AuthoritativeServer>>,
+        mut on_hop: impl FnMut(u16, &DnsName, Option<&Arc<AuthoritativeServer>>),
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
         let mut chain = vec![name.clone()];
         let mut current = name.clone();
         for hop in 0..8u16 {
-            let server = self.server_for(&current);
-            *sole_zone = if hop == 0 { server.cloned() } else { None };
+            let server = self.zone_for(&current);
+            on_hop(hop, &current, server);
             let server = server.ok_or_else(|| ResolutionError::NoZone(current.clone()))?;
             govhost_obs::counter_add("dns.queries", &[], 1);
             let query = Message::query(hop + 1, current.clone(), rtype);
@@ -367,6 +414,30 @@ mod tests {
         assert_eq!(parent.resolve(&static_host, None).unwrap().addresses, [ip("190.210.1.5")]);
         let cdn = n("cdn.gphost.net");
         assert!(Arc::ptr_eq(&parent.zones[&cdn], &fork.zones[&cdn]), "other zones stay shared");
+    }
+
+    #[test]
+    fn a_read_holds_until_a_zone_it_queried_is_replaced() {
+        let mut r = resolver();
+        let www = n("www.ministerio.gob.ar");
+        let (answer, read) = r.resolve_reading(&www, Some(cc!("AR")));
+        assert_eq!(answer, r.resolve(&www, Some(cc!("AR"))));
+        let unknown = n("www.unknown.org");
+        let (_, missing) = r.resolve_reading(&unknown, None);
+        // A zone no query went to leaves both reads standing.
+        r.add_server(AuthoritativeServer::new(Zone::new(n("other.example"))));
+        assert!(read.holds(&r, &www) && missing.holds(&r, &unknown));
+        // Replacing the zone of the CNAME hop breaks the read.
+        let mut fork = r.clone();
+        fork.add_server(AuthoritativeServer::new(Zone::new(n("cdn.gphost.net"))));
+        assert!(!read.holds(&fork, &www) && read.holds(&r, &www));
+        // So does a more specific zone appearing under a queried name, and
+        // a zone appearing where there was none.
+        let mut fork = r.clone();
+        fork.add_server(AuthoritativeServer::new(Zone::new(n("www.ministerio.gob.ar"))));
+        assert!(!read.holds(&fork, &www));
+        r.add_server(AuthoritativeServer::new(Zone::new(n("unknown.org"))));
+        assert!(!missing.holds(&r, &unknown));
     }
 
     #[test]

@@ -8,10 +8,11 @@ use std::net::Ipv4Addr;
 /// The `in-addr.arpa` name for an IPv4 address
 /// (`190.210.1.5` → `5.1.210.190.in-addr.arpa`).
 pub fn reverse_name(ip: Ipv4Addr) -> DnsName {
-    let o = ip.octets();
-    format!("{}.{}.{}.{}.in-addr.arpa", o[3], o[2], o[1], o[0])
-        .parse()
-        .expect("octet-based name is always valid")
+    let mut labels: Vec<Vec<u8>> =
+        ip.octets().iter().rev().map(|o| o.to_string().into_bytes()).collect();
+    labels.push(b"in-addr".to_vec());
+    labels.push(b"arpa".to_vec());
+    DnsName::from_valid_labels(labels)
 }
 
 /// Build a PTR record mapping `ip` to `target`.

@@ -8,13 +8,12 @@ use crate::ipmap::IpMapCache;
 use crate::probing::ActiveProber;
 use crate::single_radius::single_radius;
 use crate::thresholds::CountryThresholds;
-use govhost_dns::{AuthoritativeServer, DnsName, Resolver};
+use govhost_dns::{reverse_name, DnsName, ResolutionRead, Resolver};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
 use govhost_netsim::probes::ProbeFleet;
 use govhost_types::CountryCode;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// One address to geolocate, tagged with the country whose government it
 /// serves (the vantage for in-country verification).
@@ -158,24 +157,19 @@ pub struct PtrRead {
     ip: Ipv4Addr,
     /// `None`: the lookup failed.
     answer: Option<DnsName>,
-    /// The zone that settled the lookup alone, if one did (held, so its
-    /// allocation cannot be reused while this read lives).
-    sole_zone: Option<Arc<AuthoritativeServer>>,
+    /// The zones the lookup read.
+    read: ResolutionRead,
 }
 
 impl PtrRead {
     /// Whether `resolver` still gives the PTR answer this read got.
     ///
-    /// When one zone settled the lookup and the resolver would still ask
-    /// that very zone first, the answer is the same without a query;
-    /// otherwise the lookup runs again and the answers are compared.
+    /// When every query of the lookup would still go to the zone it went
+    /// to, the answer is the same without a query; otherwise the lookup
+    /// runs again and the answers are compared.
     pub fn holds(&self, resolver: &Resolver) -> bool {
-        if let Some(zone) = &self.sole_zone {
-            if resolver.is_ptr_zone(self.ip, zone) {
-                return true;
-            }
-        }
-        resolver.resolve_ptr(self.ip).ok() == self.answer
+        self.read.holds(resolver, &reverse_name(self.ip))
+            || resolver.resolve_ptr(self.ip).ok() == self.answer
     }
 }
 
@@ -357,7 +351,7 @@ impl<'a> GeolocationPipeline<'a> {
             let read = ptr.insert(PtrRead {
                 ip: server.ip,
                 answer: lookup.answer.ok(),
-                sole_zone: lookup.sole_zone,
+                read: lookup.read,
             });
             if let Some(name) = &read.answer {
                 if let Some(c) = self.hoiho.infer(&name.to_string()) {

@@ -15,7 +15,7 @@ use crate::countries::{any_country, CountryRow, COUNTRIES, TOPSITE_COUNTRIES};
 use crate::params::GenParams;
 use crate::profiles::{HostingProfile, TldStyle};
 use crate::providers::GLOBAL_PROVIDERS;
-use crate::truth::{GroundTruth, HostTruth};
+use crate::truth::{GroundTruth, HostIndex, HostTruth};
 use crate::world::{ContentVersion, World};
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Resolver, Zone};
 use govhost_geoloc::geodb::GeoEntry;
@@ -1352,6 +1352,7 @@ impl Generator {
             ipmap: Arc::new(self.ipmap),
             landing_pages: Arc::new(self.landing_pages),
             topsites: Arc::new(self.topsites),
+            host_index: Arc::new(HostIndex::of(&self.truth)),
             truth: self.truth,
             content_version: ContentVersion::fresh(),
         }

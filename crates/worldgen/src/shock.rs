@@ -5,8 +5,10 @@
 //! the yearly evolution loop: it rewrites DNS zones (and, where the
 //! mutation has a real-world operator, ground truth) and reports the
 //! countries whose hosting surface changed, so
-//! `GovDataset::rebuild_incremental` in govhost-core recomputes only
-//! those. No shock writes the web corpus or search index, so a shocked
+//! `GovDataset::rebuild_incremental` in govhost-core checks only those,
+//! and re-identifies only their hosts whose DNS reads changed. Shocks
+//! walk the world's host index like ticks do. No shock writes the web
+//! corpus or search index, so a shocked
 //! world keeps its [`ContentVersion`](crate::world::ContentVersion)
 //! (a unit test in [`world`](crate::world) checks all three shocks)
 //! and its rebuild re-runs only §3.4 identify. Shocks obey the tick
@@ -29,12 +31,13 @@
 //!   but nobody can find them.
 
 use crate::providers::GlobalProvider;
-use crate::tick::{countries_with_hosts, domestic_server, hosts_sorted, repoint};
+use crate::tick::{domestic_server, repoint, truth_of};
 use crate::world::World;
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Resolver, Zone};
 use govhost_netsim::det;
-use govhost_types::{CountryCode, Hostname};
-use std::collections::BTreeSet;
+use govhost_types::{Asn, CountryCode, Hostname};
+use std::collections::{BTreeSet, HashMap};
+use std::net::Ipv4Addr;
 
 /// The synthetic "year" a shock stamps into rewritten SOA serials —
 /// far past any plausible tick year, so shocked zones are recognizable
@@ -99,11 +102,12 @@ pub struct ShockReport {
 pub fn provider_outage(world: &mut World, provider: &GlobalProvider) -> ShockReport {
     let apex = provider.zone_apex();
     let mut report = ShockReport::default();
-    for host in hosts_sorted(world) {
-        let Some(truth) = world.truth.hosts.get(&host) else { continue };
+    let index = world.host_index();
+    for host in index.sorted() {
+        let truth = truth_of(world, host);
         let country = truth.country;
         let tenancy = truth.asn.value() == provider.asn;
-        let name = DnsName::from(&host);
+        let name = DnsName::from(host);
         let ns_dependent = match world.resolver.resolve_ns(&name) {
             Ok(ns) => ns.iter().all(|target| target.is_under(&apex)),
             Err(_) => false,
@@ -119,7 +123,7 @@ pub fn provider_outage(world: &mut World, provider: &GlobalProvider) -> ShockRep
             provider.asn,
             cause.label()
         ));
-        report.darkened.push(DarkHost { host, country, cause });
+        report.darkened.push(DarkHost { host: host.clone(), country, cause });
     }
     // The provider's own zone goes with it: edge names and managed-DNS
     // server names under the apex stop answering.
@@ -147,29 +151,22 @@ fn blackhole(resolver: &mut Resolver, apex: &DnsName) {
 /// tick without its yearly budget.
 pub fn onshore(world: &mut World, target: Option<CountryCode>) -> ShockReport {
     let mut report = ShockReport::default();
-    let countries: Vec<CountryCode> = countries_with_hosts(world)
-        .into_iter()
-        .filter(|cc| target.is_none_or(|t| t == *cc))
-        .collect();
-    for country in countries {
-        let movers: Vec<Hostname> = hosts_sorted(world)
-            .into_iter()
-            .filter(|h| {
-                world
-                    .truth
-                    .hosts
-                    .get(h)
-                    .is_some_and(|t| t.country == country && t.location != country)
-            })
-            .collect();
+    let index = world.host_index();
+    for (country, hosts) in index.countries() {
+        if target.is_some_and(|t| t != country) {
+            continue;
+        }
+        let movers: Vec<&Hostname> =
+            hosts.iter().filter(|h| truth_of(world, h).location != country).collect();
+        if movers.is_empty() {
+            continue;
+        }
+        let Some(ip) = domestic_server(world, country) else { continue };
+        let Some(asn) = world.registry.server_by_ip(ip).map(|s| s.asn) else { continue };
         for host in movers {
-            let Some(ip) = domestic_server(world, country) else { continue };
-            let asn = world.registry.server_by_ip(ip).map(|s| s.asn);
-            if repoint(world, &host, ip, SHOCK_YEAR).is_some() {
-                if let Some(asn) = asn {
-                    report.dirty.insert(country);
-                    report.events.push(format!("onshore: {country} {host} -> {asn}"));
-                }
+            if repoint(world, host, ip, SHOCK_YEAR).is_some() {
+                report.dirty.insert(country);
+                report.events.push(format!("onshore: {country} {host} -> {asn}"));
             }
         }
     }
@@ -185,7 +182,14 @@ pub fn onshore(world: &mut World, target: Option<CountryCode>) -> ShockReport {
 pub fn vantage_shift(world: &mut World, key: &str) -> ShockReport {
     let mut report = ShockReport::default();
     let seed = world.params.seed;
-    for host in hosts_sorted(world) {
+    // Each (AS, fabric)'s addresses in registry order, gathered in one
+    // pass; ticks and shocks never write the registry.
+    let mut fabrics: HashMap<(Asn, bool), Vec<Ipv4Addr>> = HashMap::new();
+    for server in world.registry.servers() {
+        fabrics.entry((server.asn, server.anycast)).or_default().push(server.ip);
+    }
+    let index = world.host_index();
+    for host in index.sorted() {
         let gate = det::unit(
             seed,
             &[det::hash_str("vantage-shock"), det::hash_str(key), det::hash_str(host.as_str())],
@@ -193,24 +197,20 @@ pub fn vantage_shift(world: &mut World, key: &str) -> ShockReport {
         if gate >= VANTAGE_SHIFT_FRACTION {
             continue;
         }
-        let Some(truth) = world.truth.hosts.get(&host) else { continue };
+        let truth = truth_of(world, host);
         let (country, asn, anycast) = (truth.country, truth.asn, truth.anycast);
         let current = world
             .resolver
-            .resolve(&DnsName::from(&host), Some(country))
+            .resolve(&DnsName::from(host), Some(country))
             .ok()
             .and_then(|ans| ans.addresses.first().copied());
         // A different address of the same AS and fabric (anycast hosts
         // stay anycast, unicast stays unicast), in registry order.
-        let alternative = world
-            .registry
-            .servers()
-            .iter()
-            .filter(|s| s.asn == asn && s.anycast == anycast)
-            .map(|s| s.ip)
-            .find(|ip| Some(*ip) != current);
+        let alternative = fabrics
+            .get(&(asn, anycast))
+            .and_then(|ips| ips.iter().copied().find(|ip| Some(*ip) != current));
         let Some(ip) = alternative else { continue };
-        if repoint(world, &host, ip, SHOCK_YEAR).is_some() {
+        if repoint(world, host, ip, SHOCK_YEAR).is_some() {
             report.dirty.insert(country);
             report.events.push(format!("vantage[{key}]: {country} {host} -> {ip}"));
         }

@@ -13,31 +13,40 @@
 //!
 //! * **Same-seed timeline identity.** A system's random stream is keyed
 //!   only by `(world seed, system name, year)`, and all world scans run in
-//!   fixed orders (hostnames sorted, countries in [`COUNTRIES`] order,
+//!   fixed orders (hostnames sorted, countries in
+//!   [`COUNTRIES`](crate::countries::COUNTRIES) order,
 //!   providers in [`GLOBAL_PROVIDERS`] order, servers in registry order).
 //!   Two worlds generated from the same [`GenParams`](crate::GenParams)
 //!   therefore produce bit-identical timelines, independent of thread
 //!   count — ticking itself is single-threaded by construction.
 //! * **Bounded blast radius.** Ticks only re-point DNS (replacing a
 //!   hostname's authoritative zone) and update ground truth. They never
-//!   mutate the AS registry, the web corpus, the search index or any
-//!   geolocation surface, so the measurement pipeline's view of a country
-//!   changes **iff** one of that country's hostnames was re-pointed. The
-//!   set of such countries is the tick's *dirty set*, which
-//!   `GovDataset::rebuild_incremental` in govhost-core uses to recompute
-//!   only the affected per-country partials. The crawl-side half of the
+//!   add or remove a host, and never mutate the AS registry, the web
+//!   corpus, the search index or any geolocation surface, so the
+//!   measurement pipeline's view of a country changes only if one of
+//!   that country's hostnames was re-pointed. The set of such countries
+//!   is the tick's *dirty set*. `GovDataset::rebuild_incremental` in
+//!   govhost-core treats it as a hint: it checks the recorded DNS reads
+//!   of those countries' hosts and re-identifies only the hosts whose
+//!   reads changed, and a debug build asserts that no other country's
+//!   did. The crawl-side half of the
 //!   law is checked, not just stated: the corpus and search index can
 //!   only be written through accessors that stamp a new
 //!   [`ContentVersion`](crate::world::ContentVersion), a unit test in
 //!   [`world`](crate::world) checks that ticks leave the version
 //!   unchanged, and so a tick rebuild re-runs only §3.4 identify for
 //!   its dirty countries, never the crawl.
+//! * **Cost follows the events.** Systems visit hosts through the
+//!   world's host index (sorted by name, grouped by country, built once
+//!   and shared by forks) and read each visited host's truth once; no
+//!   system sorts or scans the whole truth table per country or per
+//!   provider.
 //! * **Resolution stays total.** A re-pointed hostname always receives a
 //!   fresh zone with a valid `A` record, so ticks never introduce
 //!   resolution failures that did not exist at generation time.
 
-use crate::countries::COUNTRIES;
 use crate::providers::{provider_by_asn, GlobalProvider, GLOBAL_PROVIDERS};
+use crate::truth::{HostIndex, HostTruth};
 use crate::world::World;
 use govhost_det::DetRng;
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Zone};
@@ -174,20 +183,32 @@ pub fn systems_from_env() -> Result<Vec<Box<dyn TickSystem>>, UnknownTickError> 
     }
 }
 
-/// Government hostnames in a stable order (sorted by name), the only
-/// iteration order tick systems may use over the truth table.
-pub(crate) fn hosts_sorted(world: &World) -> Vec<Hostname> {
-    let mut names: Vec<Hostname> = world.truth.hosts.keys().cloned().collect();
-    names.sort_by(|a, b| a.as_str().cmp(b.as_str()));
-    names
+/// The ground truth of an indexed hostname (the index and the truth
+/// table hold the same names; see [`World::host_index`]).
+pub(crate) fn truth_of<'w>(world: &'w World, host: &Hostname) -> &'w HostTruth {
+    &world.truth.hosts[host]
 }
 
-/// Studied countries that have at least one government hostname, in
-/// [`COUNTRIES`] order.
-pub(crate) fn countries_with_hosts(world: &World) -> Vec<CountryCode> {
-    let present: BTreeSet<CountryCode> =
-        world.truth.hosts.values().map(|t| t.country).collect();
-    COUNTRIES.iter().map(|row| row.cc()).filter(|cc| present.contains(cc)).collect()
+/// Whether any of `hosts` is served from `asn`.
+fn uses(world: &World, hosts: &[Hostname], asn: u32) -> bool {
+    hosts.iter().any(|h| truth_of(world, h).asn.value() == asn)
+}
+
+/// Countries (in [`COUNTRIES`](crate::countries::COUNTRIES) order) with at
+/// least one host on `asn`.
+fn users_of(world: &World, index: &HostIndex, asn: u32) -> Vec<CountryCode> {
+    index.countries().filter(|(_, hosts)| uses(world, hosts, asn)).map(|(cc, _)| cc).collect()
+}
+
+/// The first `limit` of `hosts` (in name order) whose truth satisfies
+/// `pick`.
+fn pick_hosts(
+    world: &World,
+    hosts: &[Hostname],
+    limit: usize,
+    pick: impl Fn(&HostTruth) -> bool,
+) -> Vec<Hostname> {
+    hosts.iter().filter(|h| pick(truth_of(world, h))).take(limit).cloned().collect()
 }
 
 /// The first server of `asn` in registry order, preferring one with a
@@ -293,18 +314,6 @@ pub(crate) fn repoint(
     Some(gov)
 }
 
-/// Countries (in [`COUNTRIES`] order) with at least one host on `asn`.
-fn users_of(world: &World, asn: u32) -> Vec<CountryCode> {
-    let using: BTreeSet<CountryCode> = world
-        .truth
-        .hosts
-        .values()
-        .filter(|t| t.asn.value() == asn)
-        .map(|t| t.country)
-        .collect();
-    COUNTRIES.iter().map(|row| row.cc()).filter(|cc| using.contains(cc)).collect()
-}
-
 /// Provider entry and exit (Fig. 10's footprint churn).
 ///
 /// Every year one global provider *enters* a new market: the provider is
@@ -321,26 +330,20 @@ impl TickSystem for ProviderChurn {
 
     fn apply(&self, world: &mut World, year: u32, rng: &mut DetRng) -> TickOutcome {
         let mut out = TickOutcome::default();
+        let index = world.host_index();
         let entrant: &GlobalProvider =
             &GLOBAL_PROVIDERS[(year as usize - 1) % GLOBAL_PROVIDERS.len()];
-        let users = users_of(world, entrant.asn);
-        let candidates: Vec<CountryCode> = countries_with_hosts(world)
-            .into_iter()
-            .filter(|cc| !users.contains(cc))
+        let candidates: Vec<CountryCode> = index
+            .countries()
+            .filter(|(_, hosts)| !uses(world, hosts, entrant.asn))
+            .map(|(cc, _)| cc)
             .collect();
         if !candidates.is_empty() {
             let country = candidates[rng.index(candidates.len())];
-            let hosts = hosts_sorted(world);
-            let mover = hosts.iter().find(|h| {
-                world.truth.hosts.get(h).is_some_and(|t| {
-                    t.country == country
-                        && matches!(
-                            t.category,
-                            ProviderCategory::GovtSoe | ProviderCategory::ThirdPartyLocal
-                        )
-                })
+            let mover = pick_hosts(world, index.hosts_of(country), 1, |t| {
+                matches!(t.category, ProviderCategory::GovtSoe | ProviderCategory::ThirdPartyLocal)
             });
-            if let Some(host) = mover {
+            if let Some(host) = mover.first() {
                 let want_anycast = if entrant.anycast { Some(true) } else { None };
                 if let Some(ip) = server_of_asn(world, entrant.asn, country, want_anycast) {
                     if repoint(world, host, ip, year).is_some() {
@@ -353,31 +356,38 @@ impl TickSystem for ProviderChurn {
             let tail_index =
                 GLOBAL_PROVIDERS.len() - 1 - ((year as usize / 4) % GLOBAL_PROVIDERS.len());
             let leaver = &GLOBAL_PROVIDERS[tail_index];
-            let markets = users_of(world, leaver.asn);
+            let markets = users_of(world, &index, leaver.asn);
             if !markets.is_empty() {
                 let country = markets[rng.index(markets.len())];
-                let movers: Vec<Hostname> = hosts_sorted(world)
-                    .into_iter()
-                    .filter(|h| {
-                        world.truth.hosts.get(h).is_some_and(|t| {
-                            t.country == country && t.asn.value() == leaver.asn
-                        })
-                    })
-                    .take(2)
-                    .collect();
-                for host in movers {
-                    if let Some(ip) = domestic_server(world, country) {
-                        let asn = world.registry.server_by_ip(ip).map(|s| s.asn);
-                        if repoint(world, &host, ip, year).is_some() {
-                            if let Some(asn) = asn {
-                                out.record(self.name(), &host, country, asn);
-                            }
-                        }
-                    }
-                }
+                let movers = pick_hosts(world, index.hosts_of(country), 2, |t| {
+                    t.asn.value() == leaver.asn
+                });
+                rehome(world, self.name(), &movers, country, year, &mut out);
             }
         }
         out
+    }
+}
+
+/// Re-point each of `movers` onto the best domestic server of `country`
+/// (see [`domestic_server`]), recording the moves in `out`.
+fn rehome(
+    world: &mut World,
+    system: &str,
+    movers: &[Hostname],
+    country: CountryCode,
+    year: u32,
+    out: &mut TickOutcome,
+) {
+    if movers.is_empty() {
+        return;
+    }
+    let Some(ip) = domestic_server(world, country) else { return };
+    let Some(asn) = world.registry.server_by_ip(ip).map(|s| s.asn) else { return };
+    for host in movers {
+        if repoint(world, host, ip, year).is_some() {
+            out.record(system, host, country, asn);
+        }
     }
 }
 
@@ -397,7 +407,8 @@ impl TickSystem for AgencyMigration {
     fn apply(&self, world: &mut World, year: u32, _rng: &mut DetRng) -> TickOutcome {
         let mut out = TickOutcome::default();
         let seed = world.params.seed;
-        for country in countries_with_hosts(world) {
+        let index = world.host_index();
+        for (country, hosts) in index.countries() {
             let gate = det::unit(
                 seed,
                 &[det::hash_str("agency"), year as u64, det::hash_str(country.as_str())],
@@ -405,27 +416,33 @@ impl TickSystem for AgencyMigration {
             if gate >= 0.25 {
                 continue;
             }
+            // One pass over the country's hosts: the networks serving it
+            // and its first two Govt&SOE hosts.
+            let mut serving: BTreeSet<u32> = BTreeSet::new();
+            let mut movers: Vec<&Hostname> = Vec::new();
+            for host in hosts {
+                let truth = truth_of(world, host);
+                serving.insert(truth.asn.value());
+                if truth.category == ProviderCategory::GovtSoe && movers.len() < 2 {
+                    movers.push(host);
+                }
+            }
             // Destination: the first (most-footprint) Fig. 10 provider
             // already serving this country, else the headliner.
             let present = GLOBAL_PROVIDERS
                 .iter()
-                .find(|p| users_of(world, p.asn).contains(&country))
+                .find(|p| serving.contains(&p.asn))
                 .unwrap_or(&GLOBAL_PROVIDERS[0]);
-            let movers: Vec<Hostname> = hosts_sorted(world)
-                .into_iter()
-                .filter(|h| {
-                    world.truth.hosts.get(h).is_some_and(|t| {
-                        t.country == country && t.category == ProviderCategory::GovtSoe
-                    })
-                })
-                .take(2)
-                .collect();
+            if movers.is_empty() {
+                continue;
+            }
             let want_anycast = if present.anycast { Some(true) } else { None };
+            let Some(ip) = server_of_asn(world, present.asn, country, want_anycast) else {
+                continue;
+            };
             for host in movers {
-                if let Some(ip) = server_of_asn(world, present.asn, country, want_anycast) {
-                    if repoint(world, &host, ip, year).is_some() {
-                        out.record(self.name(), &host, country, present.asn());
-                    }
+                if repoint(world, host, ip, year).is_some() {
+                    out.record(self.name(), host, country, present.asn());
                 }
             }
         }
@@ -451,37 +468,18 @@ impl TickSystem for DataLocalization {
         if !year.is_multiple_of(3) {
             return out;
         }
-        let offshore: Vec<CountryCode> = countries_with_hosts(world)
-            .into_iter()
-            .filter(|cc| {
-                world.truth.hosts.values().any(|t| t.country == *cc && t.location != *cc)
-            })
+        let index = world.host_index();
+        let offshore: Vec<CountryCode> = index
+            .countries()
+            .filter(|(cc, hosts)| hosts.iter().any(|h| truth_of(world, h).location != *cc))
+            .map(|(cc, _)| cc)
             .collect();
         if offshore.is_empty() {
             return out;
         }
         let country = offshore[rng.index(offshore.len())];
-        let movers: Vec<Hostname> = hosts_sorted(world)
-            .into_iter()
-            .filter(|h| {
-                world
-                    .truth
-                    .hosts
-                    .get(h)
-                    .is_some_and(|t| t.country == country && t.location != country)
-            })
-            .take(3)
-            .collect();
-        for host in movers {
-            if let Some(ip) = domestic_server(world, country) {
-                let asn = world.registry.server_by_ip(ip).map(|s| s.asn);
-                if repoint(world, &host, ip, year).is_some() {
-                    if let Some(asn) = asn {
-                        out.record(self.name(), &host, country, asn);
-                    }
-                }
-            }
-        }
+        let movers = pick_hosts(world, index.hosts_of(country), 3, |t| t.location != country);
+        rehome(world, self.name(), &movers, country, year, &mut out);
         out
     }
 }
@@ -500,30 +498,26 @@ impl TickSystem for AnycastGrowth {
 
     fn apply(&self, world: &mut World, year: u32, rng: &mut DetRng) -> TickOutcome {
         let mut out = TickOutcome::default();
-        let eligible = |t: &crate::truth::HostTruth| {
+        let eligible = |t: &HostTruth| {
             !t.anycast
                 && provider_by_asn(t.asn.value()).map(|p| p.anycast).unwrap_or(false)
         };
-        let candidates: Vec<CountryCode> = countries_with_hosts(world)
-            .into_iter()
-            .filter(|cc| world.truth.hosts.values().any(|t| t.country == *cc && eligible(t)))
+        let index = world.host_index();
+        let candidates: Vec<CountryCode> = index
+            .countries()
+            .filter(|(_, hosts)| hosts.iter().any(|h| eligible(truth_of(world, h))))
+            .map(|(cc, _)| cc)
             .collect();
         if candidates.is_empty() {
             return out;
         }
         let country = candidates[rng.index(candidates.len())];
-        let movers: Vec<(Hostname, u32)> = hosts_sorted(world)
-            .into_iter()
-            .filter_map(|h| {
-                let t = world.truth.hosts.get(&h)?;
-                (t.country == country && eligible(t)).then(|| (h, t.asn.value()))
-            })
-            .take(2)
-            .collect();
-        for (host, asn) in movers {
-            if let Some(ip) = server_of_asn(world, asn, country, Some(true)) {
+        let movers = pick_hosts(world, index.hosts_of(country), 2, eligible);
+        for host in movers {
+            let asn = truth_of(world, &host).asn;
+            if let Some(ip) = server_of_asn(world, asn.value(), country, Some(true)) {
                 if repoint(world, &host, ip, year).is_some() {
-                    out.record(self.name(), &host, country, Asn::from(asn));
+                    out.record(self.name(), &host, country, asn);
                 }
             }
         }
@@ -590,9 +584,9 @@ mod tests {
         for year in 1..=3 {
             run_year(&mut world, year, &default_systems());
         }
-        for host in hosts_sorted(&world) {
-            let gov = world.truth.hosts[&host].country;
-            let answer = world.resolver.resolve(&DnsName::from(&host), Some(gov));
+        for host in world.host_index().sorted() {
+            let gov = world.truth.hosts[host].country;
+            let answer = world.resolver.resolve(&DnsName::from(host), Some(gov));
             assert!(answer.is_ok(), "{host} stopped resolving after ticks");
         }
     }
@@ -637,16 +631,18 @@ mod tests {
         let systems = default_systems();
         // Snapshot every host's resolved address, tick, and check that
         // hosts in clean countries answer exactly as before.
-        let before: Vec<(Hostname, CountryCode, Option<Ipv4Addr>)> = hosts_sorted(&world)
-            .into_iter()
+        let before: Vec<(Hostname, CountryCode, Option<Ipv4Addr>)> = world
+            .host_index()
+            .sorted()
+            .iter()
             .map(|h| {
-                let gov = world.truth.hosts[&h].country;
+                let gov = world.truth.hosts[h].country;
                 let ip = world
                     .resolver
-                    .resolve(&DnsName::from(&h), Some(gov))
+                    .resolve(&DnsName::from(h), Some(gov))
                     .ok()
                     .and_then(|ans| ans.addresses.first().copied());
-                (h, gov, ip)
+                (h.clone(), gov, ip)
             })
             .collect();
         let report = run_year(&mut world, 1, &systems);

@@ -5,6 +5,7 @@
 //! *built*, and so calibration tests can check the world matches the
 //! paper's numbers before the pipeline even runs.
 
+use crate::countries::COUNTRIES;
 use govhost_types::{Asn, CountryCode, Hostname, ProviderCategory};
 use std::collections::HashMap;
 
@@ -59,6 +60,60 @@ impl GroundTruth {
             .values()
             .filter(|t| t.country == country && t.category == category)
             .count()
+    }
+}
+
+/// Every government hostname of a [`GroundTruth`], sorted by name, and
+/// the same names grouped by country: the only orders in which ticks and
+/// shocks visit hosts.
+///
+/// Ticks and shocks rewrite a host's truth but never add or remove a
+/// host, so a world builds its index once, when it is generated, and its
+/// forks share it.
+#[derive(Debug, Default)]
+pub(crate) struct HostIndex {
+    /// Every hostname, sorted by name.
+    sorted: Vec<Hostname>,
+    /// Each studied country with at least one hostname, in [`COUNTRIES`]
+    /// order, with its hostnames sorted by name.
+    by_country: Vec<(CountryCode, Vec<Hostname>)>,
+}
+
+impl HostIndex {
+    /// Index the hostnames of `truth`.
+    pub(crate) fn of(truth: &GroundTruth) -> HostIndex {
+        let mut sorted: Vec<Hostname> = truth.hosts.keys().cloned().collect();
+        sorted.sort_unstable();
+        let mut grouped: HashMap<CountryCode, Vec<Hostname>> = HashMap::new();
+        for host in &sorted {
+            grouped.entry(truth.hosts[host].country).or_default().push(host.clone());
+        }
+        let by_country = COUNTRIES
+            .iter()
+            .filter_map(|row| grouped.remove(&row.cc()).map(|hosts| (row.cc(), hosts)))
+            .collect();
+        HostIndex { sorted, by_country }
+    }
+
+    /// Number of indexed hostnames.
+    pub(crate) fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// Every hostname, sorted by name.
+    pub(crate) fn sorted(&self) -> &[Hostname] {
+        &self.sorted
+    }
+
+    /// The studied countries that have hostnames, in [`COUNTRIES`] order,
+    /// each with its hostnames sorted by name.
+    pub(crate) fn countries(&self) -> impl Iterator<Item = (CountryCode, &[Hostname])> {
+        self.by_country.iter().map(|(cc, hosts)| (*cc, hosts.as_slice()))
+    }
+
+    /// One country's hostnames, sorted by name.
+    pub(crate) fn hosts_of(&self, country: CountryCode) -> &[Hostname] {
+        self.countries().find(|(cc, _)| *cc == country).map_or(&[], |(_, hosts)| hosts)
     }
 }
 

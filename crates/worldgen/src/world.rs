@@ -10,7 +10,8 @@
 //! tick or shock replaces one), the ground truth, the parameters and
 //! the content version, and shares the AS registry, PeeringDB, search
 //! index, web corpus, probe fleet, latency model, geolocation surfaces,
-//! landing lists and topsite lists with its parent. A what-if scenario
+//! landing lists, topsite lists and the host index ticks and shocks walk
+//! with its parent. A what-if scenario
 //! shocks a fork of the baseline world and leaves the baseline
 //! untouched. The two crawl-side surfaces that can be written, the
 //! corpus and the search index, are copy-on-write: [`World::corpus_mut`]
@@ -34,7 +35,7 @@
 
 use crate::countries::{CountryRow, COUNTRIES};
 use crate::params::GenParams;
-use crate::truth::GroundTruth;
+use crate::truth::{GroundTruth, HostIndex};
 use govhost_dns::Resolver;
 use govhost_geoloc::pipeline::{GeolocationPipeline, PipelineConfig};
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
@@ -112,6 +113,8 @@ pub struct World {
     pub topsites: Arc<HashMap<CountryCode, Vec<Url>>>,
     /// Ground truth (tests only).
     pub truth: GroundTruth,
+    /// The hostnames of `truth`, sorted and grouped by country.
+    pub(crate) host_index: Arc<HostIndex>,
     /// What the crawl-side surfaces hold.
     pub(crate) content_version: ContentVersion,
 }
@@ -146,6 +149,13 @@ impl World {
         &self.search
     }
 
+    /// The search index's shared allocation: holding a clone tells a
+    /// later caller whether the index was since written or replaced,
+    /// since either lands at a new address.
+    pub fn shared_search(&self) -> &Arc<SearchIndex> {
+        &self.search
+    }
+
     /// Write access to the web corpus. Stamps a fresh
     /// [`ContentVersion`], so crawls cached against the old content are
     /// never reused. Copy-on-write: a corpus shared with a fork or a
@@ -161,6 +171,18 @@ impl World {
     pub fn search_mut(&mut self) -> &mut SearchIndex {
         self.content_version = ContentVersion::fresh();
         Arc::make_mut(&mut self.search)
+    }
+
+    /// The index of this world's government hostnames, as a handle that
+    /// outlives a borrow of the world, so a tick or shock can walk it
+    /// while it rewrites DNS and ground truth.
+    pub(crate) fn host_index(&self) -> Arc<HostIndex> {
+        debug_assert_eq!(
+            self.host_index.len(),
+            self.truth.hosts.len(),
+            "ground-truth hosts were added or removed after generation"
+        );
+        Arc::clone(&self.host_index)
     }
 
     /// What the crawl-side surfaces (corpus, search index, landing
@@ -213,6 +235,7 @@ mod tests {
             ("ipmap", Arc::ptr_eq(&a.ipmap, &b.ipmap)),
             ("landing_pages", Arc::ptr_eq(&a.landing_pages, &b.landing_pages)),
             ("topsites", Arc::ptr_eq(&a.topsites, &b.topsites)),
+            ("host_index", Arc::ptr_eq(&a.host_index, &b.host_index)),
         ];
         for (surface, same) in shared {
             assert!(same, "{what} wrote the shared {surface}");

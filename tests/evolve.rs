@@ -71,13 +71,35 @@ fn geo_pairs(dataset: &GovDataset) -> BTreeSet<(std::net::Ipv4Addr, CountryCode)
     dataset.hosts.iter().filter_map(|h| h.ip.map(|ip| (ip, h.country))).collect()
 }
 
+/// The dataset's hosts that a re-point of `repointed` can reach: each
+/// re-pointed host, and each host whose alias chain runs through the
+/// zone of one (its CNAME dependents).
+fn reach_of_repoints(world: &World, dataset: &GovDataset, repointed: &BTreeSet<String>) -> u64 {
+    let moved = |name: &govhost::dns::DnsName| {
+        world
+            .resolver
+            .zone_for(name)
+            .is_some_and(|zone| repointed.contains(&zone.zone().origin().to_string()))
+    };
+    let reached = dataset.hosts.iter().filter(|h| {
+        repointed.contains(h.hostname.as_str())
+            || world
+                .resolver
+                .resolve_host(&h.hostname, Some(world.vantage(h.country).country))
+                .is_ok_and(|answer| answer.chain.iter().any(moved))
+    });
+    reached.count() as u64
+}
+
 /// Run `years` ticks over one world, rebuilding incrementally after
 /// each, and assert the export bytes match a from-scratch build of the
 /// same evolved world every single year. Ticks never touch the web
 /// corpus, so every rebuild must also re-run §3.4 identify alone: no
-/// page crawled, no URL classified. Nor do they touch a geolocation
-/// surface or reverse DNS, so §3.5 locates exactly the year's pairs that
-/// the previous year's dataset did not have.
+/// page crawled, no URL classified. Identify re-resolves at most the
+/// hosts the year's events re-pointed, plus their CNAME dependents. Nor
+/// do ticks touch a geolocation surface or reverse DNS, so §3.5 locates
+/// exactly the year's pairs that the previous year's dataset did not
+/// have.
 fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usize) {
     let options = options(threads);
     let mut world = World::generate(params);
@@ -85,16 +107,26 @@ fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usiz
         GovDataset::build_cached(&world, &options).expect("seed build succeeds");
     let systems = default_systems();
     for year in 1..=years {
+        let before = world.clone();
         let report = run_year(&mut world, year, &systems);
+        // Each event reads "system: CC host -> destination".
+        let repointed: BTreeSet<String> = report
+            .events
+            .iter()
+            .filter_map(|event| event.split_whitespace().nth(2).map(str::to_string))
+            .collect();
+        let reach = reach_of_repoints(&before, &previous, &repointed);
         let (incremental, _) =
             GovDataset::rebuild_incremental(&world, &options, &mut cache, &report.dirty)
                 .expect("incremental rebuild succeeds");
         let work = incremental.timings;
         assert_eq!(work.crawl.items, 0, "year {year}: a tick rebuild crawled pages");
         assert_eq!(work.classify.items, 0, "year {year}: a tick rebuild classified URLs");
-        if !report.dirty.is_empty() {
-            assert!(work.identify.items > 0, "year {year}: dirty countries were not identified");
-        }
+        assert!(
+            work.identify.items == reach,
+            "year {year}: identified {} hosts, but the events reach only {reach}",
+            work.identify.items
+        );
         let seen = geo_pairs(&previous);
         let new_pairs = geo_pairs(&incremental).difference(&seen).count();
         assert_eq!(
@@ -216,4 +248,72 @@ fn evolved_exports_are_identical_across_thread_counts_at_scale() {
         assert_eq!(base_csv.hosts, csv.hosts, "threads={threads}");
         assert_eq!(base_csv.urls, csv.urls, "threads={threads}");
     }
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// One line of the recorded event-log file: `<label> <fnv1a64 hex>
+/// <event count>`, the digest taken over the events joined by newlines.
+fn event_line<'a>(label: &str, events: impl IntoIterator<Item = &'a String>) -> String {
+    let mut body = String::new();
+    let mut count = 0;
+    for event in events {
+        body.push_str(event);
+        body.push('\n');
+        count += 1;
+    }
+    format!("{label} {:016x} {count}\n", fnv1a64(body.as_bytes()))
+}
+
+/// The tick and shock event logs are pinned absolutely, not only across
+/// thread counts: ten years of `TickReport::events` at scale 0.05 for
+/// seeds 7 and 42, and the `ShockReport::events` of each scenario in
+/// `examples/what-if.scn` applied to a fork of the scale-0.05, seed-42
+/// world (what `govhost scenario` evaluates). A change to how ticks or
+/// shocks pick their hosts must leave every line of
+/// `results/event_digests_scale0.05.txt` as it is.
+#[test]
+fn event_logs_match_the_recorded_digests() {
+    use govhost::scenario::{parse, resolve_provider, Shock};
+    use govhost::worldgen::shock;
+
+    let mut got = String::new();
+    for seed in [7, 42] {
+        let mut world = World::generate(&GenParams { seed, scale: 0.05, ..GenParams::default() });
+        let systems = default_systems();
+        let events: Vec<String> =
+            (1..=10).flat_map(|year| run_year(&mut world, year, &systems).events).collect();
+        got.push_str(&event_line(&format!("ticks-seed{seed}"), &events));
+    }
+    let file = parse(include_str!("../examples/what-if.scn")).expect("the example parses");
+    let base = World::generate(&GenParams { seed: 42, scale: 0.05, ..GenParams::default() });
+    for scenario in &file.scenarios {
+        let mut world = base.clone();
+        let mut events = Vec::new();
+        for s in &scenario.shocks {
+            let report = match s {
+                Shock::Outage(r) => {
+                    shock::provider_outage(&mut world, resolve_provider(r).expect("known provider"))
+                }
+                Shock::Onshore(target) => shock::onshore(&mut world, *target),
+                Shock::Vantage(key) => shock::vantage_shift(&mut world, key),
+            };
+            events.extend(report.events);
+        }
+        got.push_str(&event_line(&format!("shock-{}", scenario.name), &events));
+    }
+    let recorded: String = include_str!("../results/event_digests_scale0.05.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(got, recorded, "event logs differ from the recorded digests:\n{got}");
 }
