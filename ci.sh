@@ -67,13 +67,16 @@ cargo test -q --offline -p govhost-core --test prop_table
 # property suite complements them: over arbitrary seeds, tick counts
 # and over-approximated dirty sets, the incremental report and export
 # bytes (meta included) equal a full build's, also when web content,
-# reverse DNS or forward DNS (re-points, CNAMEs, shared zones) is
-# mutated between rebuilds, and a forward-DNS mutation re-identifies
+# the search index, reverse DNS or forward DNS (re-points, CNAMEs,
+# shared zones) is mutated between rebuilds or the crawler or
+# geolocation config changes, and a forward-DNS mutation re-identifies
 # exactly the hosts whose alias chain moved. Tick and shock rebuilds
 # must re-run only §3.4 identify: evolve and scenario gate on zero
-# crawled pages, and the worldgen content-version laws check that no
-# tick or shock touches what a crawl reads or any surface a world fork
-# shares. Every measure folds over the per-host URL/byte rollup:
+# crawled pages, and the worldgen shared-surface laws check that a fork
+# shares every surface, that no tick or shock writes one, that a fork's
+# write is private, and that a write made while another clone is held
+# (as a cached build result holds one) lands at a new allocation.
+# Every measure folds over the per-host URL/byte rollup:
 # prop_host_fold checks each analysis and BuildMetrics bit for bit
 # against the per-URL folds, on arbitrary imported datasets and on
 # every year of a tiny evolve.
@@ -82,7 +85,7 @@ cargo test -q --offline --release --test evolve -- --include-ignored
 cargo test -q --offline --release --test scenario
 cargo test -q --offline -p govhost-core --test prop_incremental
 cargo test -q --offline -p govhost-core --test prop_host_fold
-cargo test -q --offline -p govhost-worldgen --lib content_version
+cargo test -q --offline -p govhost-worldgen --lib shared_surfaces
 # The CLI golden of the evolve table: the release binary's ten-year
 # trend at scale 0.05 (seed 42) must equal the recorded bytes, with the
 # wall-clock rebuild-ms column masked.

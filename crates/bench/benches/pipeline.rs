@@ -31,7 +31,7 @@ fn crawl_all(world: &World) -> usize {
         let code = row.cc();
         let vantage = world.vantage(code).country;
         for landing_url in world.landing(code) {
-            let mut session = crawler.session(world.corpus(), landing_url, Some(vantage));
+            let mut session = crawler.session(&world.corpus, landing_url, Some(vantage));
             while let Some(visit) = session.next_page() {
                 black_box(visit.page);
                 pages += 1;

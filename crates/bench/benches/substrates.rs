@@ -76,7 +76,7 @@ fn main() {
     let landing = world.landing(ar)[0].clone();
     let crawler = Crawler::default();
     b.bench_with_input("crawler/one_site_depth7", &landing, |url| {
-        black_box(crawler.crawl(world.corpus(), &url, Some(ar)));
+        black_box(crawler.crawl(&world.corpus, &url, Some(ar)));
     });
 
     // The recorder's per-span cost inside a collection scope: 64 pairs

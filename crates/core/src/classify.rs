@@ -39,6 +39,19 @@ pub enum ClassificationMethod {
     San,
 }
 
+impl ClassificationMethod {
+    /// The method's slot in
+    /// [`GovDataset::method_counts`](crate::dataset::GovDataset::method_counts):
+    /// `[GovTld, DomainMatch, San]`.
+    pub fn index(self) -> usize {
+        match self {
+            ClassificationMethod::GovTld => 0,
+            ClassificationMethod::DomainMatch => 1,
+            ClassificationMethod::San => 2,
+        }
+    }
+}
+
 /// Whether a hostname matches the Table 1 gov-TLD patterns: one of the
 /// tokens as the TLD itself (`agency.gov`) or as the label right before
 /// the ccTLD (`x.gov.br`, `y.go.jp`, `z.admin.ch`).

@@ -3,6 +3,7 @@
 
 use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{CountryCode, Region};
+use govhost_worldgen::countries::region_of;
 use std::collections::HashMap;
 
 /// Which lens a flow matrix is built under.
@@ -199,10 +200,6 @@ impl CrossBorderAnalysis {
             .sum();
         hits as f64 / total as f64
     }
-}
-
-fn region_of(country: CountryCode) -> Option<Region> {
-    govhost_worldgen::countries::any_country(country).map(|r| r.region)
 }
 
 #[cfg(test)]

@@ -62,36 +62,42 @@
 //!
 //! Each cached country is split by what it read. The *content half*
 //! (§3.2–§3.3: the government-host arena, methods, URL rows, examined
-//! count, crawl failures) reads only the world's crawl-side content, and
-//! records the [`govhost_worldgen::ContentVersion`] and [`Crawler`] it
-//! was computed with. The *infra half* (§3.4: identification and
-//! resolution failures) reads DNS, the registry, PeeringDB and search,
-//! and records what each host's identification read: the zone every
-//! query of its resolution went to, and the three surfaces. A
-//! recomputed country whose content half still matches the world's
-//! content version and the build's crawler keeps it, and re-identifies
-//! only the hosts whose reads changed. Ticks and shocks only rewrite DNS
-//! and ground truth, so their rebuilds crawl nothing. Validity is
-//! decided by the world itself: the corpus and search index can only be
-//! written through accessors that stamp a new version.
+//! count, crawl failures) reads the web corpus, the search index and the
+//! [`Crawler`]. The *infra half* (§3.4: identification and resolution
+//! failures) reads DNS, the registry, PeeringDB and search, and records
+//! per host the zone every query of its resolution went to. A
+//! recomputed country whose content half still holds keeps it, and
+//! re-identifies only the hosts whose reads changed. Ticks and shocks
+//! only rewrite DNS and ground truth, so their rebuilds crawl nothing.
+//!
+//! ## One cache rule
+//!
+//! A build takes one snapshot: strong clones of the world's eleven
+//! shared surfaces (`Arc`s) plus its crawler and geolocation config.
+//! Every content half, infra half and memo the build makes keeps it. A
+//! cached result is kept exactly while each surface its stage reads is
+//! still the world's own allocation (`Arc::ptr_eq`) and its options are
+//! equal. Holding the clones is what makes that exact: a world writes a
+//! shared surface through `Arc::make_mut`, which copies a surface
+//! someone else holds, so a write always lands at a new address.
 //!
 //! ## Memoized verdicts
 //!
 //! The cache also keeps the build's §3.5 verdict per (address, serving
-//! country), with strong clones of the surfaces they read. The next
-//! rebuild locates only the pairs it lacks or cannot vouch for: a
-//! surface that is no longer the world's own allocation, or a different
-//! geolocation config, drops the memo whole, and a verdict that
-//! consulted HOIHO is kept only while the resolver gives the PTR answer
-//! it read. Ticks and shocks write no geolocation surface and no
-//! reverse zone, so their rebuilds locate only the year's new pairs.
+//! country). The next rebuild locates only the pairs it lacks or cannot
+//! vouch for: a geolocation surface that is no longer the world's own,
+//! or a different geolocation config, drops the memo whole, and a
+//! verdict that consulted HOIHO is kept only while the resolver gives
+//! the PTR answer it read. Ticks and shocks write no geolocation surface
+//! and no reverse zone, so their rebuilds locate only the year's new
+//! pairs.
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
 use crate::table::{UrlInterner, UrlRef, UrlTable};
 use govhost_geoloc::pipeline::{GeoTask, GeoVerdict, PipelineConfig, PtrRead, ValidationStats};
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
-use govhost_dns::{DnsName, ResolutionRead};
+use govhost_dns::{DnsName, ResolutionRead, Resolver};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
 use govhost_netsim::peeringdb::PeeringDb;
@@ -103,9 +109,11 @@ use govhost_types::{
 };
 use govhost_types::hash::DetHashSet;
 use govhost_types::url::Scheme;
+use govhost_web::corpus::WebCorpus;
 use govhost_web::crawler::{Crawler, FailureCauses};
 use govhost_web::page::Page;
-use govhost_worldgen::{ContentVersion, World};
+use govhost_worldgen::countries::region_of;
+use govhost_worldgen::World;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -425,7 +433,8 @@ pub struct GovDataset {
     pub host_ids: HostInterner,
     /// Geolocation validation statistics (Table 4).
     pub validation: ValidationStats,
-    /// URL counts per §3.3 method `[GovTld, DomainMatch, San]` (§4.2).
+    /// URL counts per §3.3 method `[GovTld, DomainMatch, San]` (§4.2),
+    /// indexed by [`ClassificationMethod::index`].
     pub method_counts: [u64; 3],
     /// Failed page fetches (geo-blocks seen from the wrong vantage, dead
     /// links).
@@ -486,8 +495,8 @@ impl std::hash::Hash for PageKey {
 /// The §3.2–§3.3 streaming stage for one country: crawl each landing
 /// page breadth-first, in landing order, and stream batches of pages
 /// straight through classification into the country's content half,
-/// stamped with `read`. Pure in `(world, options, ctx)` — scheduling
-/// cannot change its output.
+/// which keeps the build's snapshot `now`. Pure in `(world, options,
+/// ctx)` — scheduling cannot change its output.
 ///
 /// Every examined URL row is interned once; the interner's length is the
 /// half's `examined` count. A row's first sighting on a government host
@@ -513,7 +522,7 @@ fn stream_country(
     world: &World,
     options: &BuildOptions,
     ctx: &CountryCtx<'_>,
-    read: ContentKey,
+    now: &Arc<Snapshot>,
 ) -> Result<ContentHalf, PipelineError> {
     let mut hosts = HostInterner::new();
     // Per examined host: its §3.3 verdict (classification is a pure
@@ -534,7 +543,7 @@ fn stream_country(
     let mut examine = |url: &Url, bytes: u64| {
         let (hid, new_host) = hosts.intern(url.hostname());
         if new_host {
-            verdicts.push(ctx.seeds.classify(url.hostname(), world.search()));
+            verdicts.push(ctx.seeds.classify(url.hostname(), &world.search));
             gov_ids.push(None);
         }
         if !examined.intern(url.scheme(), hid, url.path(), bytes).1 {
@@ -554,7 +563,7 @@ fn stream_country(
 
     for landing_url in ctx.landing {
         let mut session =
-            options.crawler.session(world.corpus(), landing_url, Some(ctx.vantage));
+            options.crawler.session(&world.corpus, landing_url, Some(ctx.vantage));
         loop {
             let batch = {
                 let _crawl = govhost_obs::span!("crawl");
@@ -591,7 +600,7 @@ fn stream_country(
     govhost_obs::counter_add("crawl.pages", &[("country", ctx.code.as_str())], pages);
 
     Ok(ContentHalf {
-        read,
+        read: Arc::clone(now),
         landing: ctx.landing.len() as u32,
         gov,
         gov_methods,
@@ -602,9 +611,84 @@ fn stream_country(
     })
 }
 
-/// What a country's content half read: the world's crawl-side content
-/// ([`World::content_version`]) and the crawler that walked it.
-type ContentKey = (ContentVersion, Crawler);
+/// What one build read: strong clones of the world's eleven shared
+/// surfaces, plus the crawler and geolocation config it ran with.
+///
+/// A build takes one snapshot and shares it, by `Arc`, into every
+/// content half, infra half and [`GeoMemo`] it makes; the module docs'
+/// "One cache rule" says why holding the clones makes pointer equality
+/// exact. Each predicate below names the reads of one stage. DNS is not
+/// a shared surface, so its reads are recorded per host
+/// ([`ResolutionRead`]) and per verdict ([`PtrRead`]).
+#[derive(Debug)]
+struct Snapshot {
+    registry: Arc<AsRegistry>,
+    peeringdb: Arc<PeeringDb>,
+    search: Arc<SearchIndex>,
+    corpus: Arc<WebCorpus>,
+    fleet: Arc<ProbeFleet>,
+    latency: Arc<LatencyModel>,
+    geodb: Arc<GeoDb>,
+    manycast: Arc<MAnycastSnapshot>,
+    thresholds: Arc<CountryThresholds>,
+    hoiho: Arc<Hoiho>,
+    ipmap: Arc<IpMapCache>,
+    crawler: Crawler,
+    geo: PipelineConfig,
+}
+
+impl Snapshot {
+    fn of(world: &World, options: &BuildOptions) -> Snapshot {
+        Snapshot {
+            registry: Arc::clone(&world.registry),
+            peeringdb: Arc::clone(&world.peeringdb),
+            search: Arc::clone(&world.search),
+            corpus: Arc::clone(&world.corpus),
+            fleet: Arc::clone(&world.fleet),
+            latency: Arc::clone(&world.latency),
+            geodb: Arc::clone(&world.geodb),
+            manycast: Arc::clone(&world.manycast),
+            thresholds: Arc::clone(&world.thresholds),
+            hoiho: Arc::clone(&world.hoiho),
+            ipmap: Arc::clone(&world.ipmap),
+            crawler: options.crawler,
+            geo: options.geo,
+        }
+    }
+
+    /// §3.2–§3.3: the crawler walks the corpus, and classification
+    /// verifies SAN hits against the search index. (The landing lists
+    /// are written only by generation, so a corpus allocation, which
+    /// only a generated world or a copy-on-write of its corpus makes,
+    /// pins them too.)
+    fn crawl_holds(&self, now: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.corpus, &now.corpus)
+            && Arc::ptr_eq(&self.search, &now.search)
+            && self.crawler == now.crawler
+    }
+
+    /// §3.4 apart from DNS: WHOIS on the registry, and the PeeringDB and
+    /// search evidence for a government operator.
+    fn identify_holds(&self, now: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.registry, &now.registry)
+            && Arc::ptr_eq(&self.peeringdb, &now.peeringdb)
+            && Arc::ptr_eq(&self.search, &now.search)
+    }
+
+    /// §3.5 apart from PTR answers: the pipeline's eight surfaces and
+    /// its config.
+    fn locate_holds(&self, now: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.registry, &now.registry)
+            && Arc::ptr_eq(&self.geodb, &now.geodb)
+            && Arc::ptr_eq(&self.manycast, &now.manycast)
+            && Arc::ptr_eq(&self.fleet, &now.fleet)
+            && Arc::ptr_eq(&self.latency, &now.latency)
+            && Arc::ptr_eq(&self.thresholds, &now.thresholds)
+            && Arc::ptr_eq(&self.hoiho, &now.hoiho)
+            && Arc::ptr_eq(&self.ipmap, &now.ipmap)
+            && self.geo == now.geo
+    }
+}
 
 /// One contributing country's partial build state: everything the
 /// per-country phases (§3.2–§3.4) produce for it, *before* any global
@@ -626,13 +710,12 @@ struct CountryEntry {
 }
 
 /// The §3.2–§3.3 half of a [`CountryEntry`]: what crawling and
-/// classifying the country's sites produced. It reads only the world's
-/// crawl-side content and the crawler, both recorded in `read`, so it
-/// stays valid for exactly as long as that key matches.
+/// classifying the country's sites produced. It stays valid while
+/// [`Snapshot::crawl_holds`] for the snapshot it was made with.
 #[derive(Debug, Clone)]
 struct ContentHalf {
-    /// The content version and crawler this half was computed from.
-    read: ContentKey,
+    /// The snapshot of the build that crawled it.
+    read: Arc<Snapshot>,
     /// Landing URLs crawled (the fixed Table 8 denominator).
     landing: u32,
     /// Every distinct government hostname this country surfaced, interned
@@ -653,16 +736,14 @@ struct ContentHalf {
 
 /// The §3.4 half of a [`CountryEntry`]: identification of every
 /// hostname in the content half's `gov` arena, with what each one read —
-/// the zones its resolution queried, and the registry, PeeringDB and
-/// search index shared by all of them. A record stays valid for as long
-/// as those reads hold ([`InfraHalf::surfaces_hold`] and
-/// [`ResolutionRead::holds`]), so a rebuild re-identifies only the hosts
-/// whose reads no longer do.
+/// the zones its resolution queried — and the snapshot of the build
+/// that identified them. A rebuild re-identifies only the hosts whose
+/// record is not [kept](InfraHalf::kept).
 #[derive(Debug, Default)]
 struct InfraHalf {
-    /// The non-DNS surfaces every record read; `None` until the
-    /// country's hosts are first identified.
-    surfaces: Option<IdentifySurfaces>,
+    /// The snapshot of the build that made the records; `None` until
+    /// the country's hosts are first identified.
+    read: Option<Arc<Snapshot>>,
     /// §3.4 identification per hostname, aligned with the content
     /// half's `gov`.
     hosts: Vec<Identified>,
@@ -680,36 +761,23 @@ struct Identified {
 }
 
 impl InfraHalf {
-    /// Whether the records were made from `world`'s own registry,
-    /// PeeringDB and search index.
-    fn surfaces_hold(&self, world: &World) -> bool {
-        self.surfaces.as_ref().is_some_and(|s| s.are_of(world))
-    }
-}
-
-/// Strong clones of the surfaces §3.4 identification reads apart from
-/// DNS, compared by pointer the way [`GeoSurfaces`] are.
-#[derive(Debug)]
-struct IdentifySurfaces {
-    registry: Arc<AsRegistry>,
-    peeringdb: Arc<PeeringDb>,
-    search: Arc<SearchIndex>,
-}
-
-impl IdentifySurfaces {
-    fn of(world: &World) -> IdentifySurfaces {
-        IdentifySurfaces {
-            registry: Arc::clone(&world.registry),
-            peeringdb: Arc::clone(&world.peeringdb),
-            search: Arc::clone(world.shared_search()),
-        }
-    }
-
-    /// Whether these are the world's surfaces, each the same allocation.
-    fn are_of(&self, world: &World) -> bool {
-        Arc::ptr_eq(&self.registry, &world.registry)
-            && Arc::ptr_eq(&self.peeringdb, &world.peeringdb)
-            && Arc::ptr_eq(&self.search, world.shared_search())
+    /// The record of `host`, name `lid` of the content half's arena, if
+    /// identifying it against `now` and `resolver` would still give it:
+    /// [`Snapshot::identify_holds`], and every query of the host's
+    /// resolution still goes to the zone it went to. The one keep check
+    /// of §3.4: a rebuild keeps exactly these records, and the debug
+    /// stale-read assertion looks for a replayed host without one.
+    fn kept(
+        &self,
+        lid: HostId,
+        host: &Hostname,
+        now: &Snapshot,
+        resolver: &Resolver,
+    ) -> Option<&Identified> {
+        let read = self.read.as_ref()?;
+        let kept = &self.hosts[lid.index()];
+        let holds = read.identify_holds(now) && kept.read.holds(resolver, &DnsName::from(host));
+        holds.then_some(kept)
     }
 }
 
@@ -755,55 +823,12 @@ struct Geolocated {
     replayed: ValidationStats,
 }
 
-/// Strong clones of the substrate surfaces a §3.5 verdict reads, apart
-/// from the resolver. Holding a clone keeps its allocation alive, so a
-/// surface written through [`Arc::make_mut`] or replaced lands at a new
-/// address, and pointer equality with the world's proves it unchanged.
-#[derive(Debug)]
-struct GeoSurfaces {
-    registry: Arc<AsRegistry>,
-    geodb: Arc<GeoDb>,
-    manycast: Arc<MAnycastSnapshot>,
-    fleet: Arc<ProbeFleet>,
-    latency: Arc<LatencyModel>,
-    thresholds: Arc<CountryThresholds>,
-    hoiho: Arc<Hoiho>,
-    ipmap: Arc<IpMapCache>,
-}
-
-impl GeoSurfaces {
-    fn of(world: &World) -> GeoSurfaces {
-        GeoSurfaces {
-            registry: Arc::clone(&world.registry),
-            geodb: Arc::clone(&world.geodb),
-            manycast: Arc::clone(&world.manycast),
-            fleet: Arc::clone(&world.fleet),
-            latency: Arc::clone(&world.latency),
-            thresholds: Arc::clone(&world.thresholds),
-            hoiho: Arc::clone(&world.hoiho),
-            ipmap: Arc::clone(&world.ipmap),
-        }
-    }
-
-    /// Whether these are the world's surfaces, each the same allocation.
-    fn are_of(&self, world: &World) -> bool {
-        Arc::ptr_eq(&self.registry, &world.registry)
-            && Arc::ptr_eq(&self.geodb, &world.geodb)
-            && Arc::ptr_eq(&self.manycast, &world.manycast)
-            && Arc::ptr_eq(&self.fleet, &world.fleet)
-            && Arc::ptr_eq(&self.latency, &world.latency)
-            && Arc::ptr_eq(&self.thresholds, &world.thresholds)
-            && Arc::ptr_eq(&self.hoiho, &world.hoiho)
-            && Arc::ptr_eq(&self.ipmap, &world.ipmap)
-    }
-}
-
 /// The last build's §3.5 verdicts, and what they read: the next rebuild
 /// locates only the tasks this cannot vouch for (see [`geolocate`]).
 #[derive(Debug)]
 struct GeoMemo {
-    surfaces: GeoSurfaces,
-    config: PipelineConfig,
+    /// The snapshot of the build that located them.
+    read: Arc<Snapshot>,
     /// Every task of the build with its verdict and the PTR answer the
     /// verdict read, sorted by (address, serving country).
     verdicts: Vec<(GeoTask, GeoVerdict, Option<PtrRead>)>,
@@ -816,15 +841,15 @@ struct GeoMemo {
 /// The cache holds one entry per contributing country, in fixed
 /// studied-country order, plus the quarantine record of the build that
 /// produced it. Each entry has two halves: a content half (the §3.2–§3.3
-/// crawl and classification, stamped with the world's
-/// [`ContentVersion`] and the [`Crawler`] it ran with) and an infra half
-/// (the §3.4 identification, with what each record read). The cache is
-/// only meaningful against the same world lineage it was built from:
-/// after a tick, the entries of countries in the tick's dirty set are
-/// checked — only the records whose reads changed are recomputed, as
-/// long as the world's content version still matches. It also keeps the
-/// build's §3.5 verdicts, which the next rebuild reuses while the
-/// surfaces they read are unchanged.
+/// crawl and classification) and an infra half (the §3.4
+/// identification, with the zones each record read). It also keeps the
+/// build's §3.5 verdicts. Every one of them keeps the snapshot of the
+/// build that made it (the module docs' "One cache rule"), and is
+/// reused exactly while the surfaces its stage reads are still the
+/// world's own. The cache is only meaningful against the same world
+/// lineage it was built from: after a tick, the entries of countries
+/// in the tick's dirty set are checked, and only the records whose
+/// reads changed are recomputed.
 #[derive(Debug, Default, Clone)]
 pub struct BuildCache {
     entries: Vec<CountryEntry>,
@@ -850,6 +875,7 @@ impl BuildCache {
 /// counts the hosts resolved.
 fn identify_country(
     world: &World,
+    now: &Arc<Snapshot>,
     code: CountryCode,
     vantage: CountryCode,
     gov: &HostInterner,
@@ -861,18 +887,14 @@ fn identify_country(
             &world.resolver,
             &world.registry,
             &world.peeringdb,
-            world.search(),
+            &world.search,
         );
         let mut hosts: Vec<Identified> = Vec::with_capacity(gov.len());
         let (mut resolved, mut fresh_failures) = (0u64, 0u64);
-        let surfaces_hold = previous.surfaces_hold(world);
         for (lid, host) in gov.iter() {
-            if surfaces_hold {
-                let kept = &previous.hosts[lid.index()];
-                if kept.read.holds(&world.resolver, &DnsName::from(host)) {
-                    hosts.push(kept.clone());
-                    continue;
-                }
+            if let Some(kept) = previous.kept(lid, host, now, &world.resolver) {
+                hosts.push(kept.clone());
+                continue;
             }
             // A resolution fault (NXDOMAIN, broken zone) keeps the host
             // record — unresolved — and is counted for the BuildReport,
@@ -892,29 +914,22 @@ fn identify_country(
             );
         }
         let resolution_failures = hosts.iter().filter(|h| h.unresolved).count() as u64;
-        let surfaces = Some(IdentifySurfaces::of(world));
-        (InfraHalf { surfaces, hosts, resolution_failures }, fresh_failures)
+        let read = Some(Arc::clone(now));
+        (InfraHalf { read, hosts, resolution_failures }, fresh_failures)
     });
     (infra, fresh_failures, shard)
 }
 
-/// The first host of `entry` whose §3.4 record is no longer what
-/// identifying it against `world` would give, if any: the surfaces it
-/// read were replaced, or a query of its resolution now goes to another
-/// zone.
+/// The first host of `entry` whose §3.4 record is not
+/// [kept](InfraHalf::kept) against `now` and `world`'s resolver, if any.
 #[cfg(debug_assertions)]
-fn stale_host<'e>(world: &World, entry: &'e CountryEntry) -> Option<&'e Hostname> {
-    let infra = &entry.infra;
-    let surfaces_hold = infra.surfaces_hold(world);
-    entry
-        .content
-        .gov
-        .iter()
-        .find(|(lid, host)| {
-            !(surfaces_hold
-                && infra.hosts[lid.index()].read.holds(&world.resolver, &DnsName::from(*host)))
-        })
-        .map(|(_, host)| host)
+fn stale_host<'e>(
+    world: &World,
+    now: &Snapshot,
+    entry: &'e CountryEntry,
+) -> Option<&'e Hostname> {
+    let kept = |lid, host| entry.infra.kept(lid, host, now, &world.resolver).is_some();
+    entry.content.gov.iter().find(|&(lid, host)| !kept(lid, host)).map(|(_, host)| host)
 }
 
 impl GovDataset {
@@ -981,26 +996,28 @@ impl GovDataset {
     /// must name every country whose observable surfaces changed since;
     /// naming more costs a check, not a recomputation. A tick's
     /// `TickReport::dirty` is that set. Countries outside `dirty` are
-    /// *replayed* from their cached entries. A dirty country whose
-    /// cached content half was computed from the world's current
-    /// [`World::content_version`] with the same [`BuildOptions::crawler`]
-    /// keeps it, and re-runs §3.4 identify only for the hosts whose
-    /// cached record no longer holds: each record keeps the zone every
-    /// query of its resolution went to and the registry, PeeringDB and
-    /// search index it read, and holds while those are unchanged. A
-    /// dirty country with a stale or missing content half (and any
-    /// contributing country the cache has no record of) re-runs the
-    /// full per-country fan-out (crawl → classify → identify). Ticks and
-    /// shocks rewrite DNS and ground truth only, so their rebuilds never
-    /// crawl, and re-identify only the hosts they re-pointed and those
-    /// whose CNAME chains run through them. With `debug_assertions` on,
-    /// every rebuild also checks that no replayed country has a record
-    /// that no longer holds, and panics naming it if one does: the
-    /// dirty set missed a country. The global merge and §5.1 category
-    /// assignment run in full.
+    /// *replayed* from their cached entries.
+    ///
+    /// Every cached result is kept or recomputed by the module docs'
+    /// "One cache rule". A dirty country whose content half still holds
+    /// (the world's corpus and search index, the same
+    /// [`BuildOptions::crawler`]) keeps it, and re-runs §3.4 identify
+    /// only for the hosts whose record no longer holds: each record
+    /// keeps the zone every query of its resolution went to, and holds
+    /// while those zones and the registry, PeeringDB and search index
+    /// are unchanged. A dirty country with a stale or missing content
+    /// half (and any contributing country the cache has no record of)
+    /// re-runs the full per-country fan-out (crawl → classify →
+    /// identify). Ticks and shocks rewrite DNS and ground truth only, so
+    /// their rebuilds never crawl, and re-identify only the hosts they
+    /// re-pointed and those whose CNAME chains run through them. With
+    /// `debug_assertions` on, every rebuild also runs the same keep
+    /// check over the replayed countries, and panics naming a record
+    /// that no longer holds: the dirty set missed a country. The global
+    /// merge and §5.1 category assignment run in full.
     /// §3.5 geolocation reuses the cached verdict of every (address,
     /// serving country) pair the previous build located, as long as the
-    /// geolocation surfaces are the world's own (the same `Arc`s), the
+    /// eight geolocation surfaces are the world's own, the
     /// [`BuildOptions::geo`] config is equal and, for a verdict that
     /// consulted HOIHO, the resolver still gives the PTR answer it read;
     /// the dirty set plays no part in that. Only the other pairs are
@@ -1031,6 +1048,7 @@ impl GovDataset {
     ) -> Result<(GovDataset, BuildReport), BuildError> {
         let (result, telemetry) = govhost_obs::collect(|| -> Result<_, BuildError> {
             let _build = govhost_obs::span!("build");
+            let now = Arc::new(Snapshot::of(world, options));
             // Recompute set: the dirty countries, plus any contributing
             // country the cache has no record of (neither an entry nor a
             // quarantine) — every country, for an empty cache.
@@ -1047,27 +1065,25 @@ impl GovDataset {
                     recompute.insert(code);
                 }
             }
-            // Of those, a country whose cached content half read exactly
-            // the current content with the current crawler keeps it; the
-            // rest are crawled afresh.
-            let key: ContentKey = (world.content_version(), options.crawler);
+            // Of those, a country whose cached content half still holds
+            // keeps it; the rest are crawled afresh.
             let reused: BTreeSet<CountryCode> = cache
                 .entries
                 .iter()
-                .filter(|e| recompute.contains(&e.code) && e.content.read == key)
+                .filter(|e| recompute.contains(&e.code) && e.content.read.crawl_holds(&now))
                 .map(|e| e.code)
                 .collect();
             let crawl: BTreeSet<CountryCode> =
                 recompute.iter().filter(|c| !reused.contains(c)).copied().collect();
             let (mut works, new_quarantines) =
-                Self::crawl_countries(world, options, &crawl, key)?;
+                Self::crawl_countries(world, options, &crawl, &now)?;
             let mut old: HashMap<CountryCode, CountryEntry> =
                 std::mem::take(&mut cache.entries).into_iter().map(|e| (e.code, e)).collect();
             for code in &reused {
                 let entry = old.remove(code).expect("reused countries have a cached entry");
                 works.push(CountryWork { entry, shards: CountryShards::default() });
             }
-            Self::identify_countries(world, options, &mut works);
+            Self::identify_countries(world, options, &now, &mut works);
             let resolved_failures: u64 = works.iter().map(|w| w.shards.resolution_failures).sum();
             // Splice: recomputed entries replace stale ones, everything
             // else replays from cache, in fixed studied-country order.
@@ -1092,7 +1108,7 @@ impl GovDataset {
                     // one that does not means the dirty set missed a
                     // country whose DNS changed.
                     #[cfg(debug_assertions)]
-                    if let Some(host) = stale_host(world, &entry) {
+                    if let Some(host) = stale_host(world, &now, &entry) {
                         panic!("{code} is not dirty, but the §3.4 reads of {host} changed");
                     }
                     entries.push(entry);
@@ -1102,7 +1118,7 @@ impl GovDataset {
                 }
             }
             let (asm, memo) =
-                Self::assemble(world, options, &entries, shards, cache.geo.as_deref());
+                Self::assemble(world, options, &now, &entries, shards, cache.geo.as_deref());
             cache.entries = entries;
             cache.quarantined = quarantined.clone();
             cache.geo = Some(Arc::new(memo));
@@ -1235,7 +1251,7 @@ impl GovDataset {
     }
 
     /// Phases §3.2–§3.3 for a set of countries: the per-country
-    /// crawl/classify fan-out into content halves stamped with `key`.
+    /// crawl/classify fan-out into content halves that keep `now`.
     /// Only the countries in `only` are crawled; the returned entries
     /// carry an empty infra half for [`Self::identify_countries`] to
     /// fill.
@@ -1243,7 +1259,7 @@ impl GovDataset {
         world: &World,
         options: &BuildOptions,
         only: &BTreeSet<CountryCode>,
-        key: ContentKey,
+        now: &Arc<Snapshot>,
     ) -> Result<(Vec<CountryWork>, Vec<QuarantineEntry>), BuildError> {
         // Prep: one crawl/classify job per contributing country, in
         // fixed country order.
@@ -1260,7 +1276,7 @@ impl GovDataset {
             let seed_hosts: Vec<Hostname> =
                 landing.iter().map(|u| u.hostname().clone()).collect();
             let landing_certs: Vec<&govhost_web::cert::TlsCert> =
-                seed_hosts.iter().filter_map(|h| world.corpus().certificate(h)).collect();
+                seed_hosts.iter().filter_map(|h| world.corpus.certificate(h)).collect();
             let seeds = SeedSets::new(seed_hosts, landing_certs);
             ctxs.push(CountryCtx { code, vantage: world.vantage(code).country, landing, seeds });
         }
@@ -1277,7 +1293,7 @@ impl GovDataset {
             |ctx| format!("country {}", ctx.code),
             |_, ctx| {
                 let (result, shard) =
-                    govhost_obs::collect(|| stream_country(world, options, ctx, key));
+                    govhost_obs::collect(|| stream_country(world, options, ctx, now));
                 result.map(|content| (content, shard))
             },
         );
@@ -1326,7 +1342,12 @@ impl GovDataset {
     /// content half re-identifies only the hosts whose cached record no
     /// longer holds, and keeps the rest. The new infra half replaces the
     /// entry's, aligned with its `gov` arena.
-    fn identify_countries(world: &World, options: &BuildOptions, works: &mut [CountryWork]) {
+    fn identify_countries(
+        world: &World,
+        options: &BuildOptions,
+        now: &Arc<Snapshot>,
+        works: &mut [CountryWork],
+    ) {
         let jobs: Vec<(CountryCode, CountryCode, &ContentHalf, &InfraHalf)> = works
             .iter()
             .map(|w| {
@@ -1340,7 +1361,7 @@ impl GovDataset {
                 options.threads,
                 |(code, _, _, _)| format!("identify {code}"),
                 |_, (code, vantage, content, previous)| {
-                    identify_country(world, *code, *vantage, &content.gov, previous)
+                    identify_country(world, now, *code, *vantage, &content.gov, previous)
                 },
             );
         for (work, (infra, failures, shard)) in works.iter_mut().zip(identified) {
@@ -1365,6 +1386,7 @@ impl GovDataset {
     fn assemble(
         world: &World,
         options: &BuildOptions,
+        now: &Arc<Snapshot>,
         entries: &[CountryEntry],
         shards: Vec<Option<CountryShards>>,
         memo: Option<&GeoMemo>,
@@ -1447,12 +1469,7 @@ impl GovDataset {
             };
             for (host, bytes) in content.rows.host_bytes() {
                 stats.bytes += bytes;
-                let midx = match content.gov_methods[host.index()] {
-                    ClassificationMethod::GovTld => 0,
-                    ClassificationMethod::DomainMatch => 1,
-                    ClassificationMethod::San => 2,
-                };
-                method_counts[midx] += 1;
+                method_counts[content.gov_methods[host.index()].index()] += 1;
             }
             urls.append_mapped(&content.rows, &gids);
             crawl_failures += content.crawl_failures;
@@ -1485,7 +1502,7 @@ impl GovDataset {
         // the memo cannot vouch for.
         let (geo, memo) = {
             let _geo = govhost_obs::span!("geolocate");
-            geolocate(world, &mut hosts, options, memo)
+            geolocate(world, &mut hosts, options, now, memo)
         };
 
         let asm = Assembled {
@@ -1638,15 +1655,11 @@ fn assign_categories(hosts: &mut [HostRecord]) {
     }
 }
 
-fn region_of(country: CountryCode) -> Option<Region> {
-    govhost_worldgen::countries::any_country(country).map(|row| row.region)
-}
-
 /// §3.5 validation over every unique (address, serving-country) pair.
 ///
-/// A task keeps its verdict from `memo` when the memo read this world's
-/// surfaces with this build's [`PipelineConfig`] and, if the verdict
-/// consulted HOIHO, the resolver still gives the PTR answer it read.
+/// A task keeps its verdict from `memo` when [`Snapshot::locate_holds`]
+/// for the memo's snapshot against `now` and, if the verdict consulted
+/// HOIHO, the resolver still gives the PTR answer it read.
 /// Every other task is located afresh, and only those land in the
 /// `geoloc.*` counters. Returns the Table 4 statistics with their fresh
 /// and replayed shares, plus the next memo: this build's verdicts and
@@ -1655,6 +1668,7 @@ fn geolocate(
     world: &World,
     hosts: &mut [HostRecord],
     options: &BuildOptions,
+    now: &Arc<Snapshot>,
     memo: Option<&GeoMemo>,
 ) -> (Geolocated, GeoMemo) {
     let pipeline = world.geolocation(options.geo);
@@ -1669,7 +1683,7 @@ fn geolocate(
     // Tasks and memo are both sorted by key, so one merge pass finds
     // each task's memoized verdict.
     let memoized = memo
-        .filter(|m| m.config == options.geo && m.surfaces.are_of(world))
+        .filter(|m| m.read.locate_holds(now))
         .map_or(&[][..], |m| &m.verdicts[..]);
     let mut next = 0;
     let kept: Vec<Option<(GeoVerdict, Option<PtrRead>)>> = tasks
@@ -1714,7 +1728,7 @@ fn geolocate(
         fresh: fresh_stats,
         replayed,
     };
-    let memo = GeoMemo { surfaces: GeoSurfaces::of(world), config: options.geo, verdicts };
+    let memo = GeoMemo { read: Arc::clone(now), verdicts };
     (geo, memo)
 }
 
@@ -1752,7 +1766,7 @@ mod tests {
             .iter()
             .flat_map(|row| world.landing(row.cc()).iter())
             .find_map(|landing| {
-                let site = world.corpus().site(landing.hostname())?;
+                let site = world.corpus.site(landing.hostname())?;
                 let link = site.landing_page().links.iter().find(|l| {
                     l.scheme() == Scheme::Https
                         && l.hostname() == landing.hostname()
@@ -1766,7 +1780,7 @@ mod tests {
             .expect("some landing page links to a page of its own site");
         let host = target.hostname().clone();
         let http: Url = format!("http://{host}{}", target.path()).parse().unwrap();
-        let site = world.corpus_mut().site_mut(&host).unwrap();
+        let site = Arc::make_mut(&mut world.corpus).site_mut(&host).unwrap();
         let page_bytes = site.page(target.path()).unwrap().html_bytes;
         site.page_mut(landing.path()).unwrap().links.push(http);
 

@@ -284,12 +284,7 @@ pub fn import_csv_full(csv: &DatasetCsv) -> Result<(GovDataset, BuildReport), Im
             .get(&hostname)
             .ok_or_else(|| import_err(row, format!("unknown hostname {hostname}")))?;
         let record = &hosts[host.index()];
-        let midx = match record.method {
-            ClassificationMethod::GovTld => 0,
-            ClassificationMethod::DomainMatch => 1,
-            ClassificationMethod::San => 2,
-        };
-        method_counts[midx] += 1;
+        method_counts[record.method.index()] += 1;
         let stats = per_country.entry(record.country).or_default();
         stats.urls += 1;
         stats.bytes += bytes;

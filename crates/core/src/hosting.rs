@@ -2,6 +2,7 @@
 
 use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{CountryCode, ProviderCategory, Region};
+use govhost_worldgen::countries::region_of;
 use std::collections::HashMap;
 
 /// URL and byte shares across the four provider categories, indexed by
@@ -94,9 +95,7 @@ impl HostingAnalysis {
             let Some(category) = host.category else { continue };
             global.add(category, urls, bytes);
             per_country.entry(host.country).or_default().add(category, urls, bytes);
-            if let Some(region) =
-                govhost_worldgen::countries::any_country(host.country).map(|r| r.region)
-            {
+            if let Some(region) = region_of(host.country) {
                 per_region.entry(region).or_default().add(category, urls, bytes);
             }
         }

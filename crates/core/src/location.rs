@@ -9,6 +9,7 @@
 
 use crate::dataset::{GovDataset, HostVolume};
 use govhost_types::{CountryCode, Region};
+use govhost_worldgen::countries::region_of;
 use std::collections::HashMap;
 
 /// A domestic/international split.
@@ -64,7 +65,7 @@ impl LocationAnalysis {
     pub fn compute(dataset: &GovDataset) -> LocationAnalysis {
         let mut out = LocationAnalysis::default();
         for HostVolume { host, urls, .. } in dataset.host_volumes() {
-            let region = govhost_worldgen::countries::any_country(host.country).map(|r| r.region);
+            let region = region_of(host.country);
             if let Some(reg) = host.registration {
                 let dom = reg == host.country;
                 out.registration.add(dom, urls);

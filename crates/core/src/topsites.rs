@@ -11,6 +11,7 @@ use crate::dataset::{GovDataset, HostVolume};
 use crate::location::DomesticSplit;
 use govhost_geoloc::pipeline::{GeoTask, PipelineConfig};
 use govhost_types::{CountryCode, Hostname, ProviderCategory, Region, TopsiteCategory};
+use govhost_worldgen::countries::region_of;
 use govhost_web::crawler::Crawler;
 use govhost_worldgen::World;
 use std::collections::{HashMap, HashSet};
@@ -122,7 +123,7 @@ impl TopsiteAnalysis {
                     &as_regions,
                 );
                 // Count the site's URLs (landing + one level).
-                let outcome = crawler.crawl(world.corpus(), landing, Some(vantage.country));
+                let outcome = crawler.crawl(&world.corpus, landing, Some(vantage.country));
                 let mut urls = 0u64;
                 let mut bytes = 0u64;
                 for entry in &outcome.log.entries {
@@ -162,10 +163,6 @@ fn shares_of(urls: [u64; 4], bytes: [u64; 4]) -> GroupShares {
     out
 }
 
-fn region_of(country: CountryCode) -> Option<Region> {
-    govhost_worldgen::countries::any_country(country).map(|r| r.region)
-}
-
 /// The App. D classification of one topsite.
 fn classify_topsite(
     world: &World,
@@ -183,7 +180,7 @@ fn classify_topsite(
                 return TopsiteCategory::SelfHosting;
             }
             // img.youtube.com-style: the CNAME's 2LD in the site's SANs.
-            if let Some(cert) = world.corpus().certificate(site_host) {
+            if let Some(cert) = world.corpus.certificate(site_host) {
                 if cert.lists(&cname_host.registrable_domain()) || cert.lists(&cname_host) {
                     return TopsiteCategory::SelfHosting;
                 }

@@ -12,18 +12,30 @@
 //! zone several hosts resolve through — and checks that a rebuild
 //! re-identifies exactly the hosts whose resolution chain now reaches a
 //! different zone, counted here from the chains themselves, however
-//! many clean countries the dirty set also names. On the in-repo
+//! many clean countries the dirty set also names. A fifth writes the
+//! search index between ticks so that a WHOIS organisation gains
+//! state-operated evidence and a landing-certificate SAN gains its
+//! verification, and a sixth rebuilds a cache under a different crawler
+//! or geolocation config: a dirty set names countries, not surfaces or
+//! options, so the cache must notice both itself. On the in-repo
 //! harness.
 
 use govhost_core::export::export_csv_full;
 use govhost_dns::reverse::{build_reverse_zone, reverse_name};
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Zone};
-use govhost_core::{BuildCache, BuildOptions, BuildReport, FailurePolicy, GovDataset};
+use govhost_core::{
+    BuildCache, BuildOptions, BuildReport, FailurePolicy, GovDataset, StageTimings,
+};
 use govhost_core::export::DatasetCsv;
+use govhost_core::fold::ascii_contains_ci;
+use govhost_geoloc::pipeline::PipelineConfig;
+use govhost_netsim::search::SearchResult;
+use govhost_web::crawler::Crawler;
 use govhost_harness::{gens, prop_assert, prop_assert_eq, Config, Gen};
 use govhost_types::{CountryCode, Hostname};
 use govhost_worldgen::{default_systems, run_year, GenParams, World};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const REGRESSIONS: &str = "tests/regressions/prop_incremental.txt";
 
@@ -56,14 +68,14 @@ fn full_build(
 }
 
 /// Rebuild over `dirty`, compare the report and every export file with
-/// `full`'s, and return the rebuild's `identify.items`.
-fn rebuild_matches(
+/// `full`'s, and return the rebuild's stage timings.
+fn rebuild_timings(
     world: &World,
     options: &BuildOptions,
     cache: &mut BuildCache,
     dirty: &BTreeSet<CountryCode>,
     (full_report, full_csv): (&BuildReport, &DatasetCsv),
-) -> Result<u64, String> {
+) -> Result<StageTimings, String> {
     let (incremental, inc_report) =
         GovDataset::rebuild_incremental(world, options, cache, dirty).map_err(|e| e.to_string())?;
     let inc_csv = export_csv_full(&incremental, Some(&inc_report));
@@ -71,7 +83,18 @@ fn rebuild_matches(
     prop_assert_eq!(&inc_csv.hosts, &full_csv.hosts);
     prop_assert_eq!(&inc_csv.urls, &full_csv.urls);
     prop_assert_eq!(&inc_csv.meta, &full_csv.meta);
-    Ok(incremental.timings.identify.items)
+    Ok(incremental.timings)
+}
+
+/// [`rebuild_timings`], returning the rebuild's `identify.items`.
+fn rebuild_matches(
+    world: &World,
+    options: &BuildOptions,
+    cache: &mut BuildCache,
+    dirty: &BTreeSet<CountryCode>,
+    full: (&BuildReport, &DatasetCsv),
+) -> Result<u64, String> {
+    rebuild_timings(world, options, cache, dirty, full).map(|t| t.identify.items)
 }
 
 /// Rebuild over `dirty`, then compare the report and every export file
@@ -116,15 +139,14 @@ fn incremental_rebuild_matches_full_for_arbitrary_seeds_and_dirty_sets() {
 }
 
 /// Geo-restrict every landing site of `country` to a foreign country,
-/// through the versioned corpus accessor: the domestic crawl of that
-/// country now faults at its first landing page.
+/// writing the corpus copy-on-write: the domestic crawl of that country
+/// now faults at its first landing page.
 fn geo_restrict_landing(world: &mut World, country: CountryCode) {
     let foreign: CountryCode = if country.as_str() == "US" { "DE" } else { "US" }
         .parse()
         .expect("valid country code");
     for url in world.landing(country).to_vec() {
-        world
-            .corpus_mut()
+        Arc::make_mut(&mut world.corpus)
             .site_mut(url.hostname())
             .expect("landing site exists in the corpus")
             .geo_restricted_to = Some(foreign);
@@ -380,6 +402,164 @@ fn forward_dns_mutations_reidentify_exactly_the_hosts_whose_chain_moved() {
                 prop_assert!(padded_items == items, "padding re-identified {padded_items} > {items}");
                 dataset = full;
             }
+            Ok(())
+        },
+    );
+}
+
+/// Countries with landing pages: the ones a build crawls.
+fn contributing(world: &World) -> BTreeSet<CountryCode> {
+    let studied = world.studied_countries().iter().map(|row| row.cc());
+    studied.filter(|cc| !world.landing(*cc).is_empty()).collect()
+}
+
+/// The label a §3.3 SAN verification searches for.
+fn owner(host: &Hostname) -> &str {
+    host.labels().next().unwrap_or_default()
+}
+
+/// Whether the search index already verifies SANs owned by `label`.
+fn verified(world: &World, label: &str) -> bool {
+    let hits = world.search.search(label);
+    hits.iter().any(|r| r.indicates_government() || ascii_contains_ci(&r.snippet, "official"))
+}
+
+/// Add up to `n` SANs that nothing verifies yet, one per country,
+/// starting at the country `bits` picks: each names a host a landing
+/// page of that country loads and `dataset` does not hold, and goes
+/// into that landing site's certificate. Returns the planted hosts.
+fn plant_unverified_sans(
+    world: &mut World,
+    dataset: &GovDataset,
+    n: usize,
+    bits: u64,
+) -> Vec<Hostname> {
+    let countries: Vec<CountryCode> = contributing(world).into_iter().collect();
+    let mut planted: Vec<Hostname> = Vec::new();
+    for k in 0..countries.len() {
+        let country = countries[(bits as usize).wrapping_add(k) % countries.len()];
+        let landing = world.landing(country)[0].clone();
+        let Some(site) = world.corpus.site(landing.hostname()) else { continue };
+        let candidate = site.landing_page().resources.iter().map(|r| r.url.hostname()).find(|h| {
+            dataset.host_id(h).is_none() && !planted.contains(h) && !verified(world, owner(h))
+        });
+        let (Some(host), Some(_)) = (candidate.cloned(), &site.cert) else { continue };
+        let site = Arc::make_mut(&mut world.corpus).site_mut(landing.hostname());
+        let cert = site.and_then(|s| s.cert.as_mut()).expect("the site has a certificate");
+        cert.sans.push(host.clone());
+        planted.push(host);
+        if planted.len() == n {
+            break;
+        }
+    }
+    planted
+}
+
+/// Whether rebuilding a clone of `cache` with nothing dirty panics: the
+/// debug stale-read assertion naming a replayed country whose §3.4
+/// records no longer hold. (The harness silences the panic hook while a
+/// case runs.)
+fn stale_read_fires(world: &World, options: &BuildOptions, cache: &BuildCache) -> bool {
+    let mut cache = cache.clone();
+    let rebuild = std::panic::AssertUnwindSafe(|| {
+        GovDataset::rebuild_incremental(world, options, &mut cache, &BTreeSet::new())
+    });
+    std::panic::catch_unwind(rebuild).is_err()
+}
+
+#[test]
+fn search_index_writes_between_ticks_rebuild_like_a_full_build() {
+    cfg("search_index_writes_between_ticks_rebuild_like_a_full_build").run(
+        &arb_case(),
+        |&(seed, years, bits, threads)| {
+            let params = GenParams { seed, ..GenParams::tiny() };
+            let options = BuildOptions { threads: threads as usize, ..BuildOptions::default() };
+            let mut world = World::generate(&params);
+            let (generated, _) =
+                GovDataset::try_build(&world, &options).map_err(|e| e.to_string())?;
+            let sans = plant_unverified_sans(&mut world, &generated, years as usize, bits);
+            prop_assert_eq!(sans.len(), years as usize);
+            let (_, _, mut cache) = GovDataset::build_cached(&world, &options)
+                .map_err(|e| e.to_string())?;
+            // The index is global, so every country a build crawls may
+            // read the written entry.
+            let everyone = contributing(&world);
+            let systems = default_systems();
+            for year in 1..=years as u32 {
+                let report = run_year(&mut world, year, &systems);
+                let (before, full_report, csv) = full_build(&world, &options)?;
+                rebuild_matches(&world, &options, &mut cache, &report.dirty, (&full_report, &csv))?;
+                // A WHOIS organisation that no evidence marks as a state
+                // operator gains a search hit that does, and a planted
+                // SAN gains its verification.
+                let operators: Vec<_> =
+                    before.hosts.iter().filter(|h| !h.state_operated && h.org.is_some()).collect();
+                prop_assert!(!operators.is_empty(), "some host has a commercial operator");
+                let flipped = operators[(bits >> year) as usize % operators.len()];
+                let org = flipped.org.clone().expect("filtered on an organisation");
+                Arc::make_mut(&mut world.search).insert(
+                    &org,
+                    SearchResult {
+                        domain: "operator.example".into(),
+                        snippet: format!("{org} is a state-owned enterprise."),
+                    },
+                );
+                let san = &sans[year as usize - 1];
+                Arc::make_mut(&mut world.search).insert(
+                    owner(san),
+                    SearchResult {
+                        domain: san.to_string(),
+                        snippet: "The official portal of a government agency.".into(),
+                    },
+                );
+                let (after, full_report, csv) = full_build(&world, &options)?;
+                let now = after.host_id(&flipped.hostname).map(|id| after.host(id).state_operated);
+                prop_assert_eq!(now, Some(true));
+                prop_assert!(after.host_id(san).is_some(), "{san} is now a verified SAN");
+                // Every record read the old index, so replaying any
+                // country trips the debug stale-read assertion, which is
+                // the same keep check a rebuild runs.
+                if cfg!(debug_assertions) {
+                    prop_assert!(stale_read_fires(&world, &options, &cache), "no record is stale");
+                }
+                rebuild_matches(&world, &options, &mut cache, &everyone, (&full_report, &csv))?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn rebuilds_under_changed_build_options_match_full_builds() {
+    cfg("rebuilds_under_changed_build_options_match_full_builds").run(
+        &arb_case(),
+        |&(seed, _, _, threads)| {
+            let params = GenParams { seed, ..GenParams::tiny() };
+            let defaults = BuildOptions { threads: threads as usize, ..BuildOptions::default() };
+            let world = World::generate(&params);
+            let (_, _, cache) = GovDataset::build_cached(&world, &defaults)
+                .map_err(|e| e.to_string())?;
+
+            // A shallower crawl, with every crawled country dirty: no
+            // content half of the depth-7 build may be reused.
+            let shallow = BuildOptions { crawler: Crawler::with_depth(2), ..defaults };
+            let (_, report, csv) = full_build(&world, &shallow)?;
+            let mut recrawled = cache.clone();
+            let dirty = contributing(&world);
+            rebuild_matches(&world, &shallow, &mut recrawled, &dirty, (&report, &csv))?;
+
+            // Another geolocation config, and nothing dirty: the memo is
+            // dropped whole, so every task is located again.
+            let geo = PipelineConfig { use_hoiho: false, ..PipelineConfig::default() };
+            let no_hoiho = BuildOptions { geo, ..defaults };
+            let (full, report, csv) = full_build(&world, &no_hoiho)?;
+            let mut relocated = cache;
+            let nothing = BTreeSet::new();
+            let timings =
+                rebuild_timings(&world, &no_hoiho, &mut relocated, &nothing, (&report, &csv))?;
+            let tasks: BTreeSet<_> =
+                full.hosts.iter().filter_map(|h| h.ip.map(|ip| (ip, h.country))).collect();
+            prop_assert_eq!(timings.geolocate.items, tasks.len() as u64);
             Ok(())
         },
     );

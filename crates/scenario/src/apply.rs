@@ -12,8 +12,8 @@
 //! [`govhost_worldgen::shock`], and rebuilds exactly the shocked
 //! countries with [`GovDataset::rebuild_incremental`]: the what-if
 //! answer arrives at incremental cost, not full-build cost. Shocks
-//! rewrite DNS only, and a fork keeps its parent's content version, so
-//! that rebuild re-runs §3.4 identify and crawls nothing. The baseline
+//! rewrite DNS only, and a fork shares its parent's corpus and search
+//! index, so that rebuild re-runs §3.4 identify and crawls nothing. The baseline
 //! itself is never shocked. Only the shocked dataset is measured per
 //! scenario. [`run_scenario`] is the one-scenario case of the same
 //! path.

@@ -19,6 +19,7 @@ use govhost_core::crossborder::FlowMatrix;
 use govhost_core::prelude::*;
 use govhost_obs::export::escape_json;
 use govhost_types::prelude::*;
+use govhost_worldgen::countries::region_of;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -36,11 +37,6 @@ pub(crate) fn jf(v: f64) -> String {
 /// A quoted, escaped JSON string literal.
 pub(crate) fn js(s: &str) -> String {
     format!("\"{}\"", escape_json(s))
-}
-
-/// The World Bank region code of a country, when known.
-fn region_of(code: CountryCode) -> Option<&'static str> {
-    govhost_worldgen::countries::any_country(code).map(|row| row.region.code())
 }
 
 /// Compute the strong entity tag of a body: 64-bit FNV-1a over the
@@ -185,7 +181,7 @@ impl QueryIndex {
                 countries,
                 "{{\"code\":{},\"region\":{},\"landing\":{},\"hostnames\":{},\"urls\":{},\"bytes\":{}}}",
                 js(code.as_str()),
-                region_of(*code).map_or("null".to_string(), js),
+                region_of(*code).map_or("null".to_string(), |r| js(r.code())),
                 stats.landing,
                 stats.hostnames,
                 stats.urls,
@@ -334,7 +330,7 @@ fn render_country(
         out,
         "\"code\":{},\"region\":{},\"stats\":{{\"landing\":{},\"hostnames\":{},\"urls\":{},\"bytes\":{}}}",
         js(code.as_str()),
-        region_of(code).map_or("null".to_string(), js),
+        region_of(code).map_or("null".to_string(), |r| js(r.code())),
         stats.landing,
         stats.hostnames,
         stats.urls,

@@ -37,13 +37,13 @@
 //! ## Architecture
 //!
 //! A [`TcpListener`](std::net::TcpListener) acceptor feeds a fixed
-//! [`Pool`] of **event-loop workers** (thread count from
-//! [`resolve_serve_threads`], following the `govhost-par`
-//! conventions). Accepted sockets are switched non-blocking and
-//! distributed round-robin; each worker runs an [`EventLoop`] —
-//! `poll(2)` readiness behind the [`Readiness`] trait — multiplexing
-//! its share of keep-alive connections, so a slow or stalled peer
-//! never pins a thread. Requests flow through the incremental
+//! [`Pool`] of **event-loop workers** (thread count from `govhost
+//! serve --threads N`, else [`govhost_par::resolve_threads`], following
+//! the `govhost-par` conventions). Accepted sockets are switched
+//! non-blocking and distributed round-robin; each worker runs an
+//! [`EventLoop`] — `poll(2)` readiness behind the [`Readiness`] trait —
+//! multiplexing its share of keep-alive connections, so a slow or
+//! stalled peer never pins a thread. Requests flow through the incremental
 //! [`RequestParser`] with hard [`Limits`] and typed
 //! `400/404/405/414/431/503` [`HttpError`]s into the [`ServeState`]
 //! router.
@@ -105,29 +105,3 @@ pub use server::{Connection, MemConn, Pool, PoolConfig, Server};
 
 #[allow(unused_imports)] // doc links
 use govhost_core::prelude::GovDataset;
-
-/// The serving worker-thread count: `GOVHOST_SERVE_THREADS` when set to
-/// a positive integer (clamped to [`govhost_par::MAX_THREADS`]), else
-/// the pipeline-wide [`govhost_par::resolve_threads`] default.
-pub fn resolve_serve_threads() -> usize {
-    if let Ok(raw) = std::env::var("GOVHOST_SERVE_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.min(govhost_par::MAX_THREADS);
-            }
-        }
-    }
-    govhost_par::resolve_threads()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serve_threads_resolve_to_a_positive_bounded_count() {
-        let n = resolve_serve_threads();
-        assert!(n >= 1);
-        assert!(n <= govhost_par::MAX_THREADS);
-    }
-}

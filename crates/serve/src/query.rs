@@ -31,6 +31,7 @@ use govhost_core::dataset::{GovDataset, HostVolume};
 use govhost_core::diversification::{CountryConcentration, DiversificationAnalysis};
 use govhost_core::providers::ProviderAnalysis;
 use govhost_types::{CountryCode, ProviderCategory, Region};
+use govhost_worldgen::countries::region_of;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::{Arc, Mutex, RwLock};
@@ -182,10 +183,6 @@ impl QueryTables {
             countries,
         }
     }
-}
-
-fn region_of(code: CountryCode) -> Option<Region> {
-    govhost_worldgen::countries::any_country(code).map(|row| row.region)
 }
 
 // ---------------------------------------------------------------------

@@ -230,6 +230,15 @@ pub fn any_country(code: CountryCode) -> Option<&'static CountryRow> {
     }
 }
 
+/// The World Bank region of any country (studied or host-only), by code.
+// Inline across crates: analyses and serve queries call it per host or
+// per row, and without the attribute the compiler inlines only leaf
+// functions such as `any_country` across crates.
+#[inline]
+pub fn region_of(code: CountryCode) -> Option<Region> {
+    any_country(code).map(|row| row.region)
+}
+
 /// EU member states within the sample (for the GDPR-compliance analysis,
 /// §6.3). Non-sampled EU members are not listed because no URLs originate
 /// there.

@@ -11,12 +11,12 @@
 //! geo-database errors, anycast detector misses, partial PTR/PeeringDB
 //! coverage) are injected at the rates in [`GenParams`].
 
-use crate::countries::{any_country, CountryRow, COUNTRIES, TOPSITE_COUNTRIES};
+use crate::countries::{any_country, region_of, CountryRow, COUNTRIES, TOPSITE_COUNTRIES};
 use crate::params::GenParams;
 use crate::profiles::{HostingProfile, TldStyle};
 use crate::providers::GLOBAL_PROVIDERS;
 use crate::truth::{GroundTruth, HostIndex, HostTruth};
-use crate::world::{ContentVersion, World};
+use crate::world::World;
 use govhost_dns::{AuthoritativeServer, DnsName, RData, Resolver, Zone};
 use govhost_geoloc::geodb::GeoEntry;
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
@@ -129,9 +129,10 @@ struct NationalAses {
 
 impl World {
     /// Generate a world from parameters. Deterministic: the same
-    /// parameters always produce the same world, though each call stamps
-    /// its own fresh [`ContentVersion`], so a cache built against one
-    /// generated world is reused only by that world and its forks.
+    /// parameters always produce the same world, though each call makes
+    /// its own allocation of every shared surface, so a cache that keeps
+    /// clones of one generated world's surfaces is reused only by that
+    /// world and its forks.
     pub fn generate(params: &GenParams) -> World {
         Generator::new(*params).run()
     }
@@ -281,7 +282,7 @@ impl Generator {
             && record_kind == OrgKind::GlobalProvider
             && location != record_home
         {
-            let region = any_country(location).map(|r| r.region);
+            let region = region_of(location);
             if matches!(region, Some(govhost_types::Region::EastAsiaPacific) | Some(govhost_types::Region::SouthAsia))
             {
                 let base = u32::from(ip) & 0xFFFF_FF00;
@@ -1354,7 +1355,6 @@ impl Generator {
             topsites: Arc::new(self.topsites),
             host_index: Arc::new(HostIndex::of(&self.truth)),
             truth: self.truth,
-            content_version: ContentVersion::fresh(),
         }
     }
 }

@@ -47,7 +47,7 @@ pub use tick::{
     TickSystem, UnknownTickError, TICKS_ENV,
 };
 pub use truth::GroundTruth;
-pub use world::{ContentVersion, World};
+pub use world::World;
 
 /// Common imports for downstream crates.
 pub mod prelude {

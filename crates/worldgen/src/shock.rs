@@ -7,11 +7,11 @@
 //! countries whose hosting surface changed, so
 //! `GovDataset::rebuild_incremental` in govhost-core checks only those,
 //! and re-identifies only their hosts whose DNS reads changed. Shocks
-//! walk the world's host index like ticks do. No shock writes the web
-//! corpus or search index, so a shocked
-//! world keeps its [`ContentVersion`](crate::world::ContentVersion)
-//! (a unit test in [`world`](crate::world) checks all three shocks)
-//! and its rebuild re-runs only §3.4 identify. Shocks obey the tick
+//! walk the world's host index like ticks do. No shock writes a shared
+//! surface — the web corpus and search index included — so a shocked
+//! world keeps the allocations its baseline's cache holds (a unit test
+//! in [`world`](crate::world) checks all three shocks) and its rebuild
+//! re-runs only §3.4 identify. Shocks obey the tick
 //! determinism laws — fixed iteration orders, randomness only through
 //! seed-keyed hashes — with one deliberate exception: **a provider
 //! outage breaks the "resolution stays total" law.** Going dark is the point; darkened hostnames stop

@@ -29,13 +29,12 @@
 //!   govhost-core treats it as a hint: it checks the recorded DNS reads
 //!   of those countries' hosts and re-identifies only the hosts whose
 //!   reads changed, and a debug build asserts that no other country's
-//!   did. The crawl-side half of the
-//!   law is checked, not just stated: the corpus and search index can
-//!   only be written through accessors that stamp a new
-//!   [`ContentVersion`](crate::world::ContentVersion), a unit test in
-//!   [`world`](crate::world) checks that ticks leave the version
-//!   unchanged, and so a tick rebuild re-runs only §3.4 identify for
-//!   its dirty countries, never the crawl.
+//!   did. The shared-surface half of the law is checked, not just
+//!   stated: a unit test in [`world`](crate::world) checks that ticks
+//!   leave every `Arc` surface the world's own allocation, so a cache
+//!   that keeps clones of the corpus and search index still holds them
+//!   after a tick, and a tick rebuild re-runs only §3.4 identify for its
+//!   dirty countries, never the crawl.
 //! * **Cost follows the events.** Systems visit hosts through the
 //!   world's host index (sorted by name, grouped by country, built once
 //!   and shared by forks) and read each visited host's truth once; no

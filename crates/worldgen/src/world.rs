@@ -7,31 +7,23 @@
 //! and ground truth ([`World::truth`]). Every other surface is held
 //! behind an [`Arc`], so `World::clone` — a *fork* — copies the
 //! resolver (its zone catalog; the zones themselves are shared until a
-//! tick or shock replaces one), the ground truth, the parameters and
-//! the content version, and shares the AS registry, PeeringDB, search
-//! index, web corpus, probe fleet, latency model, geolocation surfaces,
-//! landing lists, topsite lists and the host index ticks and shocks walk
-//! with its parent. A what-if scenario
-//! shocks a fork of the baseline world and leaves the baseline
-//! untouched. The two crawl-side surfaces that can be written, the
-//! corpus and the search index, are copy-on-write: [`World::corpus_mut`]
-//! and [`World::search_mut`] go through [`Arc::make_mut`], so a fork
-//! that writes one gets its own copy and its parent's is never reached.
+//! tick or shock replaces one), the ground truth and the parameters,
+//! and shares the AS registry, PeeringDB, search index, web corpus,
+//! probe fleet, latency model, geolocation surfaces, landing lists,
+//! topsite lists and the host index ticks and shocks walk with its
+//! parent. A what-if scenario shocks a fork of the baseline world and
+//! leaves the baseline untouched.
 //!
-//! ## Content versions
+//! ## Writes
 //!
-//! The surfaces a §3.2–§3.3 crawl reads — the web corpus, the search
-//! index and the landing lists — are private. They can be read through
-//! [`World::corpus`], [`World::search`] and [`World::landing`], and
-//! written only through [`World::corpus_mut`] and [`World::search_mut`].
-//! Each of those calls stamps a fresh, process-unique
-//! [`ContentVersion`], and so does [`World::generate`]; a fork copies
-//! its parent's. Two worlds whose [`World::content_version`]s are equal
-//! are therefore one lineage with no crawl-side write since they forked,
-//! and serve the same crawl bytes, which is what lets a dataset build
-//! reuse a country's cached crawl instead of re-crawling it. Ticks and
-//! shocks rewrite DNS and ground truth only, so they leave the version
-//! alone.
+//! A shared surface is written through [`Arc::make_mut`]
+//! (`Arc::make_mut(&mut world.corpus)`), so a write is copy-on-write:
+//! while any other clone of the `Arc` is held — by a fork, a parent or
+//! a cached build result — the writer gets its own copy at a new
+//! allocation and the holder keeps the old one. That is the whole
+//! contract a cache needs: a result that keeps strong clones of the
+//! surfaces it read is still valid exactly while each clone is the
+//! world's own allocation ([`Arc::ptr_eq`]).
 
 use crate::countries::{CountryRow, COUNTRIES};
 use crate::params::GenParams;
@@ -48,37 +40,15 @@ use govhost_types::{CountryCode, Url};
 use govhost_web::corpus::WebCorpus;
 use govhost_web::vantage::{VantagePoint, VpnProvider};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Which content a world's crawl-side surfaces (corpus, search index,
-/// landing lists) hold.
-///
-/// [`World::generate`] and every write through [`World::corpus_mut`] or
-/// [`World::search_mut`] take a number no other world in the process
-/// has; a fork copies its parent's. Equal versions therefore mean equal
-/// content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContentVersion(u64);
-
-impl ContentVersion {
-    /// A version no other world in the process holds.
-    pub(crate) fn fresh() -> ContentVersion {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        // Relaxed: the number publishes no other data; the atomic
-        // fetch_add alone makes it unique.
-        ContentVersion(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
 
 /// A fully-generated simulated Internet.
 ///
 /// Build one with [`World::generate`]; the fields are the observable
 /// surfaces of §3's methodology (plus [`World::truth`], which is reserved
-/// for tests and calibration). The crawl-side surfaces are behind
-/// accessors so every write to them is versioned. Every surface but
-/// `resolver` and `truth` is shared behind an [`Arc`], so `clone` is a
-/// cheap fork (see the module docs).
+/// for tests and calibration). Every surface but `resolver` and `truth`
+/// is shared behind an [`Arc`], so `clone` is a cheap fork and a write
+/// is copy-on-write (see the module docs).
 #[derive(Debug, Clone)]
 pub struct World {
     /// The parameters that built this world.
@@ -88,11 +58,11 @@ pub struct World {
     /// PeeringDB snapshot.
     pub peeringdb: Arc<PeeringDb>,
     /// The web-search index (last-resort classification evidence).
-    pub(crate) search: Arc<SearchIndex>,
+    pub search: Arc<SearchIndex>,
     /// DNS: every authoritative zone, including the reverse zone.
     pub resolver: Resolver,
     /// All websites.
-    pub(crate) corpus: Arc<WebCorpus>,
+    pub corpus: Arc<WebCorpus>,
     /// RIPE-Atlas-style probes.
     pub fleet: Arc<ProbeFleet>,
     /// The latency model shared by all active measurements.
@@ -115,8 +85,6 @@ pub struct World {
     pub truth: GroundTruth,
     /// The hostnames of `truth`, sorted and grouped by country.
     pub(crate) host_index: Arc<HostIndex>,
-    /// What the crawl-side surfaces hold.
-    pub(crate) content_version: ContentVersion,
 }
 
 impl World {
@@ -139,40 +107,6 @@ impl World {
         self.landing_pages.get(&country).map_or(&[], Vec::as_slice)
     }
 
-    /// All websites.
-    pub fn corpus(&self) -> &WebCorpus {
-        &self.corpus
-    }
-
-    /// The web-search index (last-resort classification evidence).
-    pub fn search(&self) -> &SearchIndex {
-        &self.search
-    }
-
-    /// The search index's shared allocation: holding a clone tells a
-    /// later caller whether the index was since written or replaced,
-    /// since either lands at a new address.
-    pub fn shared_search(&self) -> &Arc<SearchIndex> {
-        &self.search
-    }
-
-    /// Write access to the web corpus. Stamps a fresh
-    /// [`ContentVersion`], so crawls cached against the old content are
-    /// never reused. Copy-on-write: a corpus shared with a fork or a
-    /// parent is copied first, and the other world keeps the old one.
-    pub fn corpus_mut(&mut self) -> &mut WebCorpus {
-        self.content_version = ContentVersion::fresh();
-        Arc::make_mut(&mut self.corpus)
-    }
-
-    /// Write access to the search index. Stamps a fresh
-    /// [`ContentVersion`] and copies a shared index first, like
-    /// [`World::corpus_mut`].
-    pub fn search_mut(&mut self) -> &mut SearchIndex {
-        self.content_version = ContentVersion::fresh();
-        Arc::make_mut(&mut self.search)
-    }
-
     /// The index of this world's government hostnames, as a handle that
     /// outlives a borrow of the world, so a tick or shock can walk it
     /// while it rewrites DNS and ground truth.
@@ -183,12 +117,6 @@ impl World {
             "ground-truth hosts were added or removed after generation"
         );
         Arc::clone(&self.host_index)
-    }
-
-    /// What the crawl-side surfaces (corpus, search index, landing
-    /// lists) currently hold.
-    pub fn content_version(&self) -> ContentVersion {
-        self.content_version
     }
 
     /// The §3.5 geolocation pipeline over this world's surfaces, run
@@ -243,80 +171,73 @@ mod tests {
     }
 
     /// Write the corpus and search index of a fork of `parent`, and
-    /// assert the parent keeps its own pointers and version.
+    /// assert the parent keeps its own allocations.
     fn assert_fork_writes_are_private(parent: &World) {
         let (corpus, search) = (Arc::as_ptr(&parent.corpus), Arc::as_ptr(&parent.search));
-        let version = parent.content_version();
         let mut child = parent.clone();
-        child.corpus_mut();
-        child.search_mut();
+        Arc::make_mut(&mut child.corpus);
+        Arc::make_mut(&mut child.search);
         assert_eq!(Arc::as_ptr(&parent.corpus), corpus, "the parent keeps its corpus");
         assert_eq!(Arc::as_ptr(&parent.search), search, "the parent keeps its search index");
         assert!(!Arc::ptr_eq(&child.corpus, &parent.corpus), "the fork copied the corpus");
         assert!(!Arc::ptr_eq(&child.search, &parent.search), "the fork copied the index");
-        assert_eq!(parent.content_version(), version, "the parent keeps its version");
-        assert_ne!(child.content_version(), version, "the fork's write is versioned");
     }
 
     #[test]
-    fn content_version_follows_lineage() {
+    fn shared_surfaces_are_shared_by_a_fork() {
         let (a, b) = (tiny(), tiny());
-        assert_ne!(
-            a.content_version(),
-            b.content_version(),
-            "two generated worlds never share a version"
-        );
+        assert!(!Arc::ptr_eq(&a.corpus, &b.corpus), "two generated worlds share no corpus");
+        assert!(!Arc::ptr_eq(&a.search, &b.search), "two generated worlds share no index");
         let fork = a.clone();
-        assert_eq!(fork.content_version(), a.content_version(), "a fork shares its parent's");
         assert_shares_surfaces(&a, &fork, "a fork");
     }
 
+    /// The law a cached build result relies on: a write made while
+    /// another clone of the surface is held lands at a new allocation,
+    /// every time, and the holder keeps the old one. Without a holder
+    /// the write is in place, which is why a cache keeps strong clones
+    /// rather than addresses.
     #[test]
-    fn content_version_of_a_mutation_is_unique() {
-        let mut a = tiny();
-        let mut b = a.clone();
-        let generated = b.content_version();
-        a.corpus_mut();
-        let after_corpus = a.content_version();
-        assert_ne!(after_corpus, generated);
-        b.search_mut();
-        assert_ne!(b.content_version(), generated);
-        assert_ne!(b.content_version(), after_corpus, "two worlds never share a mutation");
-        a.search_mut();
-        assert_ne!(a.content_version(), after_corpus, "every write takes a new version");
-        assert_ne!(a.content_version(), b.content_version());
+    fn shared_surfaces_written_while_held_move() {
+        let mut world = tiny();
+        for round in 0..2 {
+            let (corpus, search) = (Arc::clone(&world.corpus), Arc::clone(&world.search));
+            Arc::make_mut(&mut world.corpus);
+            Arc::make_mut(&mut world.search);
+            assert!(!Arc::ptr_eq(&corpus, &world.corpus), "round {round}: the corpus moved");
+            assert!(!Arc::ptr_eq(&search, &world.search), "round {round}: the index moved");
+        }
+        let alone = Arc::as_ptr(&world.corpus);
+        Arc::make_mut(&mut world.corpus);
+        assert_eq!(Arc::as_ptr(&world.corpus), alone, "an unheld surface is written in place");
     }
 
     #[test]
-    fn content_version_survives_ticks() {
+    fn shared_surfaces_are_not_written_by_ticks() {
         let mut world = tiny();
         let fork = world.clone();
-        let before = world.content_version();
         let systems = default_systems();
         let mut events = 0;
         for year in 1..=4 {
             events += run_year(&mut world, year, &systems).events.len();
         }
         assert!(events > 0, "the ticks changed something");
-        assert_eq!(world.content_version(), before, "ticks never touch crawl content");
         assert_shares_surfaces(&world, &fork, "a tick");
         assert_fork_writes_are_private(&world);
     }
 
     #[test]
-    fn content_version_survives_shocks() {
+    fn shared_surfaces_are_not_written_by_shocks() {
         let cloudflare = provider_by_asn(13335).expect("Cloudflare is in the roster");
         let base = tiny();
         for name in ["outage", "onshore", "vantage"] {
             let mut world = base.clone();
-            let before = world.content_version();
             let report = match name {
                 "outage" => shock::provider_outage(&mut world, cloudflare),
                 "onshore" => shock::onshore(&mut world, None),
                 _ => shock::vantage_shift(&mut world, "probe-7"),
             };
             assert!(!report.dirty.is_empty(), "{name} changed something");
-            assert_eq!(world.content_version(), before, "{name} never touches crawl content");
             assert_shares_surfaces(&world, &base, name);
             assert_fork_writes_are_private(&world);
         }

@@ -16,7 +16,7 @@ fn main() {
         "  {} ASes, {} servers, {} websites, {} DNS zones",
         world.registry.as_count(),
         world.registry.servers().len(),
-        world.corpus().len(),
+        world.corpus.len(),
         world.resolver.zone_count()
     );
 

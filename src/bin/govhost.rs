@@ -54,7 +54,7 @@ fn usage() {
            har      --country CC --out DIR          export one country's crawl as HAR JSON\n\
            zone     --host HOSTNAME                 print a hostname's zone as a master file\n\
            serve    --scale S --addr HOST:PORT      build the dataset and serve JSON queries\n\
-                    [--threads N]                   (worker count; GOVHOST_SERVE_THREADS)\n\
+                    [--threads N]                   (worker count; GOVHOST_THREADS)\n\
                     [--max-conns N]                 (in-flight cap before 503 shedding)\n\
                     [--idle-timeout-ms N]           (idle keep-alive eviction deadline)\n\
                     [--query-cache N]               (parameterized result-cache entries; 0 disables)\n\
@@ -245,7 +245,7 @@ fn cmd_har(flags: &Flags) {
     let jobs: Vec<_> =
         landing.iter().map(|u| (u.clone(), Some(vantage.country))).collect();
     let outcomes = crawl_sites_parallel(
-        world.corpus(),
+        &world.corpus,
         &Crawler::default(),
         &jobs,
         govhost_par::resolve_threads(),
@@ -269,7 +269,7 @@ fn cmd_har(flags: &Flags) {
 fn cmd_serve(flags: &Flags) {
     use govhost::core::evolve::Timeline;
     use govhost::obs::export::trace_level;
-    use govhost::serve::{resolve_serve_threads, PoolConfig, ServeState, Server, ROUTES};
+    use govhost::serve::{PoolConfig, ServeState, Server, ROUTES};
     // A bad `GOVHOST_TICKS` roster fails before any world is generated.
     let years = flags.years.unwrap_or(0);
     let systems = if years > 0 { tick_systems() } else { Vec::new() };
@@ -320,7 +320,7 @@ fn cmd_serve(flags: &Flags) {
     };
     let state = std::sync::Arc::new(state);
     let threads =
-        if flags.threads > 0 { flags.threads } else { resolve_serve_threads() };
+        if flags.threads > 0 { flags.threads } else { govhost_par::resolve_threads() };
     let mut config = PoolConfig::default();
     if flags.max_conns > 0 {
         config.max_conns = flags.max_conns;

@@ -64,7 +64,7 @@ fn har_export_round_trips_a_real_crawl() {
     let (world, _) = build();
     let ar: CountryCode = "AR".parse().unwrap();
     let landing = &world.landing(ar)[0];
-    let outcome = Crawler::default().crawl(world.corpus(), landing, Some(ar));
+    let outcome = Crawler::default().crawl(&world.corpus, landing, Some(ar));
     assert!(!outcome.log.entries.is_empty());
     let json = govhost::web::to_har_json(&outcome.log);
     let parsed = govhost::web::read_har_entries(&json);

@@ -4,6 +4,7 @@
 
 use govhost::geoloc::pipeline::PipelineConfig;
 use govhost::prelude::*;
+use std::sync::Arc;
 
 #[test]
 fn heavy_geodb_corruption_shrinks_confirmations_not_correctness() {
@@ -145,8 +146,7 @@ fn poison_country(world: &mut World, country: CountryCode) {
     let landing: Vec<govhost::types::Url> = world.landing(country).to_vec();
     assert!(!landing.is_empty(), "{country} has landing pages to poison");
     for url in &landing {
-        world
-            .corpus_mut()
+        Arc::make_mut(&mut world.corpus)
             .site_mut(url.hostname())
             .expect("landing site exists in the corpus")
             .geo_restricted_to = Some(foreign);
@@ -219,8 +219,7 @@ fn the_earliest_faulting_landing_page_names_the_country() {
     let foreign: CountryCode =
         if country.as_str() == "US" { "DE" } else { "US" }.parse().unwrap();
     for url in [&lo, &hi] {
-        world
-            .corpus_mut()
+        Arc::make_mut(&mut world.corpus)
             .site_mut(url.hostname())
             .expect("landing site exists in the corpus")
             .geo_restricted_to = Some(foreign);

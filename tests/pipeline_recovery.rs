@@ -5,6 +5,7 @@
 
 use govhost::prelude::*;
 use govhost::types::ProviderCategory;
+use std::sync::Arc;
 
 fn build() -> (World, GovDataset) {
     let world = World::generate(&GenParams { scale: 0.05, ..GenParams::default() });
@@ -165,7 +166,7 @@ fn quarantine_counts_and_export_bytes_are_thread_count_invariant() {
         let landing: Vec<govhost::types::Url> = world.landing(country).to_vec();
         assert!(!landing.is_empty());
         for url in &landing {
-            world.corpus_mut().site_mut(url.hostname()).unwrap().geo_restricted_to =
+            Arc::make_mut(&mut world.corpus).site_mut(url.hostname()).unwrap().geo_restricted_to =
                 Some("US".parse().unwrap());
         }
     }
@@ -206,13 +207,13 @@ fn geo_restricted_sites_require_domestic_vantage() {
     // Find a geo-restricted site and verify the corpus refuses foreign
     // fetches (the reason the paper uses VPNs).
     let site = world
-        .corpus()
+        .corpus
         .sites()
         .find(|s| s.geo_restricted_to.is_some())
         .expect("geo-restricted sites exist");
     let home = site.geo_restricted_to.unwrap();
     let foreign: CountryCode = if home.as_str() == "US" { "DE" } else { "US" }.parse().unwrap();
-    assert!(world.corpus().fetch(&site.landing, Some(home)).is_ok());
-    assert!(world.corpus().fetch(&site.landing, Some(foreign)).is_err());
-    assert!(world.corpus().fetch(&site.landing, None).is_err());
+    assert!(world.corpus.fetch(&site.landing, Some(home)).is_ok());
+    assert!(world.corpus.fetch(&site.landing, Some(foreign)).is_err());
+    assert!(world.corpus.fetch(&site.landing, None).is_err());
 }
