@@ -23,26 +23,29 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps --offline --workspace (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+# The workspace pass runs every suite of every crate once in debug,
+# with the harness's fixed property seeds; the steps after it add only
+# release, --include-ignored and golden runs. The contract comments
+# below name the debug suites each contract rests on.
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-# The fault-tolerance contract gets a named tier-1 pass of its own: the
-# quarantine/abort policies and the lossless CSV round trip (including
-# the property test over arbitrary field contents).
-echo "==> quarantine + round-trip suites"
-cargo test -q --offline --test failure_injection --test pipeline_recovery
-cargo test -q --offline -p govhost-core --test prop_export export
+# The fault-tolerance contract: the quarantine/abort policies
+# (failure_injection, pipeline_recovery) and the lossless CSV round
+# trip, including the property test over arbitrary field contents
+# (prop_export), all in the workspace pass.
 
-# So is the observability contract: byte-identical telemetry exports
-# across thread counts, plus the merge-law property tests behind them.
+# The observability contract: byte-identical telemetry exports across
+# thread counts, in release here, plus the merge-law property tests
+# behind them (prop_obs, in the workspace pass).
 echo "==> telemetry suites"
 cargo test -q --offline --release --test telemetry
-cargo test -q --offline -p govhost-obs --test prop_obs
 
 # The interned-build determinism pin runs at full paper scale (scale 1,
 # ~1M URLs) across 1/2/4/8 work-stealing threads, so it is #[ignore]d in
 # the debug pass above and exercised here in release, together with the
-# interner-vs-reference-model property suite. Those compare builds with
+# interner-vs-reference-model property suite (prop_table, in the
+# workspace pass). Those compare builds with
 # each other; the digest pin (build_digests, also #[ignore]d in debug)
 # compares the scale-0.3, seed-7 build at 1, 2 and 4 threads with the
 # FNV-1a 64 digests of its export_csv files, metrics.json and trace.json
@@ -51,41 +54,39 @@ cargo test -q --offline -p govhost-obs --test prop_obs
 echo "==> interned build suites"
 cargo test -q --offline --release --test interning -- --include-ignored
 cargo test -q --offline --release --test build_digests -- --include-ignored
-cargo test -q --offline -p govhost-core --test prop_table
 
 # Longitudinal determinism: same-seed ticks are bit-identical, the
 # evolved timeline does not depend on the build thread count, and the
 # incremental rebuild exports the same bytes as a full build. The tick
 # and shock event logs must equal the digests recorded in
 # results/event_digests_scale0.05.txt. The scale-0.3 pins are
-# #[ignore]d in the debug pass and run here in release. The dirty set is
-# a hint: a rebuild re-identifies only the hosts of the dirty countries
-# whose recorded DNS reads changed, and evolve gates each tick
-# rebuild's identify count on the hosts the year re-pointed plus their
-# CNAME dependents. (The debug workspace pass runs evolve and scenario
-# with the assertion that no replayed country has a stale read.) The
-# property suite complements them: over arbitrary seeds, tick counts
-# and over-approximated dirty sets, the incremental report and export
+# #[ignore]d in the debug pass and run here in release. A rebuild does
+# not read the dirty set: it checks every cached record itself and
+# re-identifies only the hosts whose recorded DNS reads changed, and
+# evolve gates each tick rebuild's identify count on the hosts the year
+# re-pointed plus their CNAME dependents, and each year's rebuild with
+# an empty dirty set on the full build's bytes, so this holds in
+# release as in debug. The property suite (prop_incremental, in the
+# workspace pass) complements them: over arbitrary seeds, tick counts
+# and dirty sets (padded, or empty), the incremental report and export
 # bytes (meta included) equal a full build's, also when web content,
 # the search index, reverse DNS or forward DNS (re-points, CNAMEs,
 # shared zones) is mutated between rebuilds or the crawler or
 # geolocation config changes, and a forward-DNS mutation re-identifies
 # exactly the hosts whose alias chain moved. Tick and shock rebuilds
 # must re-run only §3.4 identify: evolve and scenario gate on zero
-# crawled pages, and the worldgen shared-surface laws check that a fork
+# crawled pages, and the worldgen shared-surface laws (the
+# shared_surfaces unit tests, in the workspace pass) check that a fork
 # shares every surface, that no tick or shock writes one, that a fork's
 # write is private, and that a write made while another clone is held
 # (as a cached build result holds one) lands at a new allocation.
 # Every measure folds over the per-host URL/byte rollup:
-# prop_host_fold checks each analysis and BuildMetrics bit for bit
-# against the per-URL folds, on arbitrary imported datasets and on
-# every year of a tiny evolve.
+# prop_host_fold (in the workspace pass) checks each analysis and
+# BuildMetrics bit for bit against the per-URL folds, on arbitrary
+# imported datasets and on every year of a tiny evolve.
 echo "==> evolve suites"
 cargo test -q --offline --release --test evolve -- --include-ignored
 cargo test -q --offline --release --test scenario
-cargo test -q --offline -p govhost-core --test prop_incremental
-cargo test -q --offline -p govhost-core --test prop_host_fold
-cargo test -q --offline -p govhost-worldgen --lib shared_surfaces
 # The CLI golden of the evolve table: the release binary's ten-year
 # trend at scale 0.05 (seed 42) must equal the recorded bytes, with the
 # wall-clock rebuild-ms column masked.
@@ -106,9 +107,9 @@ for f in crates/core/src/dataset.rs crates/core/src/table.rs; do
     fi
 done
 
-# And the serving contract. `-p govhost-serve` runs, in one pass, the
-# event-loop + readiness unit tests and the route-grammar pin in the
-# serve crate; HTTP conformance (keep-alive, Connection token lists,
+# And the serving contract, all in the workspace pass: the serve
+# crate's event-loop + readiness unit tests and the route-grammar pin;
+# HTTP conformance (keep-alive, Connection token lists,
 # ETag/304, HEAD, percent-decoding, typed query 400s, idle eviction,
 # 503 shedding) and the parser/packing/query fuzz properties
 # (http_conformance, prop_http), both of which drive the production
@@ -116,20 +117,16 @@ done
 # the parameterized query engine (query_engine: canonicalization,
 # result-cache accounting, identical-input hot swap). Then
 # byte-identical responses and telemetry across worker counts (plus
-# the slow-reader fairness pin and the real-socket smoke), and the CLI
-# usage-error contract.
-echo "==> serve suites"
-cargo test -q --offline -p govhost-serve
-cargo test -q --offline --test serve_http --test cli_usage
+# the slow-reader fairness pin and the real-socket smoke, serve_http),
+# and the CLI usage-error contract (cli_usage).
 
-# The what-if engine: `-p govhost-scenario` runs the unit layers of
-# govhost-scenario and the scenario DSL's never-panic fuzz suite
-# (prop_dsl) in one pass. The root determinism pins (tests/scenario.rs)
-# already ran in the workspace pass and in release under "evolve
-# suites". Then the CLI golden: the release binary's report cards and
-# insights for the worked scenario file must equal the recorded bytes.
+# The what-if engine: the unit layers of govhost-scenario and the
+# scenario DSL's never-panic fuzz suite (prop_dsl) run in the workspace
+# pass, and the root determinism pins (tests/scenario.rs) there and in
+# release under "evolve suites". Then the CLI golden: the release
+# binary's report cards and insights for the worked scenario file must
+# equal the recorded bytes.
 echo "==> scenario suites"
-cargo test -q --offline -p govhost-scenario
 ./target/release/govhost scenario examples/what-if.scn --scale 0.05 2>/dev/null \
     | diff -u results/what-if_scale0.05.txt -
 

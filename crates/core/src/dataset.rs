@@ -65,10 +65,11 @@
 //! count, crawl failures) reads the web corpus, the search index and the
 //! [`Crawler`]. The *infra half* (§3.4: identification and resolution
 //! failures) reads DNS, the registry, PeeringDB and search, and records
-//! per host the zone every query of its resolution went to. A
-//! recomputed country whose content half still holds keeps it, and
-//! re-identifies only the hosts whose reads changed. Ticks and shocks
-//! only rewrite DNS and ground truth, so their rebuilds crawl nothing.
+//! per host the zone every query of its resolution went to. A country
+//! whose content half still holds keeps it, and re-identifies only the
+//! hosts whose reads changed; one whose records all hold is replayed
+//! whole. Ticks and shocks only rewrite DNS and ground truth, so their
+//! rebuilds crawl nothing.
 //!
 //! ## One cache rule
 //!
@@ -79,7 +80,10 @@
 //! still the world's own allocation (`Arc::ptr_eq`) and its options are
 //! equal. Holding the clones is what makes that exact: a world writes a
 //! shared surface through `Arc::make_mut`, which copies a surface
-//! someone else holds, so a write always lands at a new address.
+//! someone else holds, so a write always lands at a new address. Every
+//! rebuild applies the rule to every cached result, so the cache alone
+//! decides what is recomputed: no caller-supplied dirty set is read,
+//! and incremental ≡ full holds in every build profile.
 //!
 //! ## Memoized verdicts
 //!
@@ -97,7 +101,7 @@ use crate::infra::{InfraIdentifier, InfraRecord};
 use crate::table::{UrlInterner, UrlRef, UrlTable};
 use govhost_geoloc::pipeline::{GeoTask, GeoVerdict, PipelineConfig, PtrRead, ValidationStats};
 use govhost_geoloc::{CountryThresholds, GeoDb, Hoiho, IpMapCache, MAnycastSnapshot};
-use govhost_dns::{DnsName, ResolutionRead, Resolver};
+use govhost_dns::{ResolutionRead, Resolver};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
 use govhost_netsim::peeringdb::PeeringDb;
@@ -745,13 +749,14 @@ struct InfraHalf {
     /// the country's hosts are first identified.
     read: Option<Arc<Snapshot>>,
     /// §3.4 identification per hostname, aligned with the content
-    /// half's `gov`.
-    hosts: Vec<Identified>,
+    /// half's `gov`. Each record sits behind an `Arc`, so a recomputed
+    /// country copies pointers for the records it keeps.
+    hosts: Vec<Arc<Identified>>,
     resolution_failures: u64,
 }
 
 /// The §3.4 identification of one hostname, and the zones it read.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Identified {
     /// `None` when resolution failed or WHOIS has no record.
     record: Option<InfraRecord>,
@@ -761,32 +766,33 @@ struct Identified {
 }
 
 impl InfraHalf {
-    /// The record of `host`, name `lid` of the content half's arena, if
+    /// The record of host `i` of the content half's arena, if
     /// identifying it against `now` and `resolver` would still give it:
     /// [`Snapshot::identify_holds`], and every query of the host's
     /// resolution still goes to the zone it went to. The one keep check
-    /// of §3.4: a rebuild keeps exactly these records, and the debug
-    /// stale-read assertion looks for a replayed host without one.
-    fn kept(
-        &self,
-        lid: HostId,
-        host: &Hostname,
-        now: &Snapshot,
-        resolver: &Resolver,
-    ) -> Option<&Identified> {
-        let read = self.read.as_ref()?;
-        let kept = &self.hosts[lid.index()];
-        let holds = read.identify_holds(now) && kept.read.holds(resolver, &DnsName::from(host));
+    /// of §3.4: a rebuild keeps exactly these records.
+    fn kept(&self, i: usize, now: &Snapshot, resolver: &Resolver) -> Option<&Arc<Identified>> {
+        let kept = self.hosts.get(i)?;
+        let holds = self.read.as_ref()?.identify_holds(now) && kept.read.holds(resolver);
         holds.then_some(kept)
+    }
+
+    /// The first host whose record is not [kept](Self::kept), where
+    /// re-identifying the country starts; `None` when every record is.
+    fn first_stale(&self, now: &Snapshot, resolver: &Resolver) -> Option<usize> {
+        (0..self.hosts.len()).find(|&i| self.kept(i, now, resolver).is_none())
     }
 }
 
-/// The telemetry a recomputed country carries into assembly (consumed
-/// there, never cached).
+/// Where a recomputed country's identify job starts, and the telemetry
+/// the country carries into assembly (consumed there, never cached).
 #[derive(Default)]
 struct CountryShards {
+    /// The first host the identify job checks; every host before it
+    /// keeps its record (0 for a re-crawled country).
+    stale: usize,
     /// The crawl/classify job's shard; `None` when the country's content
-    /// half was reused and only identify ran.
+    /// half was kept and only identify ran.
     crawl: Option<govhost_obs::Telemetry>,
     /// The identify-job shard.
     identify: govhost_obs::Telemetry,
@@ -794,10 +800,11 @@ struct CountryShards {
     resolution_failures: u64,
 }
 
-/// A recomputed [`CountryEntry`] plus its telemetry shards.
+/// One country of a build: its [`CountryEntry`], plus its shards when the
+/// build recomputes any of it (`None`: replayed whole from the cache).
 struct CountryWork {
     entry: CountryEntry,
-    shards: CountryShards,
+    shards: Option<CountryShards>,
 }
 
 /// What the assembly replay produces from a set of entries.
@@ -835,25 +842,23 @@ struct GeoMemo {
 }
 
 /// Per-country build state retained by [`GovDataset::build_cached`] so a
-/// later [`GovDataset::rebuild_incremental`] can replay clean countries
-/// instead of re-crawling them.
+/// later [`GovDataset::rebuild_incremental`] can replay what still holds
+/// instead of re-crawling it.
 ///
-/// The cache holds one entry per contributing country, in fixed
-/// studied-country order, plus the quarantine record of the build that
-/// produced it. Each entry has two halves: a content half (the §3.2–§3.3
-/// crawl and classification) and an infra half (the §3.4
-/// identification, with the zones each record read). It also keeps the
-/// build's §3.5 verdicts. Every one of them keeps the snapshot of the
-/// build that made it (the module docs' "One cache rule"), and is
-/// reused exactly while the surfaces its stage reads are still the
-/// world's own. The cache is only meaningful against the same world
-/// lineage it was built from: after a tick, the entries of countries
-/// in the tick's dirty set are checked, and only the records whose
-/// reads changed are recomputed.
+/// The cache holds one entry per country the build that produced it
+/// built, in fixed studied-country order; a quarantined country has
+/// none, so every rebuild retries it, as a full build does. Each entry
+/// has two halves: a content half (the §3.2–§3.3 crawl and
+/// classification) and an infra half (the §3.4 identification, with
+/// the zones each record read). It also keeps the build's §3.5
+/// verdicts. Every one of them keeps the snapshot of the build that
+/// made it (the module docs' "One cache rule"), and is reused exactly
+/// while the surfaces its stage reads are still the world's own. Every
+/// rebuild checks every cached record itself, so no caller has to say
+/// what changed.
 #[derive(Debug, Default, Clone)]
 pub struct BuildCache {
     entries: Vec<CountryEntry>,
-    quarantined: Vec<QuarantineEntry>,
     /// Shared, so a forked cache copies a pointer.
     geo: Option<Arc<GeoMemo>>,
 }
@@ -868,11 +873,12 @@ impl BuildCache {
 /// The §3.4 stage for one country: resolve + WHOIS, from the domestic
 /// vantage and in first-occurrence order, every distinct government
 /// hostname whose record in `previous` no longer holds (all of them when
-/// `previous` is empty), and keep the others. Resolution faults are
-/// absorbed per-host (the record stays, unresolved) and counted. Returns
-/// the new infra half, the resolution failures among the hosts it
-/// resolved and the job's telemetry shard; the `identify.hosts` counter
-/// counts the hosts resolved.
+/// `previous` is empty), and keep the others. The first `stale` records
+/// are already known to hold, so they are copied without a check.
+/// Resolution faults are absorbed per-host (the record stays,
+/// unresolved) and counted. Returns the new infra half, the resolution
+/// failures among the hosts it resolved and the job's telemetry shard;
+/// the `identify.hosts` counter counts the hosts resolved.
 fn identify_country(
     world: &World,
     now: &Arc<Snapshot>,
@@ -880,6 +886,7 @@ fn identify_country(
     vantage: CountryCode,
     gov: &HostInterner,
     previous: &InfraHalf,
+    stale: usize,
 ) -> (InfraHalf, u64, govhost_obs::Telemetry) {
     let ((infra, fresh_failures), shard) = govhost_obs::collect(|| {
         let _identify = govhost_obs::span!("identify");
@@ -889,11 +896,12 @@ fn identify_country(
             &world.peeringdb,
             &world.search,
         );
-        let mut hosts: Vec<Identified> = Vec::with_capacity(gov.len());
+        let mut hosts: Vec<Arc<Identified>> = Vec::with_capacity(gov.len());
+        hosts.extend_from_slice(&previous.hosts[..stale]);
         let (mut resolved, mut fresh_failures) = (0u64, 0u64);
-        for (lid, host) in gov.iter() {
-            if let Some(kept) = previous.kept(lid, host, now, &world.resolver) {
-                hosts.push(kept.clone());
+        for (lid, host) in gov.iter().skip(stale) {
+            if let Some(kept) = previous.kept(lid.index(), now, &world.resolver) {
+                hosts.push(Arc::clone(kept));
                 continue;
             }
             // A resolution fault (NXDOMAIN, broken zone) keeps the host
@@ -903,7 +911,8 @@ fn identify_country(
             let unresolved = result.is_err();
             resolved += 1;
             fresh_failures += u64::from(unresolved);
-            hosts.push(Identified { record: result.unwrap_or(None), unresolved, read });
+            let record = result.unwrap_or(None);
+            hosts.push(Arc::new(Identified { record, unresolved, read }));
         }
         govhost_obs::counter_add("identify.hosts", &[("country", code.as_str())], resolved);
         if fresh_failures > 0 {
@@ -918,18 +927,6 @@ fn identify_country(
         (InfraHalf { read, hosts, resolution_failures }, fresh_failures)
     });
     (infra, fresh_failures, shard)
-}
-
-/// The first host of `entry` whose §3.4 record is not
-/// [kept](InfraHalf::kept) against `now` and `world`'s resolver, if any.
-#[cfg(debug_assertions)]
-fn stale_host<'e>(
-    world: &World,
-    now: &Snapshot,
-    entry: &'e CountryEntry,
-) -> Option<&'e Hostname> {
-    let kept = |lid, host| entry.infra.kept(lid, host, now, &world.resolver).is_some();
-    entry.content.gov.iter().find(|&(lid, host)| !kept(lid, host)).map(|(_, host)| host)
 }
 
 impl GovDataset {
@@ -989,42 +986,42 @@ impl GovDataset {
         Ok((dataset, report, cache))
     }
 
-    /// Rebuild after a world mutation, checking only `dirty` countries.
+    /// Rebuild after a world mutation, checking every cached record.
     ///
     /// `cache` must come from [`Self::build_cached`] (or a previous
-    /// incremental rebuild) against the same world lineage, and `dirty`
-    /// must name every country whose observable surfaces changed since;
-    /// naming more costs a check, not a recomputation. A tick's
-    /// `TickReport::dirty` is that set. Countries outside `dirty` are
-    /// *replayed* from their cached entries.
+    /// incremental rebuild) against the same world lineage. `_dirty` is
+    /// not read: the cache alone decides what to recompute, so a dirty
+    /// set that misses a change cannot make the rebuild replay a stale
+    /// record. (The argument stays for callers of the four-argument
+    /// form; a tick's `TickReport::dirty` is a report for users, not an
+    /// input here.)
     ///
     /// Every cached result is kept or recomputed by the module docs'
-    /// "One cache rule". A dirty country whose content half still holds
-    /// (the world's corpus and search index, the same
-    /// [`BuildOptions::crawler`]) keeps it, and re-runs §3.4 identify
-    /// only for the hosts whose record no longer holds: each record
-    /// keeps the zone every query of its resolution went to, and holds
-    /// while those zones and the registry, PeeringDB and search index
-    /// are unchanged. A dirty country with a stale or missing content
-    /// half (and any contributing country the cache has no record of)
-    /// re-runs the full per-country fan-out (crawl → classify →
-    /// identify). Ticks and shocks rewrite DNS and ground truth only, so
-    /// their rebuilds never crawl, and re-identify only the hosts they
-    /// re-pointed and those whose CNAME chains run through them. With
-    /// `debug_assertions` on, every rebuild also runs the same keep
-    /// check over the replayed countries, and panics naming a record
-    /// that no longer holds: the dirty set missed a country. The global
-    /// merge and §5.1 category assignment run in full.
-    /// §3.5 geolocation reuses the cached verdict of every (address,
-    /// serving country) pair the previous build located, as long as the
-    /// eight geolocation surfaces are the world's own, the
-    /// [`BuildOptions::geo`] config is equal and, for a verdict that
-    /// consulted HOIHO, the resolver still gives the PTR answer it read;
-    /// the dirty set plays no part in that. Only the other pairs are
-    /// located. So the resulting dataset — down to `export_csv` bytes —
-    /// is identical to a from-scratch [`Self::try_build`] against the
-    /// mutated world (`tests/evolve.rs` pins this). This is the only
-    /// build body: a full build is this call on an empty cache.
+    /// "One cache rule". A cached content half is kept exactly while it
+    /// still holds (the world's corpus and search index, the same
+    /// [`BuildOptions::crawler`]); any other contributing country (a
+    /// stale, quarantined or never-built one) re-runs the full
+    /// per-country fan-out (crawl → classify → identify). Each kept
+    /// country then checks its §3.4 records in order: each record keeps
+    /// the zone every query of its resolution went to, and holds while
+    /// those zones and the registry, PeeringDB and search index are
+    /// unchanged. From its first stale record on, the country re-runs
+    /// identify for the hosts whose record no longer holds; a country
+    /// whose records all hold is *replayed* from its cached entry. Ticks
+    /// and shocks rewrite DNS and ground truth only, so their rebuilds
+    /// never crawl, and re-identify only the hosts they re-pointed and
+    /// those whose CNAME chains run through them. The global merge and
+    /// §5.1 category assignment run in full. §3.5 geolocation reuses
+    /// the cached verdict of every (address, serving country) pair the
+    /// previous build located, as long as the eight geolocation
+    /// surfaces are the world's own, the [`BuildOptions::geo`] config is
+    /// equal and, for a verdict that consulted HOIHO, the resolver still
+    /// gives the PTR answer it read. Only the other pairs are located.
+    /// So the resulting dataset — down to `export_csv` bytes — is
+    /// identical to a from-scratch [`Self::try_build`] against the
+    /// mutated world, in every build profile (`tests/evolve.rs` pins
+    /// this). This is the only build body: a full build is this call on
+    /// an empty cache.
     ///
     /// Telemetry is the one documented divergence: spans and counters are
     /// only emitted for the work that actually ran. A recomputed country
@@ -1032,7 +1029,7 @@ impl GovDataset {
     /// (`identify.hosts` counts the hosts it re-identified); only
     /// a country that was also re-crawled adds crawl and classify ones;
     /// only a pair located afresh adds a `locate` span and `geoloc.*`
-    /// counts.
+    /// counts. A replayed country emits nothing.
     /// So [`GovDataset::timings`] and [`GovDataset::telemetry`] describe
     /// the incremental work, not a full build. Every rebuild still asserts
     /// that this recomputed share of the registry agrees with the merge
@@ -1044,92 +1041,51 @@ impl GovDataset {
         world: &World,
         options: &BuildOptions,
         cache: &mut BuildCache,
-        dirty: &BTreeSet<CountryCode>,
+        _dirty: &BTreeSet<CountryCode>,
     ) -> Result<(GovDataset, BuildReport), BuildError> {
         let (result, telemetry) = govhost_obs::collect(|| -> Result<_, BuildError> {
             let _build = govhost_obs::span!("build");
             let now = Arc::new(Snapshot::of(world, options));
-            // Recompute set: the dirty countries, plus any contributing
-            // country the cache has no record of (neither an entry nor a
-            // quarantine) — every country, for an empty cache.
-            let cached: HashSet<CountryCode> = cache.entries.iter().map(|e| e.code).collect();
-            let skipped: HashSet<CountryCode> =
-                cache.quarantined.iter().map(|q| q.country).collect();
-            let mut recompute: BTreeSet<CountryCode> = dirty.clone();
-            for row in world.studied_countries() {
-                let code = row.cc();
-                if !world.landing(code).is_empty()
-                    && !cached.contains(&code)
-                    && !skipped.contains(&code)
-                {
-                    recompute.insert(code);
-                }
-            }
-            // Of those, a country whose cached content half still holds
-            // keeps it; the rest are crawled afresh.
-            let reused: BTreeSet<CountryCode> = cache
+            // A cached content half is kept exactly while its crawl
+            // holds; every other contributing country is crawled afresh.
+            let mut kept: HashMap<CountryCode, CountryEntry> = cache
                 .entries
                 .iter()
-                .filter(|e| recompute.contains(&e.code) && e.content.read.crawl_holds(&now))
-                .map(|e| e.code)
+                .filter(|e| e.content.read.crawl_holds(&now))
+                .map(|e| (e.code, e.clone()))
                 .collect();
-            let crawl: BTreeSet<CountryCode> =
-                recompute.iter().filter(|c| !reused.contains(c)).copied().collect();
-            let (mut works, new_quarantines) =
-                Self::crawl_countries(world, options, &crawl, &now)?;
-            let mut old: HashMap<CountryCode, CountryEntry> =
-                std::mem::take(&mut cache.entries).into_iter().map(|e| (e.code, e)).collect();
-            for code in &reused {
-                let entry = old.remove(code).expect("reused countries have a cached entry");
-                works.push(CountryWork { entry, shards: CountryShards::default() });
-            }
-            Self::identify_countries(world, options, &now, &mut works);
-            let resolved_failures: u64 = works.iter().map(|w| w.shards.resolution_failures).sum();
-            // Splice: recomputed entries replace stale ones, everything
-            // else replays from cache, in fixed studied-country order.
-            let mut fresh: HashMap<CountryCode, CountryWork> =
-                works.into_iter().map(|w| (w.entry.code, w)).collect();
-            let mut entries: Vec<CountryEntry> = Vec::new();
-            let mut shards: Vec<Option<CountryShards>> = Vec::new();
-            let mut quarantined: Vec<QuarantineEntry> = Vec::new();
+            let (crawled, quarantined) = Self::crawl_countries(world, options, &kept, &now)?;
+            let mut crawled: HashMap<CountryCode, CountryWork> =
+                crawled.into_iter().map(|w| (w.entry.code, w)).collect();
+            // In fixed studied-country order: a crawled country, or a
+            // kept one, recomputed from its first stale §3.4 record on.
+            let mut works: Vec<CountryWork> = Vec::new();
             for row in world.studied_countries() {
                 let code = row.cc();
-                if recompute.contains(&code) {
-                    if let Some(work) = fresh.remove(&code) {
-                        entries.push(work.entry);
-                        shards.push(Some(work.shards));
-                    } else if let Some(q) =
-                        new_quarantines.iter().find(|q| q.country == code)
-                    {
-                        quarantined.push(q.clone());
-                    }
-                } else if let Some(entry) = old.remove(&code) {
-                    // A replayed country's records must all still hold:
-                    // one that does not means the dirty set missed a
-                    // country whose DNS changed.
-                    #[cfg(debug_assertions)]
-                    if let Some(host) = stale_host(world, &now, &entry) {
-                        panic!("{code} is not dirty, but the §3.4 reads of {host} changed");
-                    }
-                    entries.push(entry);
-                    shards.push(None);
-                } else if let Some(q) = cache.quarantined.iter().find(|q| q.country == code) {
-                    quarantined.push(q.clone());
+                if let Some(entry) = kept.remove(&code) {
+                    let stale = entry.infra.first_stale(&now, &world.resolver);
+                    let shards = stale.map(|stale| CountryShards { stale, ..Default::default() });
+                    works.push(CountryWork { entry, shards });
+                } else if let Some(work) = crawled.remove(&code) {
+                    works.push(work);
                 }
             }
+            Self::identify_countries(world, options, &now, &mut works);
+            let shards = works.iter().filter_map(|w| w.shards.as_ref());
+            let resolved_failures: u64 = shards.map(|s| s.resolution_failures).sum();
+            let (entries, shards): (Vec<CountryEntry>, Vec<Option<CountryShards>>) =
+                works.into_iter().map(|w| (w.entry, w.shards)).unzip();
+            // Per entry: `None` when replayed, else whether it was crawled.
+            let recomputed: Vec<Option<bool>> =
+                shards.iter().map(|s| s.as_ref().map(|s| s.crawl.is_some())).collect();
             let (asm, memo) =
                 Self::assemble(world, options, &now, &entries, shards, cache.geo.as_deref());
             cache.entries = entries;
-            cache.quarantined = quarantined.clone();
             cache.geo = Some(Arc::new(memo));
-            Ok((asm, quarantined, recompute, crawl, resolved_failures))
+            Ok((asm, quarantined, recomputed, resolved_failures))
         });
-        let (asm, quarantined, recompute, crawled, resolved_failures) = result?;
-        let fresh = cache
-            .entries
-            .iter()
-            .filter(|e| recompute.contains(&e.code))
-            .map(|e| (e, crawled.contains(&e.code)));
+        let (asm, quarantined, recomputed, resolved_failures) = result?;
+        let fresh = cache.entries.iter().zip(recomputed).filter_map(|(e, r)| Some((e, r?)));
         Ok(Self::finish_checked(asm, quarantined, fresh, resolved_failures, telemetry))
     }
 
@@ -1250,15 +1206,14 @@ impl GovDataset {
         (dataset, report)
     }
 
-    /// Phases §3.2–§3.3 for a set of countries: the per-country
-    /// crawl/classify fan-out into content halves that keep `now`.
-    /// Only the countries in `only` are crawled; the returned entries
-    /// carry an empty infra half for [`Self::identify_countries`] to
-    /// fill.
+    /// Phases §3.2–§3.3 for every contributing country without a `kept`
+    /// entry: the per-country crawl/classify fan-out into content halves
+    /// that keep `now`. The returned entries carry an empty infra half
+    /// for [`Self::identify_countries`] to fill.
     fn crawl_countries(
         world: &World,
         options: &BuildOptions,
-        only: &BTreeSet<CountryCode>,
+        kept: &HashMap<CountryCode, CountryEntry>,
         now: &Arc<Snapshot>,
     ) -> Result<(Vec<CountryWork>, Vec<QuarantineEntry>), BuildError> {
         // Prep: one crawl/classify job per contributing country, in
@@ -1266,8 +1221,8 @@ impl GovDataset {
         let mut ctxs: Vec<CountryCtx<'_>> = Vec::new();
         for row in world.studied_countries() {
             let code = row.cc();
-            if !only.contains(&code) {
-                continue; // clean or content-reused: not crawled this build
+            if kept.contains_key(&code) {
+                continue; // its content half still holds
             }
             let landing = world.landing(code);
             if landing.is_empty() {
@@ -1329,45 +1284,48 @@ impl GovDataset {
                     content: Arc::new(content),
                     infra: Arc::default(),
                 },
-                shards: CountryShards { crawl: Some(crawl), ..CountryShards::default() },
+                shards: Some(CountryShards { crawl: Some(crawl), ..CountryShards::default() }),
             });
         }
         Ok((works, quarantined))
     }
 
     /// Phase §3.4 (parallel): identification, one job per recomputed
-    /// country, whether its content half is fresh or reused. A country
+    /// country, whether its content half is fresh or kept. A country
     /// with a fresh content half identifies every distinct government
-    /// hostname it surfaced, from its own vantage; one with a reused
-    /// content half re-identifies only the hosts whose cached record no
-    /// longer holds, and keeps the rest. The new infra half replaces the
-    /// entry's, aligned with its `gov` arena.
+    /// hostname it surfaced, from its own vantage; one with a kept
+    /// content half re-identifies, from its first stale record on, only
+    /// the hosts whose cached record no longer holds, and keeps the rest.
+    /// The new infra half replaces the entry's, aligned with its `gov`
+    /// arena.
     fn identify_countries(
         world: &World,
         options: &BuildOptions,
         now: &Arc<Snapshot>,
         works: &mut [CountryWork],
     ) {
-        let jobs: Vec<(CountryCode, CountryCode, &ContentHalf, &InfraHalf)> = works
+        let jobs: Vec<(CountryCode, CountryCode, &ContentHalf, &InfraHalf, usize)> = works
             .iter()
-            .map(|w| {
-                let code = w.entry.code;
-                (code, world.vantage(code).country, &*w.entry.content, &*w.entry.infra)
+            .filter_map(|w| {
+                let (code, stale) = (w.entry.code, w.shards.as_ref()?.stale);
+                let vantage = world.vantage(code).country;
+                Some((code, vantage, &*w.entry.content, &*w.entry.infra, stale))
             })
             .collect();
         let identified: Vec<(InfraHalf, u64, govhost_obs::Telemetry)> =
             govhost_par::parallel_map(
                 &jobs,
                 options.threads,
-                |(code, _, _, _)| format!("identify {code}"),
-                |_, (code, vantage, content, previous)| {
-                    identify_country(world, now, *code, *vantage, &content.gov, previous)
+                |(code, ..)| format!("identify {code}"),
+                |_, &(code, vantage, content, previous, stale)| {
+                    identify_country(world, now, code, vantage, &content.gov, previous, stale)
                 },
             );
-        for (work, (infra, failures, shard)) in works.iter_mut().zip(identified) {
-            work.entry.infra = Arc::new(infra);
-            work.shards.identify = shard;
-            work.shards.resolution_failures = failures;
+        let recomputed = works.iter_mut().filter_map(|w| Some((&mut w.entry, w.shards.as_mut()?)));
+        for ((entry, shards), (infra, failures, shard)) in recomputed.zip(identified) {
+            entry.infra = Arc::new(infra);
+            shards.identify = shard;
+            shards.resolution_failures = failures;
         }
     }
 

@@ -5,7 +5,7 @@
 //! ([`govhost_worldgen::tick`]) and rebuilds the dataset after each via
 //! [`GovDataset::rebuild_incremental`] — the revisit-study design: the
 //! same corpus re-measured as its hosting drifts. Ticks leave the corpus
-//! alone, so each rebuild reuses the dirty countries' cached crawl and
+//! alone, so each rebuild reuses every country's cached crawl and
 //! re-runs §3.4 identify only for the hosts whose recorded DNS reads
 //! changed — those the year's events re-pointed and their CNAME
 //! dependents — and the tick itself walks the world's host index, so a
@@ -103,10 +103,11 @@ pub struct EvolveOutcome {
 /// roster with [`govhost_worldgen::tick::systems_from_env`] first.
 ///
 /// Builds year 0 with [`GovDataset::build_cached`], then for each year:
-/// run the tick, rebuild just its dirty set with
-/// [`GovDataset::rebuild_incremental`], and measure. The outcome's final
-/// dataset is byte-identical to a from-scratch build against the final
-/// world state.
+/// run the tick, rebuild with [`GovDataset::rebuild_incremental`] (which
+/// checks every cached record itself, so the tick's dirty set is only
+/// reported, in [`YearMetrics::dirty`]), and measure. The outcome's
+/// final dataset is byte-identical to a from-scratch build against the
+/// final world state.
 pub fn evolve_with_systems(
     world: &mut World,
     years: u32,

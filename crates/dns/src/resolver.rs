@@ -13,8 +13,8 @@ use crate::name::DnsName;
 use crate::rr::{RData, RecordType};
 use crate::server::AuthoritativeServer;
 use crate::wire::{Message, Rcode};
+use govhost_types::hash::DetHashMap;
 use govhost_types::{CountryCode, Hostname};
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -116,12 +116,10 @@ fn addresses_of(
     }
 }
 
-/// What one resolution read: the zone [`Resolver::zone_for`] sent each
-/// of its queries to (`None`: no zone covered the name, and the
-/// resolution stopped there), in order — first the query for the
-/// resolved name itself, then one per CNAME hop, with the alias target
-/// it asked. The resolved name is not kept; [`ResolutionRead::holds`]
-/// takes it.
+/// What one resolution read: every query it sent, in order — first the
+/// resolved name itself, then one per CNAME hop — with the name asked
+/// and the zone [`Resolver::zone_for`] sent it to (`None`: no zone
+/// covered the name, and the resolution stopped there).
 ///
 /// Zones are immutable once registered, and [`Resolver::add_server`]
 /// replaces one with a new allocation, so a resolution from the same
@@ -129,32 +127,18 @@ fn addresses_of(
 /// answer. Holding the `Arc`s keeps their allocations from being reused.
 #[derive(Debug, Clone, Default)]
 pub struct ResolutionRead {
-    first: Option<Arc<AuthoritativeServer>>,
-    aliases: Vec<(DnsName, Option<Arc<AuthoritativeServer>>)>,
+    queries: Vec<(DnsName, Option<Arc<AuthoritativeServer>>)>,
 }
 
 impl ResolutionRead {
-    /// Note query number `hop` (0 for the resolved name itself): `name`
-    /// was asked of `zone`.
-    fn record(&mut self, hop: u16, name: &DnsName, zone: Option<&Arc<AuthoritativeServer>>) {
-        if hop == 0 {
-            self.first = zone.cloned();
-        } else {
-            self.aliases.push((name.clone(), zone.cloned()));
-        }
-    }
-
-    /// Whether `resolver` still sends every query of this resolution of
-    /// `name` to the zone it went to, and so gives the same answer. Reads
-    /// the catalog only; no query is sent.
-    pub fn holds(&self, resolver: &Resolver, name: &DnsName) -> bool {
-        let same = |name: &DnsName, zone: &Option<Arc<AuthoritativeServer>>| {
-            match (resolver.zone_for(name), zone) {
-                (Some(now), Some(then)) => Arc::ptr_eq(now, then),
-                (now, then) => now.is_none() && then.is_none(),
-            }
-        };
-        same(name, &self.first) && self.aliases.iter().all(|(alias, zone)| same(alias, zone))
+    /// Whether `resolver` still sends every query of this resolution to
+    /// the zone it went to, and so gives the same answer. Reads the
+    /// catalog only: no query is sent and nothing is allocated.
+    pub fn holds(&self, resolver: &Resolver) -> bool {
+        self.queries.iter().all(|(name, zone)| match (resolver.zone_for(name), zone) {
+            (Some(now), Some(then)) => Arc::ptr_eq(now, then),
+            (now, then) => now.is_none() && then.is_none(),
+        })
     }
 }
 
@@ -163,9 +147,11 @@ impl ResolutionRead {
 /// Each server sits behind an [`Arc`], so a clone copies the catalog
 /// and shares every zone; [`Resolver::add_server`] replaces a zone
 /// rather than editing it, so clones never see each other's writes.
+/// Zone apexes come from the generated world, so the catalog hashes
+/// with the workspace's deterministic hasher.
 #[derive(Debug, Default, Clone)]
 pub struct Resolver {
-    zones: HashMap<DnsName, Arc<AuthoritativeServer>>,
+    zones: DetHashMap<DnsName, Arc<AuthoritativeServer>>,
 }
 
 impl Resolver {
@@ -220,8 +206,8 @@ impl Resolver {
     ) -> (Result<ResolvedAnswer, ResolutionError>, ResolutionRead) {
         let mut read = ResolutionRead::default();
         let result = self
-            .resolve_rtype_traced(name, RecordType::A, vantage, |hop, asked, zone| {
-                read.record(hop, asked, zone);
+            .resolve_rtype_traced(name, RecordType::A, vantage, |asked, zone| {
+                read.queries.push((asked.clone(), zone.cloned()));
             })
             .and_then(addresses_of);
         (result, read)
@@ -258,14 +244,14 @@ impl Resolver {
     }
 
     /// [`Resolver::resolve_ptr`], also returning the zones it read: while
-    /// that read [holds](ResolutionRead::holds) for the reverse name, the
-    /// same lookup gets the same answer.
+    /// that read [holds](ResolutionRead::holds), the same lookup gets the
+    /// same answer.
     pub fn resolve_ptr_sourced(&self, ip: Ipv4Addr) -> PtrLookup {
         let name = crate::reverse::reverse_name(ip);
         let mut read = ResolutionRead::default();
         let answer = self
-            .resolve_rtype_traced(&name, RecordType::Ptr, None, |hop, asked, zone| {
-                read.record(hop, asked, zone);
+            .resolve_rtype_traced(&name, RecordType::Ptr, None, |asked, zone| {
+                read.queries.push((asked.clone(), zone.cloned()));
             })
             .and_then(|(_, rdatas)| {
                 rdatas
@@ -291,18 +277,17 @@ impl Resolver {
         rtype: RecordType,
         vantage: Option<CountryCode>,
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
-        self.resolve_rtype_traced(name, rtype, vantage, |_, _, _| {})
+        self.resolve_rtype_traced(name, rtype, vantage, |_, _| {})
     }
 
     /// [`Resolver::resolve_rtype`] that reports each query to `hop`
-    /// before sending it: its index, the name asked and the zone it goes
-    /// to.
+    /// before sending it: the name asked and the zone it goes to.
     fn resolve_rtype_traced(
         &self,
         name: &DnsName,
         rtype: RecordType,
         vantage: Option<CountryCode>,
-        hop: impl FnMut(u16, &DnsName, Option<&Arc<AuthoritativeServer>>),
+        hop: impl FnMut(&DnsName, Option<&Arc<AuthoritativeServer>>),
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
         let _span = govhost_obs::span!("dns_resolve");
         let result = self.resolve_rtype_inner(name, rtype, vantage, hop);
@@ -317,13 +302,13 @@ impl Resolver {
         name: &DnsName,
         rtype: RecordType,
         vantage: Option<CountryCode>,
-        mut on_hop: impl FnMut(u16, &DnsName, Option<&Arc<AuthoritativeServer>>),
+        mut on_hop: impl FnMut(&DnsName, Option<&Arc<AuthoritativeServer>>),
     ) -> Result<(Vec<DnsName>, Vec<RData>), ResolutionError> {
         let mut chain = vec![name.clone()];
         let mut current = name.clone();
         for hop in 0..8u16 {
             let server = self.zone_for(&current);
-            on_hop(hop, &current, server);
+            on_hop(&current, server);
             let server = server.ok_or_else(|| ResolutionError::NoZone(current.clone()))?;
             govhost_obs::counter_add("dns.queries", &[], 1);
             let query = Message::query(hop + 1, current.clone(), rtype);
@@ -426,18 +411,18 @@ mod tests {
         let (_, missing) = r.resolve_reading(&unknown, None);
         // A zone no query went to leaves both reads standing.
         r.add_server(AuthoritativeServer::new(Zone::new(n("other.example"))));
-        assert!(read.holds(&r, &www) && missing.holds(&r, &unknown));
+        assert!(read.holds(&r) && missing.holds(&r));
         // Replacing the zone of the CNAME hop breaks the read.
         let mut fork = r.clone();
         fork.add_server(AuthoritativeServer::new(Zone::new(n("cdn.gphost.net"))));
-        assert!(!read.holds(&fork, &www) && read.holds(&r, &www));
+        assert!(!read.holds(&fork) && read.holds(&r));
         // So does a more specific zone appearing under a queried name, and
         // a zone appearing where there was none.
         let mut fork = r.clone();
         fork.add_server(AuthoritativeServer::new(Zone::new(n("www.ministerio.gob.ar"))));
-        assert!(!read.holds(&fork, &www));
+        assert!(!read.holds(&fork));
         r.add_server(AuthoritativeServer::new(Zone::new(n("unknown.org"))));
-        assert!(!missing.holds(&r, &unknown));
+        assert!(!missing.holds(&r));
     }
 
     #[test]

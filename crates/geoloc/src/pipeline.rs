@@ -8,7 +8,7 @@ use crate::ipmap::IpMapCache;
 use crate::probing::ActiveProber;
 use crate::single_radius::single_radius;
 use crate::thresholds::CountryThresholds;
-use govhost_dns::{reverse_name, DnsName, ResolutionRead, Resolver};
+use govhost_dns::{DnsName, ResolutionRead, Resolver};
 use govhost_netsim::asdb::AsRegistry;
 use govhost_netsim::latency::LatencyModel;
 use govhost_netsim::probes::ProbeFleet;
@@ -168,8 +168,7 @@ impl PtrRead {
     /// to, the answer is the same without a query; otherwise the lookup
     /// runs again and the answers are compared.
     pub fn holds(&self, resolver: &Resolver) -> bool {
-        self.read.holds(resolver, &reverse_name(self.ip))
-            || resolver.resolve_ptr(self.ip).ok() == self.answer
+        self.read.holds(resolver) || resolver.resolve_ptr(self.ip).ok() == self.answer
     }
 }
 

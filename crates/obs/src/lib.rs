@@ -214,10 +214,22 @@ thread_local! {
 /// duration (spans and metrics land in the inner capture only), which is
 /// exactly what a worker job wants — its shard travels back inside the
 /// job result instead of racing other threads for shared state.
+///
+/// A panic inside `f` closes the scope on its way out: its shard is
+/// dropped, not left on the thread to catch what is recorded later.
 pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Telemetry) {
+    /// Pops the scope's shard however `f` exits.
+    struct Scope;
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            SHARDS.with(|s| s.borrow_mut().pop());
+        }
+    }
     SHARDS.with(|s| s.borrow_mut().push(Shard::new()));
+    let scope = Scope;
     let result = f();
     let shard = SHARDS.with(|s| s.borrow_mut().pop().expect("collect scope still open"));
+    std::mem::forget(scope);
     debug_assert!(shard.open.is_empty(), "span guards must not outlive their collect scope");
     (result, shard.into_telemetry())
 }
@@ -375,6 +387,34 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_scope_leaves_no_shard_behind() {
+        let ((), outer) = collect(|| {
+            let caught = std::panic::catch_unwind(|| {
+                collect(|| {
+                    let _doomed = span("doomed");
+                    counter_add("doomed", &[], 1);
+                    panic!("the closure panics");
+                })
+            });
+            assert!(caught.is_err());
+            // Recorded after the panic: the enclosing scope's, not the
+            // panicked one's.
+            counter_add("after", &[], 1);
+        });
+        assert_eq!(outer.registry.counter_total("after"), 1);
+        assert_eq!(outer.registry.counter_total("doomed"), 0);
+        assert_eq!(outer.span_count("doomed"), 0);
+        assert_eq!(SHARDS.with(|s| s.borrow().len()), 0, "the outer scope popped its own shard");
+
+        let caught = std::panic::catch_unwind(|| collect(|| panic!("the closure panics")));
+        assert!(caught.is_err());
+        counter_add("stray", &[], 1);
+        // No shard is left behind for the counter to land in: it is
+        // dropped, as outside any scope.
+        assert_eq!(SHARDS.with(|s| s.borrow().len()), 0);
+    }
 
     #[test]
     fn recording_outside_a_scope_is_a_noop() {

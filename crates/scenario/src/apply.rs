@@ -9,9 +9,10 @@
 //! other surface, plus clones of the dataset and the [`BuildCache`],
 //! whose per-country crawl results are shared, so the cache clone copies
 //! pointers and the §3.4 identification halves — applies its shocks to the fork in file order through
-//! [`govhost_worldgen::shock`], and rebuilds exactly the shocked
-//! countries with [`GovDataset::rebuild_incremental`]: the what-if
-//! answer arrives at incremental cost, not full-build cost. Shocks
+//! [`govhost_worldgen::shock`], and rebuilds the fork with
+//! [`GovDataset::rebuild_incremental`], which re-identifies exactly the
+//! hosts whose DNS reads the shocks changed: the what-if answer arrives
+//! at incremental cost, not full-build cost. Shocks
 //! rewrite DNS only, and a fork shares its parent's corpus and search
 //! index, so that rebuild re-runs §3.4 identify and crawls nothing. The baseline
 //! itself is never shocked. Only the shocked dataset is measured per
@@ -146,7 +147,7 @@ impl Baseline {
 }
 
 /// Fork the baseline, shock the fork with one scenario whose outages
-/// are already resolved, rebuild the dirty countries, and measure the
+/// are already resolved, rebuild it incrementally, and measure the
 /// result.
 fn apply(
     options: &BuildOptions,

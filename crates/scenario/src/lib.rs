@@ -16,8 +16,9 @@
 //!    measures the baseline once; each scenario then forks it (a world
 //!    clone that copies only DNS and ground truth, plus a clone of the
 //!    build cache), applies its shocks via [`govhost_worldgen::shock`]
-//!    as one synthetic tick on the fork, and rebuilds only the dirty
-//!    countries. [`run_scenario`] is the same path for one scenario.
+//!    as one synthetic tick on the fork, and rebuilds it incrementally:
+//!    the cache re-identifies only the hosts whose DNS reads the shocks
+//!    changed. [`run_scenario`] is the same path for one scenario.
 //! 3. **[`mod@diff`] / [`insight`]** — any two builds reduced to
 //!    [`BuildMetrics`] and lined up row by row with winners and
 //!    dead-banded ties; the insight engine ranks the movements into

@@ -4,10 +4,11 @@
 //! A shock is a [`tick`](crate::tick)-shaped mutation applied outside
 //! the yearly evolution loop: it rewrites DNS zones (and, where the
 //! mutation has a real-world operator, ground truth) and reports the
-//! countries whose hosting surface changed, so
-//! `GovDataset::rebuild_incremental` in govhost-core checks only those,
-//! and re-identifies only their hosts whose DNS reads changed. Shocks
-//! walk the world's host index like ticks do. No shock writes a shared
+//! countries whose hosting surface changed (the scenario slabs show
+//! them). `GovDataset::rebuild_incremental` in govhost-core does not
+//! read that report: it checks every cached host's DNS reads itself and
+//! re-identifies only the hosts whose reads changed. Shocks walk the
+//! world's host index like ticks do. No shock writes a shared
 //! surface — the web corpus and search index included — so a shocked
 //! world keeps the allocations its baseline's cache holds (a unit test
 //! in [`world`](crate::world) checks all three shocks) and its rebuild
@@ -81,7 +82,7 @@ pub struct DarkHost {
 /// What one shock did to the world.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShockReport {
-    /// Countries whose hosting surface changed and must be rebuilt.
+    /// Countries whose hosting surface changed.
     pub dirty: BTreeSet<CountryCode>,
     /// Human-readable event log, one line per mutation, in hostname
     /// order.

@@ -25,16 +25,16 @@
 //!   corpus, the search index or any geolocation surface, so the
 //!   measurement pipeline's view of a country changes only if one of
 //!   that country's hostnames was re-pointed. The set of such countries
-//!   is the tick's *dirty set*. `GovDataset::rebuild_incremental` in
-//!   govhost-core treats it as a hint: it checks the recorded DNS reads
-//!   of those countries' hosts and re-identifies only the hosts whose
-//!   reads changed, and a debug build asserts that no other country's
-//!   did. The shared-surface half of the law is checked, not just
-//!   stated: a unit test in [`world`](crate::world) checks that ticks
-//!   leave every `Arc` surface the world's own allocation, so a cache
-//!   that keeps clones of the corpus and search index still holds them
-//!   after a tick, and a tick rebuild re-runs only §3.4 identify for its
-//!   dirty countries, never the crawl.
+//!   is the tick's *dirty set*, a report for users (the `dirty` column
+//!   of `govhost evolve`, the `/history` routes), not a build input:
+//!   `GovDataset::rebuild_incremental` in govhost-core checks the
+//!   recorded DNS reads of every cached host itself and re-identifies
+//!   only the hosts whose reads changed. The shared-surface half of the
+//!   law is checked, not just stated: a unit test in
+//!   [`world`](crate::world) checks that ticks leave every `Arc` surface
+//!   the world's own allocation, so a cache that keeps clones of the
+//!   corpus and search index still holds them after a tick, and a tick
+//!   rebuild re-runs only §3.4 identify, never the crawl.
 //! * **Cost follows the events.** Systems visit hosts through the
 //!   world's host index (sorted by name, grouped by country, built once
 //!   and shared by forks) and read each visited host's truth once; no

@@ -93,7 +93,9 @@ fn reach_of_repoints(world: &World, dataset: &GovDataset, repointed: &BTreeSet<S
 
 /// Run `years` ticks over one world, rebuilding incrementally after
 /// each, and assert the export bytes match a from-scratch build of the
-/// same evolved world every single year. Ticks never touch the web
+/// same evolved world every single year — also when a clone of the
+/// cache is rebuilt with an empty dirty set, since the cache checks
+/// every record itself. Ticks never touch the web
 /// corpus, so every rebuild must also re-run §3.4 identify alone: no
 /// page crawled, no URL classified. Identify re-resolves at most the
 /// hosts the year's events re-pointed, plus their CNAME dependents. Nor
@@ -116,6 +118,7 @@ fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usiz
             .filter_map(|event| event.split_whitespace().nth(2).map(str::to_string))
             .collect();
         let reach = reach_of_repoints(&before, &previous, &repointed);
+        let mut untold = cache.clone();
         let (incremental, _) =
             GovDataset::rebuild_incremental(&world, &options, &mut cache, &report.dirty)
                 .expect("incremental rebuild succeeds");
@@ -146,6 +149,12 @@ fn assert_incremental_matches_full(params: &GenParams, years: u32, threads: usiz
             "year {year}: urls.csv diverges ({} dirty countries)",
             report.dirty.len()
         );
+        let (unreported, _) =
+            GovDataset::rebuild_incremental(&world, &options, &mut untold, &BTreeSet::new())
+                .expect("a rebuild with an empty dirty set succeeds");
+        let unreported_csv = export_csv(&unreported);
+        assert_eq!(unreported_csv.hosts, full_csv.hosts, "year {year}: hosts.csv, nothing dirty");
+        assert_eq!(unreported_csv.urls, full_csv.urls, "year {year}: urls.csv, nothing dirty");
         previous = incremental;
     }
 }

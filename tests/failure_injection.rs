@@ -246,7 +246,9 @@ fn the_earliest_faulting_landing_page_names_the_country() {
 /// Faults during an incremental rebuild obey the same policies as a full
 /// build: poisoning a country after a clean cached build and rebuilding
 /// with only that country dirty either aborts without touching the
-/// cache, or quarantines it exactly as a from-scratch build would.
+/// cache, or quarantines it exactly as a from-scratch build would. A
+/// quarantined country has no cache entry, so once it is repaired, a
+/// rebuild told that nothing changed brings it back.
 #[test]
 fn incremental_rebuild_applies_the_failure_policy() {
     let br: CountryCode = "BR".parse().unwrap();
@@ -258,6 +260,7 @@ fn incremental_rebuild_applies_the_failure_policy() {
             GovDataset::build_cached(&world, &options).expect("clean world builds");
         let before = cache.countries();
         assert!(before.contains(&br), "BR contributes to the clean build");
+        let clean = Arc::clone(&world.corpus);
         poison_country(&mut world, br);
         let rebuilt = GovDataset::rebuild_incremental(&world, &options, &mut cache, &dirty);
         match policy {
@@ -282,6 +285,22 @@ fn incremental_rebuild_applies_the_failure_policy() {
                 let after = cache.countries();
                 assert!(!after.contains(&br), "the quarantined country leaves the cache");
                 assert_eq!(after.len(), before.len() - 1);
+
+                world.corpus = clean;
+                let nothing = std::collections::BTreeSet::new();
+                let (ds, report) =
+                    GovDataset::rebuild_incremental(&world, &options, &mut cache, &nothing)
+                        .expect("the repaired world rebuilds");
+                let (full, full_report) =
+                    GovDataset::try_build(&world, &options).expect("the repaired world builds");
+                assert_eq!(report, full_report);
+                assert!(report.quarantined.is_empty(), "{report:?}");
+                assert_eq!(cache.countries(), before, "the repaired country is back");
+                let inc_csv = export_csv_full(&ds, Some(&report));
+                let full_csv = export_csv_full(&full, Some(&full_report));
+                assert_eq!(inc_csv.hosts, full_csv.hosts);
+                assert_eq!(inc_csv.urls, full_csv.urls);
+                assert_eq!(inc_csv.meta, full_csv.meta);
             }
         }
     }
